@@ -306,7 +306,10 @@ pub fn run_throughput(opts: &ThroughputOpts) -> ThroughputReport {
     let engine_batch1 = measure_bulk("Engine::query_batch w=1", n, || {
         engine.query_batch(&stream, 1);
     });
-    let batch_workers = engine.batch_runner(opts.workers).workers();
+    let batch_workers = match opts.workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        w => w,
+    };
     let engine_batch_n = measure_bulk(&format!("Engine::query_batch w={batch_workers}"), n, || {
         engine.query_batch(&stream, opts.workers);
     });

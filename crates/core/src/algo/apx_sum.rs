@@ -30,16 +30,6 @@ fn nearest_data_point<R: Recorder, C: CancelCheck>(
 }
 
 /// The candidate set of Algorithm 3 (deduplicated, sorted).
-pub fn apx_sum_candidates(g: &Graph, query: &FannQuery) -> Vec<NodeId> {
-    apx_sum_candidates_traced(g, query, ())
-}
-
-/// [`apx_sum_candidates`] with a live [`Recorder`] observing the `|Q|`
-/// nearest-neighbor expansions.
-pub fn apx_sum_candidates_traced<R: Recorder>(g: &Graph, query: &FannQuery, rec: R) -> Vec<NodeId> {
-    candidates_cancellable(g, query, rec, ())
-}
-
 fn candidates_cancellable<R: Recorder, C: CancelCheck>(
     g: &Graph,
     query: &FannQuery,
@@ -200,7 +190,7 @@ mod tests {
         // optimum p3 is among them, so APX-sum returns the exact answer.
         let (g, p, q) = crate::algo::brute::tests::figure1();
         let query = FannQuery::new(&p, &q, 0.5, Aggregate::Sum);
-        let cand = apx_sum_candidates(&g, &query);
+        let cand = candidates_cancellable(&g, &query, (), ());
         assert_eq!(cand, vec![2, 3, 4]); // p3, p4, p5
         let ine = InePhi::new(&g, &q);
         let a = apx_sum(&g, &query, &ine).unwrap();
@@ -213,7 +203,7 @@ mod tests {
         let p: Vec<u32> = (0..36).step_by(2).collect();
         let q: Vec<u32> = vec![0, 1, 2, 3]; // clustered: NNs likely shared
         let query = FannQuery::new(&p, &q, 0.5, Aggregate::Sum);
-        let cand = apx_sum_candidates(&g, &query);
+        let cand = candidates_cancellable(&g, &query, (), ());
         assert!(!cand.is_empty());
         assert!(cand.len() <= q.len());
         for c in &cand {

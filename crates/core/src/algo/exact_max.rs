@@ -125,25 +125,13 @@ pub fn exact_max_on_streams<S: StreamSet>(
 /// # Panics
 /// If the query aggregate is not [`Aggregate::Max`].
 pub fn exact_max(g: &Graph, query: &FannQuery) -> Option<FannAnswer> {
-    exact_max_pooled(g, query, &mut ScratchPool::new())
+    exact_max_traced(g, query, &mut ScratchPool::new(), ())
 }
 
-/// [`exact_max`] drawing the `|Q|` expansion scratches from `pool` — the
-/// batch-engine entry point (see [`crate::algo::rlist::r_list_pooled`]).
-///
-/// # Panics
-/// If the query aggregate is not [`Aggregate::Max`].
-pub fn exact_max_pooled(
-    g: &Graph,
-    query: &FannQuery,
-    pool: &mut ScratchPool,
-) -> Option<FannAnswer> {
-    exact_max_traced(g, query, pool, ())
-}
-
-/// [`exact_max_pooled`] with a live [`Recorder`] observing the counter
-/// loop's expansion work and pruned data points; the `()` recorder makes
-/// this identical to the untraced path.
+/// [`exact_max`] drawing the `|Q|` expansion scratches from `pool`, with a
+/// live [`Recorder`] observing the counter loop's expansion work and
+/// pruned data points; the `()` recorder makes this identical to the
+/// untraced path.
 ///
 /// # Panics
 /// If the query aggregate is not [`Aggregate::Max`].

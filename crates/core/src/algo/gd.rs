@@ -15,8 +15,7 @@ use roadnet::cancel::{CancelCheck, Cancelled};
 /// `ceil(phi |Q|)` query points.
 ///
 /// Ties on `d*` resolve to the smallest node id, so the reported `p*` is
-/// deterministic regardless of the order of `P` (and agrees with
-/// [`crate::algo::parallel::gd_parallel`] for any worker count).
+/// deterministic regardless of the order of `P`.
 pub fn gd(query: &FannQuery, gphi: &dyn GPhi) -> Option<FannAnswer> {
     match gd_cancellable(query, gphi, ()) {
         Ok(a) => a,

@@ -11,8 +11,7 @@
 //!
 //! [`brute::brute_force`] is the O(|Q|·Dijkstra) reference used by tests
 //! and by the approximation-quality experiments (Fig. 11). [`mod@omp`] covers
-//! the optimal-meeting-point special case (§I), and [`parallel`] adds a
-//! multi-threaded `GD` for large candidate sets (extension, DESIGN.md §7).
+//! the optimal-meeting-point special case (§I).
 
 pub mod apx_sum;
 pub mod brute;
@@ -20,18 +19,15 @@ pub mod exact_max;
 pub mod gd;
 pub mod ier;
 pub mod omp;
-pub mod parallel;
 pub mod rlist;
 pub mod topk;
 
 pub use apx_sum::{apx_sum, apx_sum_cancellable, apx_sum_traced};
 pub use brute::brute_force;
 pub use exact_max::{
-    exact_max, exact_max_cancellable, exact_max_on_streams, exact_max_pooled, exact_max_traced,
-    exact_max_with_gphi,
+    exact_max, exact_max_cancellable, exact_max_on_streams, exact_max_traced, exact_max_with_gphi,
 };
 pub use gd::{gd, gd_cancellable};
 pub use ier::{ier_knn, ier_knn_cancellable, ier_knn_traced, ier_knn_with_bound, IerBound};
 pub use omp::{flexible_omp, omp};
-pub use parallel::gd_parallel;
-pub use rlist::{r_list, r_list_cancellable, r_list_on_streams, r_list_pooled, r_list_traced};
+pub use rlist::{r_list, r_list_cancellable, r_list_on_streams, r_list_traced};

@@ -24,28 +24,17 @@ use std::collections::HashSet;
 /// Exact FANN_R with threshold-based early termination. Universal
 /// (both `sum` and `max`).
 pub fn r_list(g: &Graph, query: &FannQuery, gphi: &dyn GPhi) -> Option<FannAnswer> {
-    r_list_pooled(g, query, gphi, &mut ScratchPool::new())
+    r_list_traced(g, query, gphi, &mut ScratchPool::new(), ())
 }
 
-/// [`r_list`] drawing the `|Q|` expansion scratches from `pool` — the
-/// batch-engine entry point: a worker keeps one pool across its whole query
-/// stream, so the per-query `O(|Q||V|)` distance-array allocation happens
-/// only while the pool warms up.
-pub fn r_list_pooled(
-    g: &Graph,
-    query: &FannQuery,
-    gphi: &dyn GPhi,
-    pool: &mut ScratchPool,
-) -> Option<FannAnswer> {
-    r_list_traced(g, query, gphi, pool, ())
-}
-
-/// [`r_list_pooled`] with a live [`Recorder`]: the `|Q|` expansions report
-/// their search work, and data points never evaluated because the
-/// threshold fired are reported as pruned. Note the recorder only sees the
-/// *expansion* side — pass a backend built `with_recorder` to also count
-/// the `g_phi` side. The `()` recorder makes this identical to the
-/// untraced path.
+/// [`r_list`] drawing the `|Q|` expansion scratches from `pool` (a worker
+/// that keeps one pool across its query stream pays the `O(|Q||V|)`
+/// distance-array allocation only while the pool warms up), with a live
+/// [`Recorder`]: the `|Q|` expansions report their search work, and data
+/// points never evaluated because the threshold fired are reported as
+/// pruned. Note the recorder only sees the *expansion* side — pass a
+/// backend built `with_recorder` to also count the `g_phi` side. The `()`
+/// recorder makes this identical to the untraced path.
 pub fn r_list_traced<R: Recorder>(
     g: &Graph,
     query: &FannQuery,

@@ -41,17 +41,14 @@
 use crate::algo::ier::build_p_rtree;
 use crate::algo::topk::{exact_max_topk, ier_topk, rlist_topk};
 use crate::algo::{
-    apx_sum, apx_sum_cancellable, apx_sum_traced, exact_max, exact_max_cancellable,
-    exact_max_pooled, exact_max_traced, ier_knn, ier_knn_cancellable, ier_knn_traced, r_list,
-    r_list_cancellable, r_list_pooled, r_list_traced, IerBound,
+    apx_sum_cancellable, exact_max_cancellable, exact_max_on_streams, ier_knn_cancellable,
+    r_list_cancellable, r_list_on_streams, IerBound,
 };
-use crate::algo::{exact_max_on_streams, r_list_on_streams};
 use crate::gphi::ier2::IerPhi;
-use crate::gphi::ine::InePhi;
+use crate::gphi::ine::{IneBuffers, InePhi};
 use crate::gphi::oracle::GuardedLabelOracle;
-use crate::gphi::{GPhi, ReusableGPhi};
 use crate::locality::{AnswerCache, CacheKey, CacheStats, NO_REACH};
-use crate::metrics::{LatencyHistogram, SearchStats, StatsSink};
+use crate::metrics::{LatencyHistogram, Recorder, SearchStats, StatsSink};
 use crate::{flex_k, Aggregate, FannAnswer, FannQuery, KFannAnswer, QueryError};
 use hublabel::HubLabels;
 use roadnet::cancel::{CancelCheck, CancelToken, Cancelled};
@@ -60,6 +57,7 @@ use roadnet::{
     SnapshotCell, UpdateError, WeightUpdate,
 };
 use spatial_rtree::{Mbr, Pt};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -115,24 +113,24 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// Canonical (sorted, duplicate-free) copy of `ids`, or `None` when `ids`
-/// is already canonical. `P` and `Q` are sets (see [`FannQuery`]); the
-/// engine canonicalizes both before dispatch so every strategy sees the
-/// same effective query, any permutation of the same set produces the
+/// `ids` as a canonical (sorted, duplicate-free) set, borrowed when it
+/// already is one. `P` and `Q` are sets (see [`FannQuery`]); the engine
+/// canonicalizes both before dispatch so every strategy sees the same
+/// effective query, any permutation of the same set produces the
 /// bit-identical answer (making the answer cache's canonical keys sound,
 /// see [`crate::locality`]) — and the common already-canonical case stays
 /// allocation-free.
-fn canonical(ids: &[NodeId]) -> Option<Vec<NodeId>> {
+fn canonical(ids: &[NodeId]) -> Cow<'_, [NodeId]> {
     if ids.windows(2).all(|w| w[0] < w[1]) {
-        return None;
+        return Cow::Borrowed(ids);
     }
     let mut sorted = ids.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
-    Some(sorted)
+    Cow::Owned(sorted)
 }
 
-/// How a `query_cached*` call was answered (observable for the serving
+/// How the answer cache took part in a query (observable for the serving
 /// metrics and the coherence tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
@@ -144,23 +142,40 @@ pub enum CacheOutcome {
     Bypass,
 }
 
-/// The cache key for a canonicalized query on the current snapshot.
-fn cache_key<'a>(
-    p: &'a [NodeId],
-    q: &'a [NodeId],
+/// One query after the shared prepare step ([`Engine::prepare`]): `P` and
+/// `Q` canonical, the quadruple validated against the pinned graph, the
+/// strategy picked. Dispatch, cache key and cache store all read this and
+/// nothing else, so each of those steps happens once per query.
+struct Prepared<'a> {
+    p: Cow<'a, [NodeId]>,
+    q: Cow<'a, [NodeId]>,
     phi: f64,
     agg: Aggregate,
     strategy: Strategy,
-) -> CacheKey<'a> {
-    CacheKey {
-        p,
-        q,
-        phi,
-        agg: match agg {
-            Aggregate::Sum => 0,
-            Aggregate::Max => 1,
-        },
-        strategy: strategy.index() as u8,
+}
+
+impl Prepared<'_> {
+    fn query(&self) -> FannQuery<'_> {
+        FannQuery {
+            p: &self.p,
+            q: &self.q,
+            phi: self.phi,
+            agg: self.agg,
+        }
+    }
+
+    /// The cache key for this query on the pinned snapshot.
+    fn key(&self) -> CacheKey<'_> {
+        CacheKey {
+            p: &self.p,
+            q: &self.q,
+            phi: self.phi,
+            agg: match self.agg {
+                Aggregate::Sum => 0,
+                Aggregate::Max => 1,
+            },
+            strategy: self.strategy.index() as u8,
+        }
     }
 }
 
@@ -171,14 +186,12 @@ fn cache_key<'a>(
 fn cache_store(
     cache: &AnswerCache,
     snap: &EngineSnapshot,
-    key: &CacheKey<'_>,
-    agg: Aggregate,
+    prep: &Prepared<'_>,
     answer: Option<&FannAnswer>,
-    strategy: Strategy,
 ) {
     let graph = snap.graph();
     let mut mbr = Mbr::empty();
-    for &v in key.q {
+    for &v in prep.q.iter() {
         let c = graph.coord(v);
         mbr.extend(Pt::new(c.x, c.y));
     }
@@ -191,9 +204,9 @@ fn cache_store(
             // >= scale·mdist(b_Q, p*).
             let c = graph.coord(a.p_star);
             let per_term = scale * mbr.mindist_point(Pt::new(c.x, c.y));
-            let bound_f = match agg {
+            let bound_f = match prep.agg {
                 Aggregate::Max => per_term,
-                Aggregate::Sum => per_term * flex_k(key.phi, key.q.len()) as f64,
+                Aggregate::Sum => per_term * flex_k(prep.phi, prep.q.len()) as f64,
             };
             let bound = if bound_f.is_finite() {
                 (bound_f.max(0.0).floor() as Dist).min(a.dist)
@@ -204,7 +217,7 @@ fn cache_store(
             // have looked. Exact-max and IER-kNN are bounded by d*;
             // R-List's random-access evals reach up to 2·d*; APX-sum's
             // candidate probes are unbounded, so it is never promoted.
-            let reach = match strategy {
+            let reach = match prep.strategy {
                 Strategy::ExactMax | Strategy::IerKnnLabels => a.dist,
                 Strategy::RListIne => a.dist.saturating_mul(2),
                 Strategy::ApxSumIne => NO_REACH,
@@ -212,7 +225,7 @@ fn cache_store(
             (bound, reach)
         }
     };
-    cache.insert(key, snap.epoch(), answer, bound, mbr, reach);
+    cache.insert(&prep.key(), snap.epoch(), answer, bound, mbr, reach);
 }
 
 /// Weight updates applied since the current hub labels were built, merged
@@ -1016,12 +1029,79 @@ impl Engine {
         }
     }
 
+    /// The prepare step every query path shares: canonicalize `P` and `Q`
+    /// (duplicates dropped, so every strategy sees the same duplicate-free
+    /// query), validate against the pinned graph, and pick the strategy
+    /// with the §VII decision rule.
+    fn prepare<'a>(
+        &self,
+        snap: &EngineSnapshot,
+        p: &'a [NodeId],
+        q: &'a [NodeId],
+        phi: f64,
+        agg: Aggregate,
+    ) -> Result<Prepared<'a>, QueryError> {
+        let (p, q) = (canonical(p), canonical(q));
+        FannQuery::checked(&p, &q, phi, agg, snap.graph())?;
+        Ok(Prepared {
+            p,
+            q,
+            phi,
+            agg,
+            strategy: self.strategy_on(snap, agg),
+        })
+    }
+
+    /// The one dispatch: run a prepared query's strategy on the pinned
+    /// snapshot with the caller's recycled `state`. `R` and `C` are type
+    /// parameters, so the `()`/`()` instantiation behind [`Engine::query`]
+    /// carries no instrumentation and no polling. A fired `cancel` yields
+    /// [`QueryError::Cancelled`], never a partial answer.
+    fn answer<R: Recorder, C: CancelCheck>(
+        snap: &EngineSnapshot,
+        prep: &Prepared<'_>,
+        state: &mut SearchState,
+        rec: R,
+        cancel: C,
+    ) -> Result<Option<FannAnswer>, QueryError> {
+        let graph = snap.graph();
+        let query = prep.query();
+        let answer = match prep.strategy {
+            Strategy::IerKnnLabels => {
+                let oracle = snap.oracle().expect("strategy implies labels");
+                let rtree = build_p_rtree(graph, query.p);
+                // Each IerPhi eval is a bounded |Q|-label scan, so polling
+                // between evals (inside ier_knn_cancellable) is enough.
+                let gphi = IerPhi::with_recorder(graph, oracle, query.q, rec);
+                ier_knn_cancellable(
+                    graph,
+                    &query,
+                    &rtree,
+                    &gphi,
+                    IerBound::Flexible,
+                    rec,
+                    cancel,
+                )
+            }
+            Strategy::ExactMax => {
+                exact_max_cancellable(graph, &query, &mut state.pool, rec, cancel)
+            }
+            Strategy::RListIne => state.ine.with(graph, query.q, rec, cancel, |gphi| {
+                r_list_cancellable(graph, &query, gphi, &mut state.pool, rec, cancel)
+            }),
+            Strategy::ApxSumIne => state.ine.with(graph, query.q, rec, cancel, |gphi| {
+                apx_sum_cancellable(graph, &query, gphi, rec, cancel)
+            }),
+        };
+        answer.map_err(|Cancelled| QueryError::Cancelled)
+    }
+
     /// Answer an FANN_R query with the §VII decision rule. `Ok(None)`
     /// when no data point reaches `ceil(phi |Q|)` query points.
     ///
-    /// `P` and `Q` are treated as sets: duplicate ids are dropped (first
-    /// occurrence kept) before validation and dispatch, so every strategy
-    /// sees the same duplicate-free query.
+    /// `P` and `Q` are treated as sets: duplicate ids are dropped before
+    /// validation and dispatch, so every strategy sees the same
+    /// duplicate-free query.
     pub fn query(
         &self,
         p: &[NodeId],
@@ -1029,41 +1109,9 @@ impl Engine {
         phi: f64,
         agg: Aggregate,
     ) -> Result<Option<FannAnswer>, QueryError> {
-        self.query_on(&self.snapshot(), p, q, phi, agg)
-    }
-
-    fn query_on(
-        &self,
-        snap: &EngineSnapshot,
-        p: &[NodeId],
-        q: &[NodeId],
-        phi: f64,
-        agg: Aggregate,
-    ) -> Result<Option<FannAnswer>, QueryError> {
-        let graph = snap.graph();
-        let p_canon = canonical(p);
-        let p = p_canon.as_deref().unwrap_or(p);
-        let q_canon = canonical(q);
-        let q = q_canon.as_deref().unwrap_or(q);
-        let query = FannQuery::checked(p, q, phi, agg, graph)?;
-        let answer = match self.strategy_on(snap, agg) {
-            Strategy::IerKnnLabels => {
-                let oracle = snap.oracle().expect("strategy implies labels");
-                let rtree = build_p_rtree(graph, p);
-                let gphi = IerPhi::new(graph, oracle, q);
-                ier_knn(graph, &query, &rtree, &gphi)
-            }
-            Strategy::ExactMax => exact_max(graph, &query),
-            Strategy::RListIne => {
-                let gphi = InePhi::new(graph, q);
-                r_list(graph, &query, &gphi)
-            }
-            Strategy::ApxSumIne => {
-                let gphi = InePhi::new(graph, q);
-                apx_sum(graph, &query, &gphi)
-            }
-        };
-        Ok(answer)
+        let snap = self.snapshot();
+        let prep = self.prepare(&snap, p, q, phi, agg)?;
+        Self::answer(&snap, &prep, &mut SearchState::default(), (), ())
     }
 
     /// [`Engine::query`] with live instrumentation: returns the identical
@@ -1080,41 +1128,10 @@ impl Engine {
         phi: f64,
         agg: Aggregate,
     ) -> Result<(Option<FannAnswer>, SearchStats), QueryError> {
-        self.query_traced_on(&self.snapshot(), p, q, phi, agg)
-    }
-
-    fn query_traced_on(
-        &self,
-        snap: &EngineSnapshot,
-        p: &[NodeId],
-        q: &[NodeId],
-        phi: f64,
-        agg: Aggregate,
-    ) -> Result<(Option<FannAnswer>, SearchStats), QueryError> {
-        let graph = snap.graph();
-        let p_canon = canonical(p);
-        let p = p_canon.as_deref().unwrap_or(p);
-        let q_canon = canonical(q);
-        let q = q_canon.as_deref().unwrap_or(q);
-        let query = FannQuery::checked(p, q, phi, agg, graph)?;
+        let snap = self.snapshot();
+        let prep = self.prepare(&snap, p, q, phi, agg)?;
         let sink = StatsSink::new();
-        let answer = match self.strategy_on(snap, agg) {
-            Strategy::IerKnnLabels => {
-                let oracle = snap.oracle().expect("strategy implies labels");
-                let rtree = build_p_rtree(graph, p);
-                let gphi = IerPhi::with_recorder(graph, oracle, q, &sink);
-                ier_knn_traced(graph, &query, &rtree, &gphi, IerBound::Flexible, &sink)
-            }
-            Strategy::ExactMax => exact_max_traced(graph, &query, &mut ScratchPool::new(), &sink),
-            Strategy::RListIne => {
-                let gphi = InePhi::with_recorder(graph, q, &sink);
-                r_list_traced(graph, &query, &gphi, &mut ScratchPool::new(), &sink)
-            }
-            Strategy::ApxSumIne => {
-                let gphi = InePhi::with_recorder(graph, q, &sink);
-                apx_sum_traced(graph, &query, &gphi, &sink)
-            }
-        };
+        let answer = Self::answer(&snap, &prep, &mut SearchState::default(), &sink, ())?;
         Ok((answer, sink.snapshot()))
     }
 
@@ -1130,20 +1147,17 @@ impl Engine {
     ) -> Result<KFannAnswer, QueryError> {
         let snap = self.snapshot();
         let graph = snap.graph();
-        let p_canon = canonical(p);
-        let p = p_canon.as_deref().unwrap_or(p);
-        let q_canon = canonical(q);
-        let q = q_canon.as_deref().unwrap_or(q);
-        let query = FannQuery::checked(p, q, phi, agg, graph)?;
+        let prep = self.prepare(&snap, p, q, phi, agg)?;
+        let query = prep.query();
         let answer = match (snap.oracle(), agg) {
             (Some(oracle), _) => {
-                let rtree = build_p_rtree(graph, p);
-                let gphi = IerPhi::new(graph, oracle, q);
+                let rtree = build_p_rtree(graph, query.p);
+                let gphi = IerPhi::new(graph, oracle, query.q);
                 ier_topk(graph, &query, &rtree, &gphi, k)
             }
             (None, Aggregate::Max) => exact_max_topk(graph, &query, k),
             (None, Aggregate::Sum) => {
-                let gphi = InePhi::new(graph, q);
+                let gphi = InePhi::new(graph, query.q);
                 rlist_topk(graph, &query, &gphi, k)
             }
         };
@@ -1157,221 +1171,81 @@ impl Engine {
     /// answer reflects the same epoch even under concurrent updates.
     ///
     /// `workers = 0` means "use the machine's available parallelism".
-    pub fn query_batch(
-        &self,
-        queries: &[BatchQuery],
-        workers: usize,
-    ) -> Vec<Result<Option<FannAnswer>, QueryError>> {
-        self.batch_runner(workers).run(queries)
+    pub fn query_batch(&self, queries: &[BatchQuery], workers: usize) -> BatchResults {
+        self.drive_batch(queries, workers, |snap, bq, state| {
+            let prep = self.prepare(snap, &bq.p, &bq.q, bq.phi, bq.agg)?;
+            Self::answer(snap, &prep, state, (), ())
+        })
     }
 
     /// [`Engine::query_batch`] with instrumentation: identical answers plus
     /// a per-strategy [`BatchReport`] (work counters and a latency
-    /// histogram per strategy, merged across workers).
+    /// histogram per strategy).
     pub fn query_batch_traced(
         &self,
         queries: &[BatchQuery],
         workers: usize,
-    ) -> (Vec<Result<Option<FannAnswer>, QueryError>>, BatchReport) {
-        self.batch_runner(workers).run_traced(queries)
+    ) -> (BatchResults, BatchReport) {
+        let traced = self.drive_batch(queries, workers, |snap, bq, state| {
+            let t0 = Instant::now();
+            let prep = self.prepare(snap, &bq.p, &bq.q, bq.phi, bq.agg)?;
+            let sink = StatsSink::new();
+            let answer = Self::answer(snap, &prep, state, &sink, ())?;
+            Ok((answer, prep.strategy, sink.snapshot(), t0.elapsed()))
+        });
+        let mut report = BatchReport::default();
+        let results = traced
+            .into_iter()
+            .map(|r: Result<_, QueryError>| {
+                r.map(|(answer, strategy, stats, elapsed)| {
+                    report.record(strategy, &stats, elapsed);
+                    answer
+                })
+            })
+            .collect();
+        (results, report)
     }
 
-    /// A reusable handle for running query batches (see
-    /// [`Engine::query_batch`]).
-    pub fn batch_runner(&self, workers: usize) -> BatchRunner {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            workers
+    /// The one batch worker loop: pin a snapshot, give each worker a
+    /// [`SearchState`], and let them claim queries off a shared atomic
+    /// cursor (self-balancing on skewed workloads). Returns what `one`
+    /// made of each query, in input order.
+    fn drive_batch<T: Send>(
+        &self,
+        queries: &[BatchQuery],
+        workers: usize,
+        one: impl Fn(&EngineSnapshot, &BatchQuery, &mut SearchState) -> T + Sync,
+    ) -> Vec<T> {
+        let workers = match workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            w => w,
         };
-        BatchRunner {
-            engine: self.clone(),
-            workers,
-        }
-    }
-
-    /// One query of a batch, answered with this worker's recycled state on
-    /// the batch's pinned snapshot. Dispatch mirrors [`Engine::query`]
-    /// strategy-for-strategy, so the answers are identical; only the
-    /// allocation behavior differs.
-    fn query_on_with_state(
-        &self,
-        snap: &EngineSnapshot,
-        bq: &BatchQuery,
-        state: &mut WorkerState,
-    ) -> Result<Option<FannAnswer>, QueryError> {
-        let graph = snap.graph();
-        let p_canon = canonical(&bq.p);
-        let p = p_canon.as_deref().unwrap_or(&bq.p);
-        let q_canon = canonical(&bq.q);
-        let q = q_canon.as_deref().unwrap_or(&bq.q);
-        let query = FannQuery::checked(p, q, bq.phi, bq.agg, graph)?;
-        let WorkerState { pool, ine } = state;
-        let answer = match self.strategy_on(snap, bq.agg) {
-            Strategy::IerKnnLabels => {
-                let oracle = snap.oracle().expect("strategy implies labels");
-                let rtree = build_p_rtree(graph, p);
-                let gphi = IerPhi::new(graph, oracle, q);
-                ier_knn(graph, &query, &rtree, &gphi)
+        let pinned = self.snapshot();
+        let cursor = AtomicUsize::new(0);
+        let work = || {
+            let mut state = SearchState::default();
+            let mut out = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(bq) = queries.get(i) else { break };
+                out.push((i, one(&pinned, bq, &mut state)));
             }
-            Strategy::ExactMax => exact_max_pooled(graph, &query, pool),
-            Strategy::RListIne => r_list_pooled(graph, &query, rebind_ine(ine, graph, q, ()), pool),
-            Strategy::ApxSumIne => apx_sum(graph, &query, rebind_ine(ine, graph, q, ())),
+            out
         };
-        Ok(answer)
-    }
-
-    /// [`Engine::query`] under a [`CancelToken`]: the search cooperatively
-    /// polls the token and returns [`QueryError::Cancelled`] — never a
-    /// partial or wrong answer — once the token's deadline passes or
-    /// [`CancelToken::cancel`] is called. With a live (unexpired,
-    /// uncancelled) token the answer is identical to [`Engine::query`].
-    ///
-    /// For a stream of requests, prefer [`Engine::session`], which keeps
-    /// the search scratch state across queries.
-    pub fn query_cancellable(
-        &self,
-        p: &[NodeId],
-        q: &[NodeId],
-        phi: f64,
-        agg: Aggregate,
-        token: &CancelToken,
-    ) -> Result<Option<FannAnswer>, QueryError> {
-        self.session(token).query(p, q, phi, agg)
-    }
-
-    /// [`Engine::query_cancellable`] with live instrumentation: the
-    /// cancellable answer plus a [`SearchStats`] snapshot, composing the
-    /// [`Engine::query_traced`] recorder with the cooperative token. The
-    /// serving layer uses this so `/metricsz`-style dumps can aggregate
-    /// search effort across requests.
-    pub fn query_traced_cancellable(
-        &self,
-        p: &[NodeId],
-        q: &[NodeId],
-        phi: f64,
-        agg: Aggregate,
-        token: &CancelToken,
-    ) -> Result<(Option<FannAnswer>, SearchStats), QueryError> {
-        self.query_traced_cancellable_on(&self.snapshot(), p, q, phi, agg, token)
-    }
-
-    fn query_traced_cancellable_on(
-        &self,
-        snap: &EngineSnapshot,
-        p: &[NodeId],
-        q: &[NodeId],
-        phi: f64,
-        agg: Aggregate,
-        token: &CancelToken,
-    ) -> Result<(Option<FannAnswer>, SearchStats), QueryError> {
-        let graph = snap.graph();
-        let p_canon = canonical(p);
-        let p = p_canon.as_deref().unwrap_or(p);
-        let q_canon = canonical(q);
-        let q = q_canon.as_deref().unwrap_or(q);
-        let query = FannQuery::checked(p, q, phi, agg, graph)?;
-        let sink = StatsSink::new();
-        let answer = match self.strategy_on(snap, agg) {
-            Strategy::IerKnnLabels => {
-                let oracle = snap.oracle().expect("strategy implies labels");
-                let rtree = build_p_rtree(graph, p);
-                let gphi = IerPhi::with_recorder(graph, oracle, q, &sink);
-                ier_knn_cancellable(
-                    graph,
-                    &query,
-                    &rtree,
-                    &gphi,
-                    IerBound::Flexible,
-                    &sink,
-                    token,
-                )
-            }
-            Strategy::ExactMax => {
-                exact_max_cancellable(graph, &query, &mut ScratchPool::new(), &sink, token)
-            }
-            Strategy::RListIne => {
-                let gphi = InePhi::with_recorder_cancel(graph, q, &sink, token);
-                r_list_cancellable(graph, &query, &gphi, &mut ScratchPool::new(), &sink, token)
-            }
-            Strategy::ApxSumIne => {
-                let gphi = InePhi::with_recorder_cancel(graph, q, &sink, token);
-                apx_sum_cancellable(graph, &query, &gphi, &sink, token)
-            }
+        let mut out = match workers.min(queries.len()) {
+            // Nothing to do, or a single worker: run inline, no thread
+            // overhead.
+            0 | 1 => work(),
+            workers => std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("batch worker panicked"))
+                    .collect()
+            }),
         };
-        match answer {
-            Ok(a) => Ok((a, sink.snapshot())),
-            Err(Cancelled) => Err(QueryError::Cancelled),
-        }
-    }
-
-    /// [`Engine::query`] through the answer cache: probe first, compute
-    /// and insert on a miss. The returned answer is bit-identical to
-    /// [`Engine::query`] either way (a hit replays an answer computed on a
-    /// snapshot with the same epoch — see [`crate::locality`]). Also
-    /// returns the pinned epoch, so coherence tests can validate the
-    /// answer against that exact graph. Without an attached cache this is
-    /// plain [`Engine::query`] with [`CacheOutcome::Bypass`].
-    pub fn query_cached(
-        &self,
-        p: &[NodeId],
-        q: &[NodeId],
-        phi: f64,
-        agg: Aggregate,
-    ) -> Result<(Option<FannAnswer>, CacheOutcome, u64), QueryError> {
-        let snap = self.snapshot();
-        let epoch = snap.epoch();
-        let Some(cache) = self.shared.cache.get() else {
-            let answer = self.query_on(&snap, p, q, phi, agg)?;
-            return Ok((answer, CacheOutcome::Bypass, epoch));
-        };
-        let graph = snap.graph();
-        let p_canon = canonical(p);
-        let p = p_canon.as_deref().unwrap_or(p);
-        let q_canon = canonical(q);
-        let q = q_canon.as_deref().unwrap_or(q);
-        FannQuery::checked(p, q, phi, agg, graph)?;
-        let strategy = self.strategy_on(&snap, agg);
-        let key = cache_key(p, q, phi, agg, strategy);
-        if let Some(hit) = cache.lookup(&key, epoch) {
-            return Ok((hit.answer, CacheOutcome::Hit, epoch));
-        }
-        let answer = self.query_on(&snap, p, q, phi, agg)?;
-        cache_store(cache, &snap, &key, agg, answer.as_ref(), strategy);
-        Ok((answer, CacheOutcome::Miss, epoch))
-    }
-
-    /// The serving-path combination: [`Engine::query_cached`] semantics
-    /// with the instrumentation and cooperative cancellation of
-    /// [`Engine::query_traced_cancellable`]. A hit costs no search work
-    /// (empty [`SearchStats`]); a cancelled computation inserts nothing.
-    pub fn query_cached_traced_cancellable(
-        &self,
-        p: &[NodeId],
-        q: &[NodeId],
-        phi: f64,
-        agg: Aggregate,
-        token: &CancelToken,
-    ) -> Result<(Option<FannAnswer>, SearchStats, CacheOutcome), QueryError> {
-        let snap = self.snapshot();
-        let Some(cache) = self.shared.cache.get() else {
-            let (answer, stats) = self.query_traced_cancellable_on(&snap, p, q, phi, agg, token)?;
-            return Ok((answer, stats, CacheOutcome::Bypass));
-        };
-        let graph = snap.graph();
-        let p_canon = canonical(p);
-        let p = p_canon.as_deref().unwrap_or(p);
-        let q_canon = canonical(q);
-        let q = q_canon.as_deref().unwrap_or(q);
-        FannQuery::checked(p, q, phi, agg, graph)?;
-        let strategy = self.strategy_on(&snap, agg);
-        let key = cache_key(p, q, phi, agg, strategy);
-        if let Some(hit) = cache.lookup(&key, snap.epoch()) {
-            return Ok((hit.answer, SearchStats::default(), CacheOutcome::Hit));
-        }
-        let (answer, stats) = self.query_traced_cancellable_on(&snap, p, q, phi, agg, token)?;
-        cache_store(cache, &snap, &key, agg, answer.as_ref(), strategy);
-        Ok((answer, stats, CacheOutcome::Miss))
+        out.sort_unstable_by_key(|&(i, _)| i);
+        out.into_iter().map(|(_, t)| t).collect()
     }
 
     /// Answer a batch of (typically co-located) queries on **one** pinned
@@ -1382,147 +1256,87 @@ impl Engine {
     /// per-query [`Engine::query`] because the per-strategy drivers are
     /// the same code over provably identical settle sequences; strategies
     /// that are not stream-driven (IER-kNN, APX-sum) fall back to the
-    /// per-query path within the same pinned snapshot. With a cache
-    /// attached, hits are served first and misses are inserted.
-    pub fn query_colocated(
-        &self,
-        queries: &[BatchQuery],
-    ) -> Vec<Result<Option<FannAnswer>, QueryError>> {
+    /// per-query dispatch within the same pinned snapshot. With a cache
+    /// attached, hits are served first and misses are inserted. Each
+    /// answer comes with the strategy that produced it.
+    pub fn query_colocated(&self, queries: &[BatchQuery]) -> Vec<ColocatedResult> {
         let snap = self.snapshot();
         let graph = snap.graph();
-        let epoch = snap.epoch();
         let cache = self.shared.cache.get();
-        let n = queries.len();
-        let mut results: Vec<Option<Result<Option<FannAnswer>, QueryError>>> =
-            (0..n).map(|_| None).collect();
-        struct Prep {
-            p: Vec<NodeId>,
-            q: Vec<NodeId>,
-            strategy: Strategy,
-        }
-        // Canonicalize, validate, and probe the cache.
-        let mut preps: Vec<Option<Prep>> = (0..n).map(|_| None).collect();
+        // Prepare every query and probe the cache; `done` collects
+        // `(input index, result)` in completion order.
+        let mut done: Vec<(usize, ColocatedResult)> = Vec::with_capacity(queries.len());
+        let mut misses: Vec<(usize, Prepared<'_>)> = Vec::new();
         for (i, bq) in queries.iter().enumerate() {
-            let p = canonical(&bq.p).unwrap_or_else(|| bq.p.clone());
-            let q = canonical(&bq.q).unwrap_or_else(|| bq.q.clone());
-            if let Err(e) = FannQuery::checked(&p, &q, bq.phi, bq.agg, graph) {
-                results[i] = Some(Err(e));
-                continue;
+            match self.prepare(&snap, &bq.p, &bq.q, bq.phi, bq.agg) {
+                Err(e) => done.push((i, Err(e))),
+                Ok(prep) => match cache.and_then(|c| c.lookup(&prep.key(), snap.epoch())) {
+                    Some(hit) => done.push((i, Ok((hit.answer, prep.strategy)))),
+                    None => misses.push((i, prep)),
+                },
             }
-            let strategy = self.strategy_on(&snap, bq.agg);
-            if let Some(c) = cache {
-                let key = cache_key(&p, &q, bq.phi, bq.agg, strategy);
-                if let Some(hit) = c.lookup(&key, epoch) {
-                    results[i] = Some(Ok(hit.answer));
-                    continue;
-                }
-            }
-            preps[i] = Some(Prep { p, q, strategy });
         }
         // Group stream-driven misses by their exact canonical Q (max and
         // sum share: both drivers consume the same per-source frontiers);
-        // everything else goes through the per-query path.
-        let mut groups: HashMap<Vec<NodeId>, Vec<usize>> = HashMap::new();
+        // everything else goes through the per-query dispatch.
+        let mut groups: HashMap<&[NodeId], Vec<usize>> = HashMap::new();
         let mut singles: Vec<usize> = Vec::new();
-        for (i, prep) in preps.iter().enumerate() {
-            let Some(prep) = prep else { continue };
+        for (m, (_, prep)) in misses.iter().enumerate() {
             match prep.strategy {
                 Strategy::ExactMax | Strategy::RListIne => {
-                    groups.entry(prep.q.clone()).or_default().push(i);
+                    groups.entry(&prep.q).or_default().push(m);
                 }
-                _ => singles.push(i),
+                _ => singles.push(m),
             }
         }
-        let mut pool = ScratchPool::new();
-        for (qvec, mut idxs) in groups {
-            if idxs.len() == 1 {
-                // No sharing to be had; the per-query path recycles its
-                // scratches more cheaply.
-                singles.append(&mut idxs);
+        let mut finish = |m: usize, answer: Option<FannAnswer>| {
+            let (i, prep) = &misses[m];
+            if let Some(c) = cache {
+                cache_store(c, &snap, prep, answer.as_ref());
+            }
+            done.push((*i, Ok((answer, prep.strategy))));
+        };
+        let mut state = SearchState::default();
+        for (qvec, mut members) in groups {
+            if members.len() == 1 {
+                // No sharing to be had; the per-query dispatch recycles
+                // its scratches more cheaply.
+                singles.append(&mut members);
                 continue;
             }
-            let mut shared = SharedExpansion::with_pool(graph, &qvec, &mut pool);
-            for &i in &idxs {
-                let prep = preps[i].as_ref().expect("grouped index was prepared");
-                let bq = &queries[i];
-                let query = FannQuery::new(&prep.p, &prep.q, bq.phi, bq.agg);
-                let mut view = shared.view(&prep.p);
+            let mut shared = SharedExpansion::with_pool(graph, qvec, &mut state.pool);
+            for m in members {
+                let prep = &misses[m].1;
+                let query = prep.query();
+                let mut view = shared.view(query.p);
                 let answer = match prep.strategy {
                     Strategy::ExactMax => exact_max_on_streams(&query, &mut view),
-                    Strategy::RListIne => {
-                        let gphi = InePhi::new(graph, &prep.q);
-                        r_list_on_streams(&query, &gphi, &mut view)
-                    }
+                    Strategy::RListIne => state.ine.with(graph, qvec, (), (), |gphi| {
+                        r_list_on_streams(&query, gphi, &mut view)
+                    }),
                     _ => unreachable!("grouped strategies are stream-driven"),
                 };
-                if let Some(c) = cache {
-                    let key = cache_key(&prep.p, &prep.q, bq.phi, bq.agg, prep.strategy);
-                    cache_store(c, &snap, &key, bq.agg, answer.as_ref(), prep.strategy);
-                }
-                results[i] = Some(Ok(answer));
+                finish(m, answer);
             }
-            shared.recycle_into(&mut pool);
+            shared.recycle_into(&mut state.pool);
         }
-        let mut state = WorkerState { pool, ine: None };
-        for i in singles {
-            let prep = preps[i].take().expect("single index was prepared");
-            let bq = &queries[i];
-            let cbq = BatchQuery::new(prep.p.clone(), prep.q.clone(), bq.phi, bq.agg);
-            let answer = self.query_on_with_state(&snap, &cbq, &mut state);
-            if let (Some(c), Ok(a)) = (cache, &answer) {
-                let key = cache_key(&prep.p, &prep.q, bq.phi, bq.agg, prep.strategy);
-                cache_store(c, &snap, &key, bq.agg, a.as_ref(), prep.strategy);
-            }
-            results[i] = Some(answer);
+        for m in singles {
+            let answer = Self::answer(&snap, &misses[m].1, &mut state, (), ())
+                .expect("validated in prepare; the unit CancelCheck never cancels");
+            finish(m, answer);
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("every query answered exactly once"))
-            .collect()
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// A long-lived handle for answering a stream of cancellable queries:
-    /// one recycled scratch pool and INE backend (like the batch layer's
-    /// per-worker state), plus a borrowed [`CancelToken`] polled by every
-    /// search. The serving worker re-arms the token per request
-    /// ([`CancelToken::arm`]) and keeps the session for its lifetime.
-    ///
-    /// Each query pins the then-current snapshot, so a session transparently
-    /// follows epoch swaps mid-stream.
+    /// Open a [`QuerySession`] — the per-worker handle `fannr serve`
+    /// answers the wire through — whose searches poll `token`.
     pub fn session<'t>(&self, token: &'t CancelToken) -> QuerySession<'t> {
         QuerySession {
             engine: self.clone(),
             token,
-            pool: ScratchPool::new(),
-            ine: None,
-            ine_epoch: 0,
+            state: SearchState::default(),
         }
-    }
-
-    /// Evaluate `g_phi(p, Q)` directly with the best available backend
-    /// (Definition 1 as a public operation). The inputs pass through the
-    /// same validation as [`Engine::query`] — `phi = 0`, `phi = NaN`, an
-    /// empty `Q`, or out-of-range node ids are a [`QueryError`], never a
-    /// panic. `Ok(None)` means `p` cannot reach `ceil(phi |Q|)` query
-    /// points.
-    pub fn g_phi(
-        &self,
-        p: NodeId,
-        q: &[NodeId],
-        phi: f64,
-        agg: Aggregate,
-    ) -> Result<Option<crate::gphi::GPhiResult>, QueryError> {
-        let snap = self.snapshot();
-        let graph = snap.graph();
-        let q_canon = canonical(q);
-        let q = q_canon.as_deref().unwrap_or(q);
-        let p_slice = [p];
-        let query = FannQuery::checked(&p_slice, q, phi, agg, graph)?;
-        let k = query.subset_size();
-        Ok(match snap.oracle() {
-            Some(oracle) => IerPhi::new(graph, oracle, q).eval(p, k, agg),
-            None => InePhi::new(graph, q).eval(p, k, agg),
-        })
     }
 }
 
@@ -1542,6 +1356,13 @@ impl BatchQuery {
     }
 }
 
+/// One result per query of a batch, in input order.
+pub type BatchResults = Vec<Result<Option<FannAnswer>, QueryError>>;
+
+/// One [`Engine::query_colocated`] result: the answer and the strategy
+/// that produced it.
+pub type ColocatedResult = Result<(Option<FannAnswer>, Strategy), QueryError>;
+
 /// Aggregated observability for one strategy across a traced batch:
 /// how many queries it answered, their summed work counters, and their
 /// latency distribution.
@@ -1557,7 +1378,7 @@ pub struct StrategyReport {
 }
 
 /// Per-strategy breakdown of a traced batch, returned by
-/// [`BatchRunner::run_traced`]. Indexed by [`Strategy::index`].
+/// [`Engine::query_batch_traced`]. Indexed by [`Strategy::index`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchReport {
     per_strategy: [StrategyReport; 4],
@@ -1598,266 +1419,79 @@ impl BatchReport {
         slot.stats.add(stats);
         slot.latency.record(elapsed);
     }
-
-    fn merge(&mut self, other: &BatchReport) {
-        for (a, b) in self.per_strategy.iter_mut().zip(other.per_strategy.iter()) {
-            a.queries += b.queries;
-            a.stats.add(&b.stats);
-            a.latency.merge(&b.latency);
-        }
-    }
 }
 
-/// Per-worker recycled state: a scratch pool for the multi-expansion
-/// algorithms and one long-lived INE backend, rebound per query.
-struct WorkerState {
+/// The one recycled per-worker search container: a scratch pool for the
+/// `|Q|`-expansion algorithms and the graph-free buffers of the INE
+/// `g_phi` backend. It holds no graph and no `(R, C)` instantiation, so
+/// one state serves every strategy, traced or not, across epoch swaps; a
+/// throw-away one ([`Engine::query`]) answers like a warm one, only slower.
+#[derive(Default)]
+struct SearchState {
     pool: ScratchPool,
-    ine: Option<InePhi>,
+    ine: IneBuffers,
 }
 
-/// Rebind the worker's long-lived INE backend to `q` (constructing it on
-/// first use), returning it ready for evaluation.
-fn rebind_ine<'s, C: CancelCheck>(
-    ine: &'s mut Option<InePhi<(), C>>,
-    graph: &Graph,
-    q: &[NodeId],
-    cancel: C,
-) -> &'s InePhi<(), C> {
-    match ine {
-        Some(backend) => backend.rebind(q),
-        None => *ine = Some(InePhi::with_recorder_cancel(graph, q, (), cancel)),
-    }
-    ine.as_ref().expect("just ensured")
-}
+/// What a [`QuerySession`] query resolved to, as the serving tier reports
+/// it: `(answer, stats, cache, epoch, strategy)` — the answer, the search
+/// work it cost (empty for a cache hit), how the answer cache took part,
+/// and the epoch and strategy of the snapshot the query pinned: the ones
+/// that produced the answer, whatever has been published since.
+pub type Answered = (Option<FannAnswer>, SearchStats, CacheOutcome, u64, Strategy);
 
-/// A serving-oriented query handle: [`Engine::query`] semantics plus
-/// cooperative cancellation and recycled per-session search state
-/// (obtained from [`Engine::session`]).
-///
-/// The session borrows one [`CancelToken`] for its lifetime; the owner
-/// re-arms it between requests. Every search dispatched through
-/// [`QuerySession::query`] polls that token and the whole query resolves
-/// to [`QueryError::Cancelled`] if it fires — by construction a session
-/// never reports an answer derived from a truncated search.
+/// The per-worker query handle (obtained from [`Engine::session`]): one
+/// recycled [`SearchState`] plus a borrowed [`CancelToken`]. This is how
+/// `fannr serve` answers the wire: each worker thread opens one session
+/// for its lifetime, re-arms the token per request ([`CancelToken::arm`])
+/// and sends every query through [`QuerySession::query`], so search
+/// buffers are allocated while the session warms up and reused from then
+/// on. They hold no graph, so a session follows epoch swaps mid-stream
+/// without keeping a retired snapshot alive. Every search polls the token
+/// and a fired token resolves the whole query to
+/// [`QueryError::Cancelled`] — never an answer from a truncated search.
 pub struct QuerySession<'t> {
     engine: Engine,
     token: &'t CancelToken,
-    pool: ScratchPool,
-    ine: Option<InePhi<(), &'t CancelToken>>,
-    /// Epoch the cached INE backend's graph belongs to; a swap drops it.
-    ine_epoch: u64,
+    state: SearchState,
 }
 
 impl QuerySession<'_> {
-    /// The token every search of this session polls.
-    pub fn token(&self) -> &CancelToken {
-        self.token
-    }
-
-    /// Answer one query under the session's token, pinning the current
-    /// snapshot. Strategy dispatch mirrors [`Engine::query`] exactly; with
-    /// a live token the answer is identical, otherwise
-    /// [`QueryError::Cancelled`].
+    /// Answer one query on the then-current snapshot, through the answer
+    /// cache when one is attached: probe, compute on a miss, store. With a
+    /// live token the answer is bit-identical to [`Engine::query`] (a hit
+    /// replays an answer computed at the same epoch, see
+    /// [`crate::locality`]); a cancelled computation stores nothing.
     pub fn query(
         &mut self,
         p: &[NodeId],
         q: &[NodeId],
         phi: f64,
         agg: Aggregate,
-    ) -> Result<Option<FannAnswer>, QueryError> {
+    ) -> Result<Answered, QueryError> {
         let snap = self.engine.snapshot();
-        if self.ine.is_some() && self.ine_epoch != snap.epoch() {
-            // The cached backend expands a previous epoch's graph.
-            self.ine = None;
-        }
-        self.ine_epoch = snap.epoch();
-        let graph = snap.graph();
-        let p_canon = canonical(p);
-        let p = p_canon.as_deref().unwrap_or(p);
-        let q_canon = canonical(q);
-        let q = q_canon.as_deref().unwrap_or(q);
-        let query = FannQuery::checked(p, q, phi, agg, graph)?;
-        let answer = match self.engine.strategy_on(&snap, agg) {
-            Strategy::IerKnnLabels => {
-                let oracle = snap.oracle().expect("strategy implies labels");
-                let rtree = build_p_rtree(graph, p);
-                // Each IerPhi eval is a bounded |Q|-label scan, so polling
-                // between evals (inside ier_knn_cancellable) is enough.
-                let gphi = IerPhi::new(graph, oracle, q);
-                ier_knn_cancellable(
-                    graph,
-                    &query,
-                    &rtree,
-                    &gphi,
-                    IerBound::Flexible,
-                    (),
-                    self.token,
-                )
-            }
-            Strategy::ExactMax => {
-                exact_max_cancellable(graph, &query, &mut self.pool, (), self.token)
-            }
-            Strategy::RListIne => {
-                let gphi = rebind_ine(&mut self.ine, graph, q, self.token);
-                r_list_cancellable(graph, &query, gphi, &mut self.pool, (), self.token)
-            }
-            Strategy::ApxSumIne => {
-                let gphi = rebind_ine(&mut self.ine, graph, q, self.token);
-                apx_sum_cancellable(graph, &query, gphi, (), self.token)
-            }
-        };
-        answer.map_err(|Cancelled| QueryError::Cancelled)
-    }
-}
-
-/// Drives a stream of queries over a fixed pool of worker threads, one
-/// long-lived backend + scratch pool per worker (the batch/throughput
-/// layer; obtained from [`Engine::batch_runner`]).
-///
-/// Queries are pulled from a shared atomic cursor, so workers self-balance
-/// on skewed workloads; results are returned in input order. Each `run`
-/// pins one snapshot for the whole batch.
-pub struct BatchRunner {
-    engine: Engine,
-    workers: usize,
-}
-
-impl BatchRunner {
-    /// Worker threads this runner will spawn (before clamping to the
-    /// batch size).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Answer every query; `results[i]` corresponds to `queries[i]` and is
-    /// exactly what [`Engine::query`] would return for it.
-    pub fn run(&self, queries: &[BatchQuery]) -> Vec<Result<Option<FannAnswer>, QueryError>> {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let pinned = self.engine.snapshot();
-        let workers = self.workers.clamp(1, n);
-        if workers == 1 {
-            // Single worker: answer inline, no thread overhead.
-            let mut state = WorkerState {
-                pool: ScratchPool::new(),
-                ine: None,
-            };
-            return queries
-                .iter()
-                .map(|bq| self.engine.query_on_with_state(&pinned, bq, &mut state))
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<Result<Option<FannAnswer>, QueryError>>> = vec![None; n];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let pinned = &pinned;
-                    scope.spawn(move || {
-                        let mut state = WorkerState {
-                            pool: ScratchPool::new(),
-                            ine: None,
-                        };
-                        let mut out = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            out.push((
-                                i,
-                                self.engine
-                                    .query_on_with_state(pinned, &queries[i], &mut state),
-                            ));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("batch worker panicked") {
-                    results[i] = Some(r);
+        let prep = self.engine.prepare(&snap, p, q, phi, agg)?;
+        let cache = self.engine.shared.cache.get();
+        let sink = StatsSink::new();
+        let (answer, outcome) = match cache.and_then(|c| c.lookup(&prep.key(), snap.epoch())) {
+            Some(hit) => (hit.answer, CacheOutcome::Hit),
+            None => {
+                let answer = Engine::answer(&snap, &prep, &mut self.state, &sink, self.token)?;
+                match cache {
+                    Some(c) => {
+                        cache_store(c, &snap, &prep, answer.as_ref());
+                        (answer, CacheOutcome::Miss)
+                    }
+                    None => (answer, CacheOutcome::Bypass),
                 }
             }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every index claimed exactly once"))
-            .collect()
-    }
-
-    /// [`BatchRunner::run`] with instrumentation: each query goes through
-    /// the traced path and is timed; counters and latencies are
-    /// aggregated per strategy, worker-locally, then merged. Answers are
-    /// identical to the untraced batch (and to [`Engine::query`]).
-    pub fn run_traced(
-        &self,
-        queries: &[BatchQuery],
-    ) -> (Vec<Result<Option<FannAnswer>, QueryError>>, BatchReport) {
-        let n = queries.len();
-        if n == 0 {
-            return (Vec::new(), BatchReport::default());
-        }
-        let pinned = self.engine.snapshot();
-        let trace_one = |bq: &BatchQuery, report: &mut BatchReport| {
-            let strategy = self.engine.strategy_on(&pinned, bq.agg);
-            let t0 = Instant::now();
-            let res = self
-                .engine
-                .query_traced_on(&pinned, &bq.p, &bq.q, bq.phi, bq.agg);
-            let elapsed = t0.elapsed();
-            res.map(|(answer, stats)| {
-                report.record(strategy, &stats, elapsed);
-                answer
-            })
         };
-        let workers = self.workers.clamp(1, n);
-        if workers == 1 {
-            let mut report = BatchReport::default();
-            let results = queries
-                .iter()
-                .map(|bq| trace_one(bq, &mut report))
-                .collect();
-            return (results, report);
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<Result<Option<FannAnswer>, QueryError>>> = vec![None; n];
-        let mut report = BatchReport::default();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let trace_one = &trace_one;
-                    scope.spawn(move || {
-                        let mut local = BatchReport::default();
-                        let mut out = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            out.push((i, trace_one(&queries[i], &mut local)));
-                        }
-                        (out, local)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (out, local) = h.join().expect("traced batch worker panicked");
-                for (i, r) in out {
-                    results[i] = Some(r);
-                }
-                report.merge(&local);
-            }
-        });
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("every index claimed exactly once"))
-            .collect();
-        (results, report)
+        Ok((
+            answer,
+            sink.snapshot(),
+            outcome,
+            snap.epoch(),
+            prep.strategy,
+        ))
     }
 }
 
@@ -2039,45 +1673,6 @@ mod tests {
         assert!(matches!(
             engine.query(&[], &[0], 0.5, Aggregate::Max),
             Err(QueryError::EmptyP)
-        ));
-    }
-
-    #[test]
-    fn g_phi_is_consistent_between_backends() {
-        let g = grid(5, 5);
-        let q: Vec<u32> = vec![0, 12, 24];
-        let bare = Engine::new(&g);
-        let indexed = Engine::new(&g).with_labels();
-        for v in 0..25 {
-            let a = bare.g_phi(v, &q, 0.67, Aggregate::Sum).unwrap().unwrap();
-            let b = indexed.g_phi(v, &q, 0.67, Aggregate::Sum).unwrap().unwrap();
-            assert_eq!(a.dist, b.dist);
-        }
-    }
-
-    #[test]
-    fn g_phi_validates_instead_of_panicking() {
-        let g = grid(3, 3);
-        let engine = Engine::new(&g);
-        assert!(matches!(
-            engine.g_phi(0, &[], 0.5, Aggregate::Sum),
-            Err(QueryError::EmptyQ)
-        ));
-        assert!(matches!(
-            engine.g_phi(0, &[1, 2], 0.0, Aggregate::Sum),
-            Err(QueryError::PhiOutOfRange)
-        ));
-        assert!(matches!(
-            engine.g_phi(0, &[1, 2], f64::NAN, Aggregate::Max),
-            Err(QueryError::PhiOutOfRange)
-        ));
-        assert!(matches!(
-            engine.g_phi(99, &[1, 2], 0.5, Aggregate::Max),
-            Err(QueryError::NodeOutOfRange(99))
-        ));
-        assert!(matches!(
-            engine.g_phi(0, &[99], 0.5, Aggregate::Max),
-            Err(QueryError::NodeOutOfRange(99))
         ));
     }
 
@@ -2485,7 +2080,8 @@ mod tests {
                 for agg in [Aggregate::Sum, Aggregate::Max] {
                     let query = FannQuery::new(&p, &q, 1.0, agg);
                     let truth = brute_force(engine.snapshot().graph(), &query).unwrap();
-                    let got = session.query(&p, &q, 1.0, agg).unwrap().unwrap();
+                    let (got, ..) = session.query(&p, &q, 1.0, agg).unwrap();
+                    let got = got.unwrap();
                     assert_eq!(got.dist, truth.dist, "round {round} {agg}");
                 }
                 engine

@@ -11,7 +11,6 @@ use super::{GPhi, GPhiResult, ReusableGPhi};
 use crate::metrics::Recorder;
 use crate::Aggregate;
 use roadnet::cancel::CancelCheck;
-use roadnet::multisource::membership;
 use roadnet::{DijkstraIter, Graph, NodeId, QueryScratch};
 use std::cell::RefCell;
 
@@ -19,16 +18,15 @@ use std::cell::RefCell;
 ///
 /// The backend owns a recycled [`QueryScratch`], so successive `eval` calls
 /// (GD probes many candidate points per query) are allocation-free, and
-/// [`ReusableGPhi::rebind`] repoints it at a new `Q` in `O(|Q|)` — the
-/// long-lived per-worker backend of the batch engine. The `R` parameter is
-/// a [`Recorder`] instrumentation hook; `C` is a [`CancelCheck`]
-/// cancellation hook. The default `()` for both records/cancels nothing
-/// and costs nothing.
+/// [`ReusableGPhi::rebind`] repoints it at a new `Q` in `O(|Q|)`. The `R`
+/// parameter is a [`Recorder`] instrumentation hook; `C` is a
+/// [`CancelCheck`] cancellation hook. The default `()` for both
+/// records/cancels nothing and costs nothing.
 ///
 /// The backend holds its own [`Graph`] handle (cheap: a CSR graph clone
-/// shares its arrays), so it has no lifetime tie to the caller — workers
-/// pin a snapshot's graph into a long-lived `InePhi` and keep it across a
-/// whole query stream.
+/// shares its arrays), so it has no lifetime tie to the caller. A worker
+/// that outlives snapshots keeps only the [`IneBuffers`] between queries
+/// and builds the backend per query ([`IneBuffers::with`]).
 ///
 /// A cancelled `eval` returns `None`, indistinguishable here from an
 /// exhausted expansion — cancellable drivers re-check the token exactly
@@ -40,6 +38,18 @@ pub struct InePhi<R: Recorder = (), C: CancelCheck = ()> {
     scratch: RefCell<QueryScratch>,
     rec: R,
     cancel: C,
+}
+
+/// The graph-free buffers of an [`InePhi`]: the `Q` membership mask (all
+/// clear while idle) and the expansion scratch. Tied to no snapshot and
+/// no `(R, C)` instantiation, so one worker keeps a single set across its
+/// whole query stream and lends it to a backend per query
+/// ([`IneBuffers::with`]) — the `with_pool … recycle_into` idiom of
+/// [`roadnet::ObjectStreams`], for `g_phi`.
+#[derive(Debug, Default)]
+pub struct IneBuffers {
+    is_query: Vec<bool>,
+    scratch: QueryScratch,
 }
 
 impl InePhi {
@@ -61,14 +71,57 @@ impl<R: Recorder, C: CancelCheck> InePhi<R, C> {
     /// every expansion; the `()` check makes this identical to the
     /// uncancellable path.
     pub fn with_recorder_cancel(graph: &Graph, q: &[NodeId], rec: R, cancel: C) -> Self {
-        InePhi {
+        Self::with_buffers(graph, q, rec, cancel, IneBuffers::default())
+    }
+
+    /// [`InePhi::with_recorder_cancel`] over recycled buffers: no
+    /// graph-sized allocation once they have grown to `|V|`.
+    fn with_buffers(graph: &Graph, q: &[NodeId], rec: R, cancel: C, buffers: IneBuffers) -> Self {
+        let IneBuffers {
+            mut is_query,
+            scratch,
+        } = buffers;
+        if is_query.len() != graph.num_nodes() {
+            is_query = vec![false; graph.num_nodes()];
+        }
+        let mut ine = InePhi {
             graph: graph.clone(),
-            is_query: membership(graph.num_nodes(), q),
-            q_nodes: q.to_vec(),
-            scratch: RefCell::new(QueryScratch::new()),
+            is_query,
+            q_nodes: Vec::new(),
+            scratch: RefCell::new(scratch),
             rec,
             cancel,
+        };
+        ine.rebind(q);
+        ine
+    }
+
+    /// Tear the backend down to its buffers (mask cleared in `O(|Q|)`).
+    fn into_buffers(mut self) -> IneBuffers {
+        self.rebind(&[]);
+        IneBuffers {
+            is_query: self.is_query,
+            scratch: self.scratch.into_inner(),
         }
+    }
+}
+
+impl IneBuffers {
+    /// Run `f` with an [`InePhi`] over `q` built on these buffers, taking
+    /// them back when `f` returns — the per-query step of a worker that
+    /// keeps one set of buffers for its whole query stream.
+    pub fn with<R: Recorder, C: CancelCheck, T>(
+        &mut self,
+        graph: &Graph,
+        q: &[NodeId],
+        rec: R,
+        cancel: C,
+        f: impl FnOnce(&InePhi<R, C>) -> T,
+    ) -> T {
+        let gphi = InePhi::with_buffers(graph, q, rec, cancel, std::mem::take(self));
+        let out = f(&gphi);
+        *self = gphi.into_buffers();
+        out
     }
 }
 
@@ -202,6 +255,27 @@ mod tests {
                     "mismatch at p={p}, k={k}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn recycled_buffers_match_fresh_backend() {
+        let g = path5();
+        let mut buffers = IneBuffers::default();
+        for q in [&[0u32, 3, 4][..], &[1, 2], &[4]] {
+            let fresh = InePhi::new(&g, q);
+            buffers.with(&g, q, (), (), |recycled| {
+                for p in 0..5 {
+                    for k in 1..=q.len() {
+                        assert_eq!(
+                            recycled.eval(p, k, Aggregate::Sum),
+                            fresh.eval(p, k, Aggregate::Sum),
+                            "mismatch at q={q:?}, p={p}, k={k}"
+                        );
+                    }
+                }
+            });
+            assert!(buffers.is_query.iter().all(|&b| !b), "mask left dirty");
         }
     }
 

@@ -9,8 +9,8 @@
 //!        │  so observability survives overload)
 //!        └─ query  ──try_send──▶ bounded queue ──▶ worker threads
 //!                     │                              each: re-armed
-//!                     └─ Full ⇒ "shed" response      CancelToken + Engine
-//!                        (admission control: the
+//!                     └─ Full ⇒ "shed" response      CancelToken + one
+//!                        (admission control: the     QuerySession
 //!                        queue never grows unbounded)
 //! ```
 //!
@@ -27,7 +27,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fann_core::engine::{BatchQuery, Engine};
+use fann_core::engine::{BatchQuery, Engine, QuerySession};
 use fann_core::QueryError;
 use roadnet::{CancelToken, ShardMap};
 
@@ -675,12 +675,15 @@ fn handle_line(
                 deadline,
                 writer: Arc::clone(writer),
             };
+            // Count the job as queued before a worker can see it: the
+            // worker's decrement must never run ahead of this increment.
+            shared.queued.fetch_add(1, Ordering::Relaxed);
             match tx.try_send(job) {
                 Ok(()) => {
-                    shared.queued.fetch_add(1, Ordering::Relaxed);
                     shared.metrics.lock().unwrap().requests += 1;
                 }
                 Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
+                    shared.queued.fetch_sub(1, Ordering::Relaxed);
                     shared.metrics.lock().unwrap().shed += 1;
                     write_response(
                         &job.writer,
@@ -695,13 +698,16 @@ fn handle_line(
     }
 }
 
-/// Query worker: owns one re-armable token; drains the queue to empty
-/// even after shutdown begins (admitted requests are never dropped).
-/// With a batch window configured, a worker that picks up a query keeps
-/// the queue for up to the window and answers everything it collected
-/// from one shared co-located expansion ([`Engine::query_colocated`]).
+/// Query worker: owns one re-armable token and one [`QuerySession`] whose
+/// search buffers are reused across every request it answers; drains the
+/// queue to empty even after shutdown begins (admitted requests are never
+/// dropped). With a batch window configured, a worker that picks up a
+/// query keeps the queue for up to the window and answers everything it
+/// collected from one shared co-located expansion
+/// ([`Engine::query_colocated`]).
 fn worker_loop(engine: &Engine, rx: &Mutex<Receiver<Job>>, shared: &Shared, config: &ServeConfig) {
     let token = CancelToken::new();
+    let mut session = engine.session(&token);
     let window = config.batch_window.filter(|w| !w.is_zero());
     loop {
         let job = match rx.lock().unwrap().recv() {
@@ -711,7 +717,7 @@ fn worker_loop(engine: &Engine, rx: &Mutex<Receiver<Job>>, shared: &Shared, conf
         shared.queued.fetch_sub(1, Ordering::Relaxed);
         let Some(window) = window else {
             shared.inflight.fetch_add(1, Ordering::Relaxed);
-            let resp = execute(engine, &token, &job, shared);
+            let resp = execute(&token, &mut session, &job, shared);
             shared.inflight.fetch_sub(1, Ordering::Relaxed);
             write_response(&job.writer, &resp);
             continue;
@@ -792,7 +798,7 @@ fn execute_batch(engine: &Engine, jobs: Vec<Job>, shared: &Shared) {
                     body: Body::Cancelled,
                 }
             }
-            Ok(answer) => {
+            Ok((answer, strategy)) => {
                 let mut m = shared.metrics.lock().unwrap();
                 m.latency.record(elapsed);
                 match answer {
@@ -800,11 +806,10 @@ fn execute_batch(engine: &Engine, jobs: Vec<Job>, shared: &Shared) {
                     None => m.empty += 1,
                 }
                 drop(m);
-                let strategy = engine.strategy_for(job.spec.agg).name();
                 Response::for_answer(
                     job.id.clone(),
                     answer.as_ref(),
-                    strategy,
+                    strategy.name(),
                     elapsed.as_micros() as u64,
                 )
             }
@@ -823,7 +828,12 @@ fn execute_batch(engine: &Engine, jobs: Vec<Job>, shared: &Shared) {
     }
 }
 
-fn execute(engine: &Engine, token: &CancelToken, job: &Job, shared: &Shared) -> Response {
+fn execute(
+    token: &CancelToken,
+    session: &mut QuerySession<'_>,
+    job: &Job,
+    shared: &Shared,
+) -> Response {
     let id = job.id.clone();
     // The deadline clock started at admission: a query that sat in the
     // queue past its deadline is cancelled without running.
@@ -843,12 +853,14 @@ fn execute(engine: &Engine, token: &CancelToken, job: &Job, shared: &Shared) -> 
     };
     token.arm(budget);
     let spec = &job.spec;
-    let outcome =
-        engine.query_cached_traced_cancellable(&spec.p, &spec.q, spec.phi, spec.agg, token);
+    let outcome = session.query(&spec.p, &spec.q, spec.phi, spec.agg);
     let elapsed = job.admitted.elapsed();
     let mut m = shared.metrics.lock().unwrap();
     match outcome {
-        Ok((answer, stats, _cache)) => {
+        // `strategy` is the pinned snapshot's: a reply computed index-free
+        // during a cold start stays labelled so even if the background
+        // build has swapped labels in since.
+        Ok((answer, stats, _cache, _epoch, strategy)) => {
             m.latency.record(elapsed);
             m.search.add(&stats);
             match answer {
@@ -856,7 +868,7 @@ fn execute(engine: &Engine, token: &CancelToken, job: &Job, shared: &Shared) -> 
                 None => m.empty += 1,
             }
             drop(m);
-            let strategy = engine.strategy_for(spec.agg).name();
+            let strategy = strategy.name();
             Response::for_answer(id, answer.as_ref(), strategy, elapsed.as_micros() as u64)
         }
         Err(QueryError::Cancelled) => {

@@ -681,3 +681,143 @@ fn update_stream_orders_acks_and_stays_exact() {
         }
     });
 }
+
+/// `health.queued` is a gauge of jobs in (or entering) the admission
+/// queue, so it can never exceed the queue depth — in particular a
+/// worker's decrement must not overtake the reader's increment and wrap
+/// the counter to ~2^64. Poll `health` from a second connection while two
+/// closed loops keep the queue turning over.
+#[test]
+fn health_queued_stays_within_queue_depth_under_load() {
+    let graph = test_graph(27, 150);
+    let (p, q) = pq(&graph, 28);
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        cache_capacity: 16, // hits keep each request short: more handoffs
+        ..ServeConfig::default()
+    };
+    let depth = config.queue_depth as u64;
+    const PER_LOOP: usize = 4_000;
+
+    with_server(config, &graph, |addr| {
+        let running = AtomicUsize::new(2);
+        thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let mut client = Client::connect(addr).expect("connect");
+                    for i in 0..PER_LOOP {
+                        let resp = client
+                            .call(&query_req(&i.to_string(), &p, &q, 0.5, Aggregate::Max))
+                            .expect("query");
+                        assert!(matches!(resp.body, Body::Ok { .. }), "{resp:?}");
+                    }
+                    running.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            let mut poller = Client::connect(addr).expect("connect");
+            let mut samples = 0u64;
+            while running.load(Ordering::SeqCst) > 0 {
+                let resp = poller
+                    .call(&Request {
+                        id: None,
+                        op: Op::Health,
+                    })
+                    .expect("health reply must parse (a wrapped `queued` does not)");
+                match resp.body {
+                    Body::Health(h) => assert!(
+                        h.queued <= depth,
+                        "queued = {} with a {depth}-deep queue (sample {samples})",
+                        h.queued
+                    ),
+                    other => panic!("expected health, got {other:?}"),
+                }
+                samples += 1;
+            }
+            assert!(samples > 0, "the loops finished before a single poll");
+        });
+    });
+}
+
+/// The `strategy` in a reply is the one that computed it. Labels are
+/// swapped in (as the cold-start background build does) while an
+/// index-free query is in flight; that reply must still say it ran
+/// index-free, and the server's label-lookup counter — which only IER-kNN
+/// moves — must agree with every reply's label.
+#[test]
+fn reply_names_the_strategy_that_ran_across_a_label_swap() {
+    let graph = test_graph(29, 1_500);
+    let mut rng = workload::rng(30);
+    let p = workload::points::uniform_data_points(&graph, 0.5, &mut rng);
+    let q = workload::points::uniform_query_points(&graph, 48, 0.9, &mut rng);
+    let labels = hublabel::HubLabels::build(&graph);
+    let engine = Engine::new(&graph);
+    let server = Server::bind(ServeConfig {
+        workers: 1,
+        ..free_port_config()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.shutdown_handle();
+
+    thread::scope(|scope| {
+        scope.spawn(|| server.run(&engine).expect("serve"));
+        let _guard = ShutdownGuard(handle);
+        let mut client = Client::connect(addr).expect("connect");
+        let mut control = Client::connect(addr).expect("connect");
+        let mut lookups_before = 0;
+        let mut check = |client: &mut Client, control: &mut Client, id: &str| {
+            let resp = client.recv().expect("recv");
+            assert_eq!(resp.id.as_deref(), Some(id));
+            let Body::Ok { strategy, .. } = &resp.body else {
+                panic!("{id}: expected an answer, got {resp:?}");
+            };
+            let metrics = control
+                .call(&Request {
+                    id: None,
+                    op: Op::Metrics,
+                })
+                .expect("metrics");
+            let Body::Metrics(m) = metrics.body else {
+                panic!("expected metrics, got {metrics:?}");
+            };
+            let used_labels = m.search.label_lookups > lookups_before;
+            lookups_before = m.search.label_lookups;
+            assert_eq!(
+                strategy == "IER-kNN/PHL",
+                used_labels,
+                "{id}: labelled {strategy}, label lookups moved: {used_labels}"
+            );
+            strategy.clone()
+        };
+
+        // A slow index-free query; swap the labels in once it is running.
+        client
+            .send(&query_req("cold", &p, &q, 1.0, Aggregate::Sum))
+            .expect("send");
+        // (Should the query ever finish before a poll sees it, stop
+        // waiting: the check below holds for any interleaving.)
+        let give_up = std::time::Instant::now() + Duration::from_secs(5);
+        while std::time::Instant::now() < give_up {
+            let health = control
+                .call(&Request {
+                    id: None,
+                    op: Op::Health,
+                })
+                .expect("health");
+            match health.body {
+                Body::Health(h) if h.inflight == 1 => break,
+                Body::Health(_) => thread::yield_now(),
+                other => panic!("expected health, got {other:?}"),
+            }
+        }
+        let _ = engine.clone().with_prebuilt_labels(labels);
+        check(&mut client, &mut control, "cold");
+
+        // From here on the labels answer, and the replies say so.
+        client
+            .send(&query_req("warm", &p, &q, 1.0, Aggregate::Sum))
+            .expect("send");
+        assert_eq!(check(&mut client, &mut control, "warm"), "IER-kNN/PHL");
+    });
+}

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use fannr::fann::engine::Engine;
 use fannr::fann::{Aggregate, QueryError};
-use fannr::roadnet::{CancelToken, Graph, GraphBuilder};
+use fannr::roadnet::{CancelToken, Graph, GraphBuilder, WeightUpdate};
 use proptest::prelude::*;
 
 /// A random connected graph: spanning tree + `extra` random edges
@@ -94,23 +94,45 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A never-cancelled token is invisible: every strategy, both
-    /// aggregates, bit-identical answers and errors.
+    /// aggregates, bit-identical answers and errors — on a session's
+    /// first query and on its later ones, whose search state was left
+    /// behind by queries with a different `|Q|`, aggregate, and epoch.
     #[test]
-    fn live_token_is_bit_identical((g, p, q, phi) in arb_instance()) {
+    fn live_token_is_bit_identical(
+        (g, p, q, phi) in arb_instance(),
+        (_, p2, q2, phi2) in arb_instance(),
+    ) {
         let token = CancelToken::new(); // no deadline, never cancelled
+        let n = g.num_nodes() as u32;
+        // A second, differently-sized query on the same graph.
+        let clamp = |ids: &[u32]| ids.iter().map(|&v| v % n).collect::<Vec<u32>>();
+        let (p2, q2) = (clamp(&p2), clamp(&q2));
+        let (u, (v, w)) = (0..n)
+            .find_map(|u| Some((u, g.neighbors(u).next()?)))
+            .expect("connected");
         for engine in &engines(&g) {
-            for agg in [Aggregate::Max, Aggregate::Sum] {
-                let plain = engine.query(&p, &q, phi, agg);
-                let cancellable = engine.query_cancellable(&p, &q, phi, agg, &token);
-                prop_assert_eq!(
-                    &plain, &cancellable,
-                    "strategy {} diverged under a live token",
-                    engine.strategy_for(agg).name()
-                );
-                // A long-but-finite deadline must be equally invisible.
-                let token = CancelToken::with_timeout(Duration::from_secs(3600));
-                let deadline = engine.query_cancellable(&p, &q, phi, agg, &token);
-                prop_assert_eq!(&plain, &deadline);
+            let mut session = engine.session(&token);
+            for round in 0..2u32 {
+                for agg in [Aggregate::Max, Aggregate::Sum] {
+                    for (p, q, phi) in [(&p, &q, phi), (&p2, &q2, phi2)] {
+                        let plain = engine.query(p, q, phi, agg);
+                        let served = session.query(p, q, phi, agg).map(|(answer, ..)| answer);
+                        prop_assert_eq!(
+                            &plain, &served,
+                            "strategy {} diverged under a live token (round {})",
+                            engine.strategy_for(agg).name(), round
+                        );
+                        // A long-but-finite deadline must be equally invisible.
+                        let token = CancelToken::with_timeout(Duration::from_secs(3600));
+                        let deadline = engine.session(&token).query(p, q, phi, agg);
+                        prop_assert_eq!(&plain, &deadline.map(|(answer, ..)| answer));
+                    }
+                }
+                // Bump the epoch under the session (weights only ever grow,
+                // so the admissibility scale holds).
+                engine
+                    .apply_updates(&[WeightUpdate { u, v, w: w.saturating_mul(2 + round) }])
+                    .expect("admissible");
             }
         }
     }
@@ -128,7 +150,7 @@ proptest! {
                 if engine.query(&p, &q, phi, agg).is_err() {
                     continue;
                 }
-                let got = engine.query_cancellable(&p, &q, phi, agg, &token);
+                let got = engine.session(&token).query(&p, &q, phi, agg);
                 prop_assert!(
                     matches!(got, Err(QueryError::Cancelled)),
                     "strategy {} returned {:?} for a cancelled token",
@@ -162,7 +184,10 @@ fn token_rearm_recovers_after_cancellation() {
 
     token.arm(None);
     let answer = session.query(&p, &q, 0.5, Aggregate::Max);
-    assert_eq!(answer, engine.query(&p, &q, 0.5, Aggregate::Max));
+    assert_eq!(
+        answer.map(|(answer, ..)| answer),
+        engine.query(&p, &q, 0.5, Aggregate::Max)
+    );
 }
 
 /// Cancelling from another thread mid-query terminates the search with
@@ -184,13 +209,13 @@ fn cross_thread_cancellation_interrupts() {
         // Re-run until the cancel lands mid-query (it may beat the query
         // start, which also must yield `Cancelled`, or lose the race
         // entirely on the first iterations).
-        let got = engine.query_cancellable(&p, &q, 0.5, Aggregate::Sum, &token);
+        let got = engine.session(&token).query(&p, &q, 0.5, Aggregate::Sum);
         canceller.join().unwrap();
         match got {
             Err(QueryError::Cancelled) => {}
             Ok(ans) => {
                 // The query won the race; the answer must then be exact.
-                assert_eq!(ans, engine.query(&p, &q, 0.5, Aggregate::Sum).unwrap());
+                assert_eq!(ans.0, engine.query(&p, &q, 0.5, Aggregate::Sum).unwrap());
             }
             Err(e) => panic!("unexpected error: {e}"),
         }

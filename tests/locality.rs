@@ -23,9 +23,9 @@
 //!   on the exact pinned epoch's graph. The `stress_` prefix is the CI
 //!   filter for the multi-threaded step.
 
-use fannr::fann::engine::{BatchQuery, CacheOutcome, Engine};
+use fannr::fann::engine::{BatchQuery, BatchResults, CacheOutcome, Engine};
 use fannr::fann::Aggregate;
-use fannr::roadnet::{Graph, GraphBuilder, WeightUpdate};
+use fannr::roadnet::{CancelToken, Graph, GraphBuilder, WeightUpdate};
 use proptest::prelude::*;
 
 /// A random connected graph: spanning tree + `extra` random edges
@@ -119,6 +119,12 @@ fn cached_engines(g: &Graph, capacity: usize) -> [Engine; 3] {
     ]
 }
 
+/// [`Engine::query_colocated`], keeping only the answers.
+fn colocated_answers(engine: &Engine, batch: &[BatchQuery]) -> BatchResults {
+    let served = engine.query_colocated(batch).into_iter();
+    served.map(|r| r.map(|(answer, _)| answer)).collect()
+}
+
 /// Cold-cache mirrors of [`cached_engines`] on an arbitrary graph.
 fn cold_engines(g: &Graph) -> [Engine; 3] {
     [
@@ -148,7 +154,9 @@ proptest! {
             state ^= state << 17;
             state
         };
+        let token = CancelToken::new();
         for (cfg, live) in cached_engines(&g, 64).into_iter().enumerate() {
+            let mut session = live.session(&token);
             // The mirror graph tracks the live engine's published weights;
             // `cold` is rebuilt from scratch after every epoch bump.
             let mut mirror = g.clone();
@@ -193,8 +201,8 @@ proptest! {
                                 (p.clone(), q.clone(), alt_phi, agg)
                             }
                         };
-                        let (answer, _outcome, epoch) = live
-                            .query_cached(&qp, &qq, qphi, agg)
+                        let (answer, _, _outcome, epoch, _) = session
+                            .query(&qp, &qq, qphi, agg)
                             .expect("valid instance");
                         prop_assert_eq!(epoch, expected_epoch, "single writer: pinned epoch");
                         let want = cold[cfg].query(&qp, &qq, qphi, agg).expect("valid instance");
@@ -230,7 +238,7 @@ proptest! {
                 batch.push(BatchQuery::new(p.clone(), q.clone(), phis[0], agg));
                 batch.push(BatchQuery::new(p.clone(), rev_q.clone(), 0.5, agg));
                 batch.push(BatchQuery::new(p.clone(), bad.clone(), 0.5, agg));
-                let got = live.query_colocated(&batch);
+                let got = colocated_answers(&live, &batch);
                 prop_assert_eq!(got.len(), batch.len());
                 for (bq, got) in batch.iter().zip(&got) {
                     let want = live.query(&bq.p, &bq.q, bq.phi, bq.agg);
@@ -239,7 +247,7 @@ proptest! {
 
                 // One-query batch.
                 let solo = [BatchQuery::new(p.clone(), q.clone(), 0.5, agg)];
-                let got = live.query_colocated(&solo);
+                let got = colocated_answers(&live, &solo);
                 prop_assert_eq!(&got[0], &live.query(&p, &q, 0.5, agg));
             }
         }
@@ -257,9 +265,9 @@ proptest! {
                     .map(|agg| BatchQuery::new(p.clone(), q.clone(), f, agg))
             })
             .collect();
-        let first = live.query_colocated(&batch);
+        let first = colocated_answers(&live, &batch);
         let hits_before = live.cache_stats().expect("cache attached").hits;
-        let second = live.query_colocated(&batch);
+        let second = colocated_answers(&live, &batch);
         prop_assert_eq!(&first, &second);
         let stats = live.cache_stats().expect("cache attached");
         prop_assert_eq!(
@@ -382,8 +390,10 @@ fn permuted_duplicate_members_share_one_cache_entry() {
     assert!(p.len() >= 2 && q.len() >= 2);
 
     let engine = Engine::new(&g).with_answer_cache(16);
+    let token = CancelToken::new();
+    let mut session = engine.session(&token);
     for agg in [Aggregate::Max, Aggregate::Sum] {
-        let (base, outcome, _) = engine.query_cached(&p, &q, 0.5, agg).expect("valid");
+        let (base, _, outcome, ..) = session.query(&p, &q, 0.5, agg).expect("valid");
         assert_eq!(outcome, CacheOutcome::Miss, "cold cache must miss first");
 
         // Reversed, rotated, and duplicated spellings of the same sets.
@@ -404,7 +414,7 @@ fn permuted_duplicate_members_share_one_cache_entry() {
             (&p_rev, &q_rot),
         ];
         for (sp, sq) in spellings {
-            let (answer, outcome, _) = engine.query_cached(sp, sq, 0.5, agg).expect("valid");
+            let (answer, _, outcome, ..) = session.query(sp, sq, 0.5, agg).expect("valid");
             assert_eq!(
                 outcome,
                 CacheOutcome::Hit,
@@ -497,13 +507,15 @@ fn stress_cache_coherent_under_multi_writer_epoch_churn() {
             let engine = engine.clone();
             let (stop, history, pool, total_hits) = (&stop, &history, &pool, &total_hits);
             scope.spawn(move || {
+                let token = CancelToken::new();
+                let mut session = engine.session(&token);
                 let mut i = r;
                 let mut hits = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let (qp, qq, phi, agg) = &pool[i % pool.len()];
                     i += 1;
-                    let (answer, outcome, epoch) =
-                        engine.query_cached(qp, qq, *phi, *agg).expect("valid");
+                    let (answer, _, outcome, epoch, _) =
+                        session.query(qp, qq, *phi, *agg).expect("valid");
                     if outcome == CacheOutcome::Hit {
                         hits += 1;
                     }

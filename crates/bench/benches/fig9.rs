@@ -26,7 +26,7 @@ fn bench(c: &mut Criterion) {
             });
         });
         group.bench_function(format!("labels/{}", spec.name), |b| {
-            b.iter(|| HubLabels::build(&g));
+            b.iter(|| HubLabels::build(&g).unwrap());
         });
     }
     group.finish();

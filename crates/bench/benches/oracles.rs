@@ -1,16 +1,16 @@
 //! Ablation bench (DESIGN.md §7): point-to-point oracle comparison —
-//! Dijkstra vs A* vs bidirectional vs CH vs hub labels vs G-tree.
+//! Dijkstra vs A* vs bidirectional vs hub labels vs G-tree.
 //! The spread here is what drives the Fig. 3 backend spread.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fann_core::gphi::oracle::{
-    AStarOracle, BidirOracle, ChOracle, DijkstraOracle, DistanceOracle, GTreeOracle, LabelOracle,
+    AStarOracle, BidirOracle, DijkstraOracle, DistanceOracle, GTreeOracle, LabelOracle,
 };
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
     let g = workload::synth::road_network(3000, &mut workload::rng(0xD15));
-    let hl = hublabel::HubLabels::build(&g);
+    let hl = hublabel::HubLabels::build(&g).unwrap();
     let gt = gtree::GTree::build_with_params(
         &g,
         gtree::GTreeParams {
@@ -18,7 +18,6 @@ fn bench(c: &mut Criterion) {
             leaf_cap: 64,
         },
     );
-    let ch = ch_index::Ch::build(&g);
     let oracles: Vec<Box<dyn DistanceOracle>> = vec![
         Box::new(DijkstraOracle::new(&g)),
         Box::new(AStarOracle::new(&g)),
@@ -28,7 +27,6 @@ fn bench(c: &mut Criterion) {
             tree: &gt,
             graph: &g,
         }),
-        Box::new(ChOracle { ch: &ch }),
     ];
     // A fixed set of medium/long pairs.
     let n = g.num_nodes() as u32;

@@ -55,7 +55,7 @@ fn main() {
             )
         });
         let budget = label_budget_factor * g.num_nodes();
-        let (hl, hl_secs) = time(|| HubLabels::build_with_limit(&g, budget));
+        let (hl, hl_secs) = time(|| HubLabels::build_with_limit(&g, budget).ok());
         let (label_size, label_build) = match &hl {
             Some(h) => (fmt_bytes(h.memory_bytes()), fmt_secs(Some(hl_secs))),
             None => ("OOM".to_string(), "fail".to_string()),

@@ -40,7 +40,7 @@ impl Env {
     /// Build all indexes over `graph`.
     pub fn prepare(graph: Graph, gtree_leaf_cap: usize) -> Self {
         let lb = LowerBound::for_graph(&graph);
-        let labels = HubLabels::build(&graph);
+        let labels = HubLabels::build(&graph).expect("experiment networks fit u32 label distances");
         let gtree = GTree::build_with_params(
             &graph,
             GTreeParams {

@@ -353,6 +353,10 @@ pub struct RepairReport {
     pub labels_repaired: u64,
     /// Hub roots a from-scratch rebuild would run.
     pub labels_total: u64,
+    /// Why the pass published the snapshot **without** labels — a network
+    /// distance no longer fits a label entry — leaving the index-free
+    /// strategies to answer (exactly). `None` when labels were published.
+    pub labels_dropped: Option<hublabel::BuildError>,
     /// Wall time of the label repair, milliseconds.
     pub label_wall_ms: u64,
     /// G-tree leaves whose border matrices were reassembled.
@@ -511,7 +515,7 @@ impl Engine {
     }
 
     /// Attach previously built labels (e.g. from
-    /// [`HubLabels::from_bytes`]). The caller asserts the labels were
+    /// [`HubLabels::read_flat`]). The caller asserts the labels were
     /// built for this engine's *current* graph.
     pub fn with_prebuilt_labels(self, labels: HubLabels) -> Self {
         {
@@ -602,8 +606,14 @@ impl Engine {
         let opts = opts.clone();
         let disk = self.snapshot();
         std::thread::spawn(move || {
-            if !disk.has_labels() {
-                let labels = Arc::new(HubLabels::build_parallel(disk.graph(), opts.workers));
+            // A build that fails (a distance past the label width) skips
+            // straight to the `publish_labels` below, which records why.
+            let built = if disk.has_labels() {
+                None
+            } else {
+                HubLabels::build_parallel(disk.graph(), opts.workers).ok()
+            };
+            if let Some(labels) = built.map(Arc::new) {
                 if opts.persist {
                     let _ = persist_atomic(&dir, "labels.v2", |p| labels.write_flat(p));
                 }
@@ -827,6 +837,8 @@ impl Engine {
     /// already carries labels plus a non-empty staleness ledger takes
     /// the scoped-repair path: only hubs whose tight-edge certificates
     /// cross a touched edge are replayed, bit-identical to a rebuild.
+    /// A build or repair that fails publishes the snapshot *without*
+    /// labels — index-free, still exact — and the report says why.
     fn publish_labels(&self, only_if_stale: bool) -> u64 {
         loop {
             let pinned = self.snapshot();
@@ -834,28 +846,26 @@ impl Engine {
                 return pinned.epoch();
             }
             let t0 = Instant::now();
-            let (labels, repaired, total) = match &pinned.labels {
+            let total = pinned.graph().num_nodes() as u64;
+            let built = match &pinned.labels {
                 Some(old) if !pinned.stale.is_fresh() => {
                     let touched: Vec<(NodeId, NodeId)> =
                         pinned.stale.scope().touched_pairs().collect();
-                    let (next, stats) = old.repair_scoped(pinned.graph(), &touched);
-                    (
-                        Arc::new(next),
-                        stats.roots_searched as u64,
-                        stats.roots_total as u64,
-                    )
+                    old.repair_scoped(pinned.graph(), &touched)
+                        .map(|(next, stats)| (next, stats.roots_searched as u64))
                 }
-                _ => {
-                    let n = pinned.graph().num_nodes() as u64;
-                    (Arc::new(HubLabels::build(pinned.graph())), n, n)
-                }
+                _ => HubLabels::build(pinned.graph()).map(|labels| (labels, total)),
+            };
+            let (labels, repaired, dropped) = match built {
+                Ok((labels, repaired)) => (Some(Arc::new(labels)), repaired, None),
+                Err(why) => (None, 0, Some(why)),
             };
             let guard = self.shared.writer.lock().unwrap();
             let cur = self.shared.cell.load();
             if cur.epoch() == pinned.epoch() {
                 self.shared.cell.store(Arc::new(EngineSnapshot {
                     net: cur.net.clone(),
-                    labels: Some(labels),
+                    labels,
                     stale: StaleSet::fresh(),
                 }));
                 drop(guard);
@@ -864,6 +874,7 @@ impl Engine {
                 r.epoch = pinned.epoch();
                 r.labels_repaired = repaired;
                 r.labels_total = total;
+                r.labels_dropped = dropped;
                 r.label_wall_ms = t0.elapsed().as_millis() as u64;
                 return pinned.epoch();
             }
@@ -1972,12 +1983,58 @@ mod tests {
         assert_eq!(engine.repair_indexes(), 1);
         assert!(!engine.is_stale());
         let repaired = engine.snapshot().hub_labels().unwrap().clone();
-        let fresh = HubLabels::build(engine.snapshot().graph());
+        let fresh = HubLabels::build(engine.snapshot().graph()).unwrap();
         assert!(*repaired == fresh, "scoped repair must be bit-identical");
         let report = engine.last_repair_report().unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(report.labels_total, 36);
         assert!(report.labels_repaired >= 1);
+        assert_eq!(report.labels_dropped, None);
+    }
+
+    #[test]
+    fn a_repair_past_the_label_width_drops_the_labels_not_the_exactness() {
+        // A five-node path: once every edge weighs u32::MAX, some hub is
+        // two hops (> u32::MAX) from a node it must label.
+        let mut b = GraphBuilder::new();
+        for i in 0..5 {
+            b.add_node(i as f64, 0.0);
+        }
+        for i in 1..5 {
+            b.add_edge(i - 1, i, 3);
+        }
+        let engine = Engine::new(&b.build()).with_labels();
+        assert!(engine.has_labels());
+        let heavy: Vec<WeightUpdate> = (1..5)
+            .map(|v| WeightUpdate {
+                u: v - 1,
+                v,
+                w: u32::MAX,
+            })
+            .collect();
+        engine.apply_updates(&heavy).unwrap();
+        assert_eq!(engine.repair_indexes(), 1);
+        assert!(!engine.has_labels() && !engine.needs_repair());
+        let report = engine.last_repair_report().unwrap();
+        assert!(matches!(
+            report.labels_dropped,
+            Some(hublabel::BuildError::DistanceOverflow { dist, .. }) if dist > u32::MAX as u64
+        ));
+        assert_eq!((report.epoch, report.labels_repaired), (1, 0));
+        // Index-free from here on, and exact: 0 -> 4 is four such edges.
+        for agg in [Aggregate::Max, Aggregate::Sum] {
+            assert_ne!(engine.strategy_for(agg), Strategy::IerKnnLabels);
+            let a = engine.query(&[0, 2], &[4], 1.0, agg).unwrap().unwrap();
+            assert_eq!((a.p_star, a.dist), (2, 2 * u32::MAX as u64));
+        }
+        // So is an engine asked to build labels on that graph directly.
+        let direct = Engine::new(engine.snapshot().graph()).with_labels();
+        assert!(!direct.has_labels());
+        assert!(direct
+            .last_repair_report()
+            .unwrap()
+            .labels_dropped
+            .is_some());
     }
 
     #[test]

@@ -153,7 +153,7 @@ mod tests {
     fn ier_matches_ine_for_all_oracles() {
         let g = metric_grid(6, 5);
         let q: Vec<u32> = vec![0, 7, 14, 21, 28, 4, 25];
-        let hl = HubLabels::build(&g);
+        let hl = HubLabels::build(&g).unwrap();
         let gt = GTree::build_with_params(
             &g,
             GTreeParams {

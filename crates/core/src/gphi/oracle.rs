@@ -7,7 +7,6 @@
 //! [`super::ier2::IerPhi`] are generic over them.
 
 use crate::metrics::Recorder;
-use ch_index::Ch;
 use gtree::GTree;
 use hublabel::HubLabels;
 use roadnet::{
@@ -246,21 +245,6 @@ impl DistanceOracle for GTreeOracle<'_, '_> {
     }
 }
 
-/// Contraction-hierarchy oracle (extension backend, DESIGN.md §7):
-/// bidirectional upward search over the shortcut-augmented graph.
-pub struct ChOracle<'c> {
-    pub ch: &'c Ch,
-}
-
-impl DistanceOracle for ChOracle<'_> {
-    fn dist(&self, s: NodeId, t: NodeId) -> Option<Dist> {
-        self.ch.distance(s, t)
-    }
-    fn name(&self) -> &'static str {
-        "CH"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,9 +266,8 @@ mod tests {
     #[test]
     fn all_oracles_agree() {
         let g = diamond();
-        let hl = HubLabels::build(&g);
+        let hl = HubLabels::build(&g).unwrap();
         let gt = GTree::build(&g);
-        let ch = Ch::build(&g);
         let oracles: Vec<Box<dyn DistanceOracle + '_>> = vec![
             Box::new(DijkstraOracle::new(&g)),
             Box::new(AStarOracle::new(&g)),
@@ -294,7 +277,6 @@ mod tests {
                 tree: &gt,
                 graph: &g,
             }),
-            Box::new(ChOracle { ch: &ch }),
         ];
         for s in 0..4 {
             for t in 0..4 {
@@ -309,9 +291,8 @@ mod tests {
     #[test]
     fn names_are_distinct() {
         let g = diamond();
-        let hl = HubLabels::build(&g);
+        let hl = HubLabels::build(&g).unwrap();
         let gt = GTree::build(&g);
-        let ch = Ch::build(&g);
         let names = [
             DijkstraOracle::new(&g).name(),
             AStarOracle::new(&g).name(),
@@ -322,7 +303,6 @@ mod tests {
                 graph: &g,
             }
             .name(),
-            ChOracle { ch: &ch }.name(),
         ];
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());
@@ -331,7 +311,7 @@ mod tests {
     #[test]
     fn guarded_oracle_is_exact_across_the_staleness_window() {
         let g = diamond();
-        let hl = HubLabels::build(&g);
+        let hl = HubLabels::build(&g).unwrap();
         // No pending updates: identical to plain label lookups.
         let fresh = GuardedLabelOracle::new(&hl, &g, &[], true, LowerBound::for_graph(&g));
         for s in 0..4 {

@@ -96,7 +96,7 @@ mod tests {
     fn scan_matches_ine_for_all_backends() {
         let g = grid(5, 5);
         let q: Vec<u32> = vec![0, 6, 12, 18, 24, 3, 21];
-        let hl = HubLabels::build(&g);
+        let hl = HubLabels::build(&g).unwrap();
         let ine = InePhi::new(&g, &q);
         let scan_dij = ScanPhi::new(DijkstraOracle::new(&g), &q);
         let scan_astar = ScanPhi::new(AStarOracle::new(&g), &q);

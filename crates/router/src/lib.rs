@@ -1000,6 +1000,7 @@ fn handle_health(
     let mut stale = false;
     let mut labels_repaired = 0u64;
     let mut labels_total = 0u64;
+    let mut labels_dropped = false;
     let mut repair_scoped_leaves = 0u64;
     let mut gtree_entries_repaired = 0u64;
     let mut gtree_entries_total = 0u64;
@@ -1018,6 +1019,7 @@ fn handle_health(
                 stale |= h.stale;
                 labels_repaired += h.labels_repaired;
                 labels_total += h.labels_total;
+                labels_dropped |= h.labels_dropped;
                 repair_scoped_leaves += h.repair_scoped_leaves;
                 gtree_entries_repaired += h.gtree_entries_repaired;
                 gtree_entries_total += h.gtree_entries_total;
@@ -1049,6 +1051,7 @@ fn handle_health(
             region: None,
             labels_repaired,
             labels_total,
+            labels_dropped,
             repair_scoped_leaves,
             gtree_entries_repaired,
             gtree_entries_total,

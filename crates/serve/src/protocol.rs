@@ -312,6 +312,10 @@ pub struct HealthInfo {
     pub labels_repaired: u64,
     /// Hub roots a full rebuild would run.
     pub labels_total: u64,
+    /// The last label build or repair published no labels (a network
+    /// distance outgrew the label entry width): queries are answered
+    /// index-free — exactly, but slower.
+    pub labels_dropped: bool,
     /// G-tree leaves reassembled by the last scoped repair.
     pub repair_scoped_leaves: u64,
     /// G-tree matrix entries rewritten by the last scoped repair.
@@ -595,6 +599,9 @@ impl Response {
                 }
                 members.push(("labels_repaired".into(), Json::from(h.labels_repaired)));
                 members.push(("labels_total".into(), Json::from(h.labels_total)));
+                if h.labels_dropped {
+                    members.push(("labels_dropped".into(), Json::Bool(true)));
+                }
                 members.push((
                     "repair_scoped_leaves".into(),
                     Json::from(h.repair_scoped_leaves),
@@ -757,6 +764,7 @@ impl Response {
                 // maintenance; tolerate their absence for older peers.
                 labels_repaired: v.get("labels_repaired").and_then(Json::as_u64).unwrap_or(0),
                 labels_total: v.get("labels_total").and_then(Json::as_u64).unwrap_or(0),
+                labels_dropped: v.get("labels_dropped").and_then(Json::as_bool) == Some(true),
                 repair_scoped_leaves: v
                     .get("repair_scoped_leaves")
                     .and_then(Json::as_u64)
@@ -975,6 +983,7 @@ mod tests {
             body: Body::Health(HealthInfo {
                 labels_repaired: 12,
                 labels_total: 50_000,
+                labels_dropped: true,
                 repair_scoped_leaves: 2,
                 gtree_entries_repaired: 96,
                 gtree_entries_total: 18_432,

@@ -427,6 +427,7 @@ fn handle_line(
                 region,
                 labels_repaired: report.labels_repaired,
                 labels_total: report.labels_total,
+                labels_dropped: report.labels_dropped.is_some(),
                 repair_scoped_leaves: report.scoped_leaves,
                 gtree_entries_repaired: report.gtree_entries_repaired,
                 gtree_entries_total: report.gtree_entries_total,

@@ -750,7 +750,7 @@ fn reply_names_the_strategy_that_ran_across_a_label_swap() {
     let mut rng = workload::rng(30);
     let p = workload::points::uniform_data_points(&graph, 0.5, &mut rng);
     let q = workload::points::uniform_query_points(&graph, 48, 0.9, &mut rng);
-    let labels = hublabel::HubLabels::build(&graph);
+    let labels = hublabel::HubLabels::build(&graph).unwrap();
     let engine = Engine::new(&graph);
     let server = Server::bind(ServeConfig {
         workers: 1,

@@ -27,7 +27,7 @@ fn main() {
 
     // Index construction (one-off, amortized over all queries).
     let t0 = std::time::Instant::now();
-    let labels = HubLabels::build(&graph);
+    let labels = HubLabels::build(&graph).unwrap();
     println!(
         "hub labels: {:.1}s, avg label size {:.1}",
         t0.elapsed().as_secs_f64(),

@@ -72,7 +72,7 @@ fn main() {
 
     // What the indexed pipeline would pay first: a label rebuild.
     let t0 = std::time::Instant::now();
-    let _labels = HubLabels::build(&live.snapshot());
+    let _labels = HubLabels::build(&live.snapshot()).unwrap();
     let rebuild = t0.elapsed();
     println!(
         "\nindexed alternative: rebuild hub labels first = {rebuild:?} \

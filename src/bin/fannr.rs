@@ -3,8 +3,8 @@
 //! ```text
 //! fannr datasets
 //! fannr gen   --nodes 10000 --seed 7 --out network.txt
-//! fannr index --graph network.txt --out labels.bin
-//! fannr query --graph network.txt [--labels labels.bin] \
+//! fannr index --graph network.txt --out labels.v2
+//! fannr query --graph network.txt [--labels labels.v2] \
 //!             --algo ier-knn --agg max --phi 0.5 \
 //!             --p-density 0.01 --q-size 32 --coverage 0.2 [--k 5] [--routes]
 //! ```
@@ -87,7 +87,8 @@ const USAGE: &str = "usage: fannr <command> [--key value ...]
 commands:
   datasets   list the Table III dataset registry
   gen        generate a synthetic road network   (--nodes, --seed, --out)
-  index      build + persist hub labels          (--graph, --out)
+  index      build + persist hub labels as a     (--graph, --out)
+             flat labels.v2 container
   query      run an FANN_R query                 (--graph, --algo, --agg,
              --phi, --p-density, --q-size, --coverage, --clusters, --seed,
              --labels, --k, --routes, --json)
@@ -121,8 +122,8 @@ commands:
              writes graph.v2 + labels.v2 + gtree.v2 for `serve --index`
   bench-batch  measure batch throughput          (--nodes, --queries,
              --p-size, --q-size, --phi, --workers, --seed)
-  bench-coldstart  compare v1 decode vs flat v2  (--nodes, --seed, --queries,
-             read vs mmap zero-copy load          --q-size, --p-density, --phi,
+  bench-coldstart  compare text-graph parse vs   (--nodes, --seed, --queries,
+             flat v2 read vs mmap zero-copy load  --q-size, --p-density, --phi,
                                                   --out JSON, --artifacts DIR)
 algorithms:  gd | r-list | ier-knn | exact-max | apx-sum";
 
@@ -189,19 +190,25 @@ fn load_graph(opts: &HashMap<String, String>) -> Result<Graph, String> {
     read_compact(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// A persisted label index (`fannr index` / `build-index` output).
+fn load_labels(path: &str) -> Result<HubLabels, String> {
+    HubLabels::read_flat(Path::new(path)).map_err(|e| format!("{path}: {e}"))
+}
+
 fn cmd_index(opts: &HashMap<String, String>) -> Result<(), String> {
     let g = load_graph(opts)?;
     let out = require(opts, "out")?;
     let t0 = std::time::Instant::now();
-    let labels = HubLabels::build(&g);
-    let bytes = labels.to_bytes();
-    std::fs::write(&out, &bytes).map_err(|e| e.to_string())?;
+    let labels = HubLabels::build(&g).map_err(|e| e.to_string())?;
+    labels
+        .write_flat(Path::new(&out))
+        .map_err(|e| format!("{out}: {e}"))?;
     println!(
         "built hub labels in {:.1}s: {} entries (avg {:.1}/node), {} bytes -> {}",
         t0.elapsed().as_secs_f64(),
         labels.total_label_entries(),
         labels.avg_label_size(),
-        bytes.len(),
+        file_kib(Path::new(&out)),
         out
     );
     Ok(())
@@ -251,13 +258,7 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     }
 
     // Backend: persisted labels if provided, else index-free INE.
-    let labels = match opts.get("labels") {
-        Some(path) => {
-            let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(HubLabels::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
+    let labels = opts.get("labels").map(|p| load_labels(p)).transpose()?;
     let gphi: Box<dyn GPhi> = match &labels {
         Some(l) => Box::new(IerPhi::new(&g, LabelOracle { labels: l }, &q)),
         None => Box::new(InePhi::new(&g, &q)),
@@ -353,13 +354,10 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
 
     // The indexed strategy needs labels; load them if given, else build.
     let labels = match opts.get("labels") {
-        Some(path) => {
-            let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-            HubLabels::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?
-        }
+        Some(path) => load_labels(path)?,
         None => {
             let t0 = std::time::Instant::now();
-            let l = HubLabels::build(&g);
+            let l = HubLabels::build(&g).map_err(|e| e.to_string())?;
             println!(
                 "(built hub labels in {:.1}s; pass --labels to reuse a persisted index)",
                 t0.elapsed().as_secs_f64()
@@ -496,7 +494,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     // parallel builders and publish through the snapshot swap, while
     // queries answer exactly via the index-free strategies. Otherwise the
     // graph comes from `--graph`/`--nodes` and labels optionally from a
-    // v1 `--labels` file.
+    // `--labels` file (`fannr index` output).
     let (g, engine) = if let Some(dir) = opts.get("index") {
         let index_opts = IndexDirOptions {
             load_mode: if opts.contains_key("no-mmap") {
@@ -530,9 +528,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         };
         let mut engine = Engine::new(&g);
         if let Some(path) = opts.get("labels") {
-            let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-            let labels = HubLabels::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
-            engine = engine.with_prebuilt_labels(labels);
+            engine = engine.with_prebuilt_labels(load_labels(path)?);
         }
         if opts.contains_key("maintain-gtree") {
             engine = engine.with_gtree_maintenance(GTreeParams::default(), 0);
@@ -871,7 +867,7 @@ fn cmd_build_index(opts: &HashMap<String, String>) -> Result<(), String> {
     );
 
     let t0 = Instant::now();
-    let labels = HubLabels::build_parallel(&g, workers);
+    let labels = HubLabels::build_parallel(&g, workers).map_err(|e| e.to_string())?;
     labels
         .write_flat(&dir.join("labels.v2"))
         .map_err(|e| e.to_string())?;
@@ -906,11 +902,12 @@ fn cmd_build_index(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Cold-start benchmark: the same graph + hub labels persisted both ways,
-/// then timed from artifact bytes to a first correct query answer.
-/// v1 = compact text graph + element-wise label decode (per-node Vec
-/// rebuild); v2 = the flat container (one buffer read + typed views).
-/// Answers must be bit-identical; results land in `--out` as JSON.
+/// Cold-start benchmark: the same graph persisted both ways plus its hub
+/// labels, then timed from artifact bytes to a first correct query answer.
+/// v1 = compact text graph parse (labels have one format, the flat
+/// container, so this leg reads `labels.v2` too); v2 = the flat
+/// containers (one buffer read + typed views). Answers must be
+/// bit-identical; results land in `--out` as JSON.
 fn cmd_bench_coldstart(opts: &HashMap<String, String>) -> Result<(), String> {
     let nodes: usize = get(opts, "nodes", 30_000);
     let seed: u64 = get(opts, "seed", 7);
@@ -935,10 +932,9 @@ fn cmd_bench_coldstart(opts: &HashMap<String, String>) -> Result<(), String> {
     };
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     let graph_v1 = dir.join("graph.txt");
-    let labels_v1 = dir.join("labels.v1");
     let graph_v2 = dir.join("graph.v2");
     let labels_v2 = dir.join("labels.v2");
-    let have_artifacts = [&graph_v1, &labels_v1, &graph_v2, &labels_v2]
+    let have_artifacts = [&graph_v1, &graph_v2, &labels_v2]
         .iter()
         .all(|p| p.exists());
 
@@ -949,19 +945,18 @@ fn cmd_bench_coldstart(opts: &HashMap<String, String>) -> Result<(), String> {
         println!("generating {nodes}-node network (seed {seed})...");
         let g = fannr::workload::synth::road_network(nodes, &mut fannr::workload::rng(seed));
         let t0 = Instant::now();
-        let labels = HubLabels::build_parallel(&g, workers);
+        let labels = HubLabels::build_parallel(&g, workers).map_err(|e| e.to_string())?;
         println!(
             "built hub labels in {:.1}s ({} entries)",
             t0.elapsed().as_secs_f64(),
             labels.total_label_entries()
         );
         std::fs::write(&graph_v1, write_compact(&g)).map_err(|e| e.to_string())?;
-        std::fs::write(&labels_v1, labels.to_bytes()).map_err(|e| e.to_string())?;
         g.write_flat(&graph_v2).map_err(|e| e.to_string())?;
         labels.write_flat(&labels_v2).map_err(|e| e.to_string())?;
         g
     };
-    let v1_bytes = file_kib(&graph_v1) + file_kib(&labels_v1);
+    let v1_bytes = file_kib(&graph_v1) + file_kib(&labels_v2);
     let v2_bytes = file_kib(&graph_v2) + file_kib(&labels_v2);
 
     // Deterministic workload shared by both engines.
@@ -989,12 +984,11 @@ fn cmd_bench_coldstart(opts: &HashMap<String, String>) -> Result<(), String> {
         Ok((first_query_s, answers))
     };
 
-    // v1 cold start: parse text graph, decode labels element-wise.
+    // v1 cold start: parse the text graph (labels only exist flat).
     let t0 = Instant::now();
     let text = std::fs::read_to_string(&graph_v1).map_err(|e| e.to_string())?;
     let g1 = read_compact(&text).map_err(|e| e.to_string())?;
-    let l1 = HubLabels::from_bytes(&std::fs::read(&labels_v1).map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
+    let l1 = HubLabels::read_flat_with(&labels_v2, LoadMode::Read).map_err(|e| e.to_string())?;
     let v1_load_s = t0.elapsed().as_secs_f64();
     let e1 = Engine::new(&g1).with_prebuilt_labels(l1);
     let (v1_first_q, a1) = run_queries(&e1)?;

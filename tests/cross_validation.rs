@@ -26,7 +26,7 @@ struct Fixture {
 fn fixture(seed: u64, n: usize, np: f64, nq: usize, clusters: usize) -> Fixture {
     let mut rng = fannr::workload::rng(seed);
     let graph = fannr::workload::synth::road_network(n, &mut rng);
-    let labels = HubLabels::build(&graph);
+    let labels = HubLabels::build(&graph).unwrap();
     let gtree = GTree::build_with_params(
         &graph,
         GTreeParams {
@@ -160,7 +160,7 @@ fn overlapping_p_and_q_nodes() {
     q.sort_unstable();
     q.dedup();
     let f = Fixture {
-        labels: HubLabels::build(&graph),
+        labels: HubLabels::build(&graph).unwrap(),
         gtree: GTree::build_with_params(
             &graph,
             GTreeParams {

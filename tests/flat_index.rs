@@ -1,8 +1,9 @@
 //! The flat v2 index contract, end to end: round-trips are bit-identical
-//! (v2 bytes == in-memory build == v1 decode for graph, hub labels, and
-//! G-tree), an engine cold-started from an index directory answers every
-//! strategy bit-identically to an engine built in memory, and malformed
-//! containers are rejected with typed errors rather than panics.
+//! (v2 bytes == in-memory build for graph, hub labels, and G-tree; for
+//! the G-tree also == v1 decode), an engine cold-started from an index
+//! directory answers every strategy bit-identically to an engine built in
+//! memory, and malformed containers are rejected with typed errors rather
+//! than panics.
 
 use fannr::fann::engine::{Engine, IndexDirOptions};
 use fannr::fann::{Aggregate, FannAnswer};
@@ -50,14 +51,15 @@ proptest! {
         prop_assert!(back == g);
     }
 
-    /// Hub labels: v2 round trip == in-memory build == v1 decode.
+    /// Hub labels: the flat round trip == the in-memory build (labels and
+    /// the hub order they carry) == the batch build.
     #[test]
-    fn labels_v2_matches_build_and_v1(g in arb_graph()) {
-        let built = HubLabels::build(&g);
-        let via_v1 = HubLabels::from_bytes(&built.to_bytes()).unwrap();
+    fn labels_v2_round_trip_matches_build(g in arb_graph()) {
+        let built = HubLabels::build(&g).unwrap();
         let via_v2 = HubLabels::from_flat_bytes(&built.to_flat_bytes()).unwrap();
         prop_assert!(via_v2 == built);
-        prop_assert!(via_v2 == via_v1);
+        prop_assert_eq!(via_v2.order(), built.order());
+        prop_assert!(HubLabels::build_parallel(&g, 2).unwrap() == built);
     }
 
     /// G-tree: v2 round trip == in-memory build == v1 decode.
@@ -77,7 +79,7 @@ proptest! {
     /// panic or a silently wrong structure.
     #[test]
     fn truncated_v2_containers_are_rejected(g in arb_graph(), frac in 0.0f64..1.0) {
-        let bytes = HubLabels::build(&g).to_flat_bytes();
+        let bytes = HubLabels::build(&g).unwrap().to_flat_bytes();
         let cut = ((bytes.len() as f64 * frac) as usize / 8) * 8;
         if cut < bytes.len() {
             prop_assert!(HubLabels::from_flat_bytes(&bytes[..cut]).is_err());
@@ -100,7 +102,7 @@ fn workload(g: &Graph, seed: u64) -> (Vec<NodeId>, Vec<Vec<NodeId>>) {
 #[test]
 fn engine_from_index_dir_matches_in_memory_for_all_strategies() {
     let graph = fannr::workload::synth::road_network(800, &mut fannr::workload::rng(41));
-    let labels = HubLabels::build_parallel(&graph, 2);
+    let labels = HubLabels::build_parallel(&graph, 2).unwrap();
 
     let dir = std::env::temp_dir().join(format!("fannr-flatidx-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -155,7 +157,7 @@ fn engine_from_index_dir_matches_in_memory_for_all_strategies() {
 #[test]
 fn mmap_load_matches_read_load_for_all_containers() {
     let graph = fannr::workload::synth::road_network(500, &mut fannr::workload::rng(13));
-    let labels = HubLabels::build(&graph);
+    let labels = HubLabels::build(&graph).unwrap();
     let gtree = GTree::build_with_params(
         &graph,
         GTreeParams {
@@ -309,6 +311,7 @@ fn from_index_dir_rejects_bad_directories() {
     let g2 = fannr::workload::synth::road_network(600, &mut fannr::workload::rng(2));
     g1.write_flat(&dir.join("graph.v2")).unwrap();
     HubLabels::build(&g2)
+        .unwrap()
         .write_flat(&dir.join("labels.v2"))
         .unwrap();
     assert!(
@@ -318,9 +321,21 @@ fn from_index_dir_rejects_bad_directories() {
 
     // Matching labels: loads.
     HubLabels::build(&g1)
+        .unwrap()
         .write_flat(&dir.join("labels.v2"))
         .unwrap();
     assert!(Engine::from_index_dir(&dir).unwrap().has_labels());
+
+    // A labels.v2 from before the format bump (header version 2: u64
+    // distances, no stored hub order) is refused by version, never
+    // reinterpreted against ranks it was not built with.
+    let mut old = std::fs::read(dir.join("labels.v2")).unwrap();
+    old[12] = 2;
+    std::fs::write(dir.join("labels.v2"), old).unwrap();
+    assert!(matches!(
+        Engine::from_index_dir(&dir),
+        Err(fannr::roadnet::flat::FlatError::UnsupportedVersion(2))
+    ));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -9,13 +9,13 @@ use fannr::hublabel::HubLabels;
 #[test]
 fn labels_survive_disk_roundtrip_and_power_engine() {
     let graph = fannr::workload::synth::road_network(900, &mut fannr::workload::rng(77));
-    let labels = HubLabels::build(&graph);
+    let labels = HubLabels::build(&graph).unwrap();
 
     let dir = std::env::temp_dir().join(format!("fannr-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("labels.bin");
-    std::fs::write(&path, labels.to_bytes()).unwrap();
-    let loaded = HubLabels::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+    let path = dir.join("labels.v2");
+    labels.write_flat(&path).unwrap();
+    let loaded = HubLabels::read_flat(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
     let mut rng = fannr::workload::rng(78);

@@ -16,7 +16,7 @@ fn smallest_dataset_full_pipeline() {
     // DE at quarter scale: registry -> graph -> indexes -> query -> answer.
     let spec = by_name("DE").unwrap();
     let graph = spec.synthesize_scaled(0.25);
-    let labels = HubLabels::build(&graph);
+    let labels = HubLabels::build(&graph).unwrap();
 
     let mut rng = fannr::workload::rng(99);
     let p = fannr::workload::points::uniform_data_points(&graph, 0.02, &mut rng);

@@ -88,7 +88,7 @@ proptest! {
     #[test]
     fn oracles_agree(g in arb_graph()) {
         let lb = LowerBound::for_graph(&g);
-        let hl = HubLabels::build(&g);
+        let hl = HubLabels::build(&g).unwrap();
         let gt = GTree::build_with_params(&g, GTreeParams { fanout: 2, leaf_cap: 4 });
         for s in 0..g.num_nodes() as u32 {
             let truth = dijkstra_all(&g, s);

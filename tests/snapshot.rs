@@ -294,23 +294,23 @@ proptest! {
         let merged_pairs: Vec<_> = merged.touched_pairs().collect();
 
         // Hub labels: chained repairs, each vs a from-scratch build.
-        let l0 = HubLabels::build(&g);
-        let (l1, s1) = l0.repair_scoped(&g1, &touched1);
-        let want1 = HubLabels::build(&g1);
+        let l0 = HubLabels::build(&g).unwrap();
+        let (l1, s1) = l0.repair_scoped(&g1, &touched1).unwrap();
+        let want1 = HubLabels::build(&g1).unwrap();
         prop_assert!(l1 == want1, "label repair diverged (increase batch)");
-        prop_assert!(l1.to_bytes() == want1.to_bytes(), "label artifact bytes differ");
+        prop_assert!(l1.to_flat_bytes() == want1.to_flat_bytes(), "label artifact bytes differ");
         prop_assert_eq!(s1.roots_total, g.num_nodes());
         prop_assert!(s1.roots_searched <= s1.roots_total);
 
-        let (l2, _) = l1.repair_scoped(&g2, &touched2);
-        let want2 = HubLabels::build(&g2);
+        let (l2, _) = l1.repair_scoped(&g2, &touched2).unwrap();
+        let want2 = HubLabels::build(&g2).unwrap();
         prop_assert!(l2 == want2, "label repair diverged (decrease batch)");
-        prop_assert!(l2.to_bytes() == want2.to_bytes(), "label artifact bytes differ");
+        prop_assert!(l2.to_flat_bytes() == want2.to_flat_bytes(), "label artifact bytes differ");
 
         // Merged scope: one repair straight from the original labels.
-        let (lm, _) = l0.repair_scoped(&g2, &merged_pairs);
+        let (lm, _) = l0.repair_scoped(&g2, &merged_pairs).unwrap();
         prop_assert!(lm == want2, "merged-scope label repair diverged");
-        prop_assert!(lm.to_bytes() == want2.to_bytes(), "label artifact bytes differ");
+        prop_assert!(lm.to_flat_bytes() == want2.to_flat_bytes(), "label artifact bytes differ");
 
         // G-tree: same three shapes against a parallel from-scratch build.
         let params = GTreeParams { fanout: 2, leaf_cap: 4 };

@@ -6,6 +6,11 @@
 //! preprocessing at all, so they run at any scale; this binary measures
 //! them end-to-end on networks of hundreds of thousands of nodes.
 //!
+//! Each row also reports the process's peak resident set (`VmHWM`) once
+//! that algorithm has run. The peak never falls, so a row's figure covers
+//! the graph, every earlier row and its own search state; rows run in
+//! table order. Off Linux the column reads `n/a`.
+//!
 //! Usage: `scale_test [--dataset CTR|USA] [--queries N]`
 
 use fann_bench::*;
@@ -35,7 +40,7 @@ fn main() {
         gen_secs
     );
 
-    let header: Vec<String> = ["algorithm", "agg", "mean/query"]
+    let header: Vec<String> = ["algorithm", "agg", "mean/query", "peak RSS"]
         .iter()
         .map(|s| s.to_string())
         .collect();
@@ -65,6 +70,7 @@ fn main() {
             algo_name.to_string(),
             agg.to_string(),
             fmt_secs(Some(mean)),
+            peak_rss(),
         ]);
     }
     print_table(
@@ -77,4 +83,16 @@ fn main() {
         &rows,
     );
     println!("[shape] all index-free algorithms answer at this scale with zero preprocessing");
+}
+
+/// Peak resident set size of this process so far (`VmHWM` in
+/// `/proc/self/status`); `n/a` where that file does not exist.
+fn peak_rss() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            kb.trim().strip_suffix("kB")?.trim().parse::<usize>().ok()
+        })
+        .map_or_else(|| "n/a".to_string(), |kb| fmt_bytes(kb * 1024))
 }

@@ -15,24 +15,29 @@ use roadnet::cancel::{CancelCheck, Cancelled};
 use roadnet::multisource::membership;
 use roadnet::{DijkstraIter, Graph, NodeId, QueryScratch};
 
-/// Nearest member of `P` (given as a mask) to `q`, by network expansion.
-/// A cancelled expansion yields `None`; callers re-check the token.
+/// Nearest member of `P` (given as a mask) to `q`, by network expansion
+/// over the recycled `scratch`. A cancelled expansion yields `None`;
+/// callers re-check the token.
 fn nearest_data_point<R: Recorder, C: CancelCheck>(
     g: &Graph,
     is_data: &[bool],
     q: NodeId,
+    scratch: &mut QueryScratch,
     rec: R,
     cancel: C,
 ) -> Option<NodeId> {
-    DijkstraIter::cancellable(g, q, QueryScratch::new(), rec, cancel)
-        .find(|&(v, _)| is_data[v as usize])
-        .map(|(v, _)| v)
+    let mut it = DijkstraIter::cancellable(g, q, std::mem::take(scratch), rec, cancel);
+    let nearest = it.find(|&(v, _)| is_data[v as usize]).map(|(v, _)| v);
+    *scratch = it.into_scratch();
+    nearest
 }
 
-/// The candidate set of Algorithm 3 (deduplicated, sorted).
+/// The candidate set of Algorithm 3 (deduplicated, sorted). The `|Q|`
+/// searches run one after another, so they share one scratch.
 fn candidates_cancellable<R: Recorder, C: CancelCheck>(
     g: &Graph,
     query: &FannQuery,
+    scratch: &mut QueryScratch,
     rec: R,
     cancel: C,
 ) -> Vec<NodeId> {
@@ -40,7 +45,7 @@ fn candidates_cancellable<R: Recorder, C: CancelCheck>(
     let mut cand: Vec<NodeId> = query
         .q
         .iter()
-        .filter_map(|&q| nearest_data_point(g, &is_data, q, rec, cancel))
+        .filter_map(|&q| nearest_data_point(g, &is_data, q, scratch, rec, cancel))
         .collect();
     cand.sort_unstable();
     cand.dedup();
@@ -72,15 +77,16 @@ pub fn apx_sum_traced<R: Recorder>(
     gphi: &dyn GPhi,
     rec: R,
 ) -> Option<FannAnswer> {
-    match apx_sum_cancellable(g, query, gphi, rec, ()) {
+    match apx_sum_cancellable(g, query, gphi, &mut QueryScratch::new(), rec, ()) {
         Ok(a) => a,
         Err(Cancelled) => unreachable!("the unit CancelCheck never cancels"),
     }
 }
 
 /// [`apx_sum_traced`] with a live [`CancelCheck`] polled by the candidate
-/// expansions and the reduced GD scan; the `()` check makes this identical
-/// to the uncancellable path.
+/// expansions and the reduced GD scan, which run over the caller's
+/// recycled `scratch`. The `()` check makes this identical to the
+/// uncancellable path.
 ///
 /// # Panics
 /// If the query aggregate is not [`Aggregate::Sum`].
@@ -88,6 +94,7 @@ pub fn apx_sum_cancellable<R: Recorder, C: CancelCheck>(
     g: &Graph,
     query: &FannQuery,
     gphi: &dyn GPhi,
+    scratch: &mut QueryScratch,
     rec: R,
     cancel: C,
 ) -> Result<Option<FannAnswer>, Cancelled> {
@@ -96,7 +103,7 @@ pub fn apx_sum_cancellable<R: Recorder, C: CancelCheck>(
         Aggregate::Sum,
         "APX-sum answers sum-FANN_R only (Theorem 1)"
     );
-    let cand = candidates_cancellable(g, query, rec, cancel);
+    let cand = candidates_cancellable(g, query, scratch, rec, cancel);
     // A cancelled expansion above silently shrinks the candidate set;
     // re-check exactly before trusting it.
     if cancel.cancelled_now() {
@@ -190,7 +197,7 @@ mod tests {
         // optimum p3 is among them, so APX-sum returns the exact answer.
         let (g, p, q) = crate::algo::brute::tests::figure1();
         let query = FannQuery::new(&p, &q, 0.5, Aggregate::Sum);
-        let cand = candidates_cancellable(&g, &query, (), ());
+        let cand = candidates_cancellable(&g, &query, &mut QueryScratch::new(), (), ());
         assert_eq!(cand, vec![2, 3, 4]); // p3, p4, p5
         let ine = InePhi::new(&g, &q);
         let a = apx_sum(&g, &query, &ine).unwrap();
@@ -203,7 +210,7 @@ mod tests {
         let p: Vec<u32> = (0..36).step_by(2).collect();
         let q: Vec<u32> = vec![0, 1, 2, 3]; // clustered: NNs likely shared
         let query = FannQuery::new(&p, &q, 0.5, Aggregate::Sum);
-        let cand = candidates_cancellable(&g, &query, (), ());
+        let cand = candidates_cancellable(&g, &query, &mut QueryScratch::new(), (), ());
         assert!(!cand.is_empty());
         assert!(cand.len() <= q.len());
         for c in &cand {

@@ -1101,7 +1101,10 @@ impl Engine {
                 r_list_cancellable(graph, &query, gphi, &mut state.pool, rec, cancel)
             }),
             Strategy::ApxSumIne => state.ine.with(graph, query.q, rec, cancel, |gphi| {
-                apx_sum_cancellable(graph, &query, gphi, rec, cancel)
+                let mut scratch = state.pool.take();
+                let answer = apx_sum_cancellable(graph, &query, gphi, &mut scratch, rec, cancel);
+                state.pool.put(scratch);
+                answer
             }),
         };
         answer.map_err(|Cancelled| QueryError::Cancelled)
@@ -1433,10 +1436,11 @@ impl BatchReport {
 }
 
 /// The one recycled per-worker search container: a scratch pool for the
-/// `|Q|`-expansion algorithms and the graph-free buffers of the INE
-/// `g_phi` backend. It holds no graph and no `(R, C)` instantiation, so
-/// one state serves every strategy, traced or not, across epoch swaps; a
-/// throw-away one ([`Engine::query`]) answers like a warm one, only slower.
+/// `|Q|`-expansion algorithms and APX-sum's candidate searches, and the
+/// graph-free buffers of the INE `g_phi` backend. It holds no graph and no
+/// `(R, C)` instantiation, so one state serves every strategy, traced or
+/// not, across epoch swaps; a throw-away one ([`Engine::query`]) answers
+/// like a warm one, only slower.
 #[derive(Default)]
 struct SearchState {
     pool: ScratchPool,

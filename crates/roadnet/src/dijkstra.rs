@@ -81,7 +81,8 @@ pub fn dijkstra_pair_cancellable<R: SearchRecorder, C: CancelCheck>(
     if s == t {
         return Ok(Some(0));
     }
-    scratch.begin(g.num_nodes());
+    let csr = g.csr();
+    scratch.begin(csr.num_nodes());
     scratch.set_dist(s, 0);
     scratch.push(0, s);
     rec.heap_push();
@@ -98,7 +99,7 @@ pub fn dijkstra_pair_cancellable<R: SearchRecorder, C: CancelCheck>(
             return Err(Cancelled);
         }
         rec.node_settled();
-        for (nb, w) in g.neighbors(v) {
+        for (nb, w) in csr.neighbors(v) {
             rec.edge_relaxed();
             let nd = d + w as Dist;
             if nd < scratch.dist(nb) {

@@ -4,14 +4,16 @@
 //! suspended and resumed at any point: all search state lives in the struct,
 //! so `|Q|` expansions can be interleaved — the "switchable" multi-source
 //! Dijkstra the paper's `R-List` and `Exact-max` need (§IV-A implementation
-//! details). Search state lives in a recycled [`QueryScratch`] (epoch-stamped
-//! arrays plus a reusable heap), so a long stream of expansions over the same
-//! graph is allocation-free after warm-up: construct via
-//! [`DijkstraIter::with_scratch`], recover the buffers afterwards with
-//! [`DijkstraIter::into_scratch`], and hand them to the next query.
+//! details). Search state lives in a recycled [`QueryScratch`] (a dense
+//! distance array reset through its touched list, plus a reusable heap), so
+//! a long stream of expansions over the same graph is allocation-free after
+//! warm-up: construct via [`DijkstraIter::with_scratch`], recover the
+//! buffers afterwards with [`DijkstraIter::into_scratch`], and hand them to
+//! the next query. The adjacency is resolved to slices ([`Csr`]) once per
+//! expansion.
 
 use crate::cancel::CancelCheck;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Csr, Graph, NodeId};
 use crate::recorder::SearchRecorder;
 use crate::scratch::QueryScratch;
 use crate::Dist;
@@ -29,8 +31,9 @@ use crate::Dist;
 /// the token's exact check) before interpreting exhaustion as "no more
 /// reachable nodes".
 pub struct DijkstraIter<'g, R: SearchRecorder = (), C: CancelCheck = ()> {
-    graph: &'g Graph,
+    csr: Csr<'g>,
     scratch: QueryScratch,
+    settled: usize,
     rec: R,
     cancel: C,
     cancelled: bool,
@@ -69,17 +72,19 @@ impl<'g, R: SearchRecorder, C: CancelCheck> DijkstraIter<'g, R, C> {
         rec: R,
         cancel: C,
     ) -> Self {
+        let csr = graph.csr();
         assert!(
-            (source as usize) < graph.num_nodes(),
+            (source as usize) < csr.num_nodes(),
             "source {source} out of range"
         );
-        scratch.begin(graph.num_nodes());
+        scratch.begin(csr.num_nodes());
         scratch.set_dist(source, 0);
         scratch.push(0, source);
         rec.heap_push();
         DijkstraIter {
-            graph,
+            csr,
             scratch,
+            settled: 0,
             rec,
             cancel,
             cancelled: false,
@@ -105,18 +110,15 @@ impl<'g, R: SearchRecorder, C: CancelCheck> DijkstraIter<'g, R, C> {
 
     /// Number of nodes settled so far.
     pub fn settled_count(&self) -> usize {
-        self.scratch.settled_count()
+        self.settled
     }
 
-    /// Whether `v` has already been settled, and at what distance.
-    pub fn settled_dist(&self, v: NodeId) -> Option<Dist> {
-        self.scratch.is_settled(v).then(|| self.scratch.dist(v))
-    }
-
+    /// Drop heap entries superseded by a shorter distance (lazy deletion;
+    /// this also covers every entry of an already-settled node).
     fn skip_stale(&mut self) {
         while let Some((d, v)) = self.scratch.peek() {
-            if self.scratch.is_settled(v) || d > self.scratch.dist(v) {
-                self.scratch.pop_discard();
+            if d > self.scratch.dist(v) {
+                self.scratch.pop();
                 self.rec.heap_pop();
             } else {
                 break;
@@ -133,16 +135,18 @@ impl<R: SearchRecorder, C: CancelCheck> Iterator for DijkstraIter<'_, R, C> {
             self.cancelled = true;
             return None;
         }
-        self.skip_stale();
-        let (d, v) = self.scratch.pop()?;
-        self.rec.heap_pop();
-        self.scratch.mark_settled(v);
-        self.rec.node_settled();
-        for (nb, w) in self.graph.neighbors(v) {
-            self.rec.edge_relaxed();
-            if self.scratch.is_settled(nb) {
-                continue;
+        let (d, v) = loop {
+            let (d, v) = self.scratch.pop()?;
+            self.rec.heap_pop();
+            if d <= self.scratch.dist(v) {
+                break (d, v);
             }
+        };
+        self.settled += 1;
+        self.rec.node_settled();
+        // Weights are >= 1, so `nd` never improves a settled neighbour.
+        for (nb, w) in self.csr.neighbors(v) {
+            self.rec.edge_relaxed();
             let nd = d + w as Dist;
             if nd < self.scratch.dist(nb) {
                 self.scratch.set_dist(nb, nd);
@@ -226,13 +230,13 @@ mod tests {
     }
 
     #[test]
-    fn settled_dist_tracks_history() {
+    fn settled_count_tracks_history() {
         let g = diamond();
         let mut it = DijkstraIter::new(&g, 0);
         it.by_ref().take(3).for_each(drop);
-        assert_eq!(it.settled_dist(3), Some(2));
-        assert_eq!(it.settled_dist(2), None);
         assert_eq!(it.settled_count(), 3);
+        it.by_ref().for_each(drop);
+        assert_eq!(it.settled_count(), 4);
     }
 
     #[test]

@@ -93,12 +93,20 @@ impl Graph {
     /// Outgoing arcs of `v` as `(neighbor, weight)` pairs.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        self.targets[lo..hi]
-            .iter()
-            .copied()
-            .zip(self.weights[lo..hi].iter().copied())
+        self.csr().neighbors(v)
+    }
+
+    /// The adjacency arrays as plain slices. A search resolves them once
+    /// and reads every settled node's arcs through the [`Csr`], instead of
+    /// dereferencing the shared array handles per node as
+    /// [`Graph::neighbors`] does.
+    #[inline]
+    pub fn csr(&self) -> Csr<'_> {
+        Csr {
+            offsets: &self.offsets,
+            targets: &self.targets,
+            weights: &self.weights,
+        }
     }
 
     /// Degree of `v`.
@@ -261,6 +269,34 @@ impl Graph {
             weights,
             coords,
         })
+    }
+}
+
+/// The CSR adjacency of a [`Graph`] resolved to slices (from
+/// [`Graph::csr`]): what a search's settle loop reads.
+#[derive(Clone, Copy)]
+pub struct Csr<'g> {
+    offsets: &'g [u32],
+    targets: &'g [NodeId],
+    weights: &'g [Weight],
+}
+
+impl<'g> Csr<'g> {
+    /// Number of nodes `|V|`.
+    #[inline]
+    pub fn num_nodes(self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Outgoing arcs of `v` as `(neighbor, weight)` pairs.
+    #[inline]
+    pub fn neighbors(self, v: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + 'g {
+        let lo = self.offsets[v as usize] as usize;
+        let hi = self.offsets[v as usize + 1] as usize;
+        self.targets[lo..hi]
+            .iter()
+            .copied()
+            .zip(self.weights[lo..hi].iter().copied())
     }
 }
 

@@ -55,7 +55,7 @@ pub use dynamic::{DynamicNetwork, UpdateError};
 pub use embed::{embed_edge_points, snap_to_vertex, EdgePoint};
 pub use expansion::DijkstraIter;
 pub use flat::{FlatError, FlatFile, FlatStreamWriter, FlatVec, FlatWriter, LoadMode};
-pub use graph::{Graph, GraphBuilder, NodeId, Point, Weight};
+pub use graph::{Csr, Graph, GraphBuilder, NodeId, Point, Weight};
 pub use lowerbound::LowerBound;
 pub use multisource::{ObjectStreams, SharedExpansion, SharedStreams, StreamSet};
 pub use par::{default_workers, par_map_indexed};

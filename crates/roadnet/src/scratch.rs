@@ -1,16 +1,21 @@
 //! Recycled per-query search state (the batch/throughput substrate).
 //!
-//! Every Dijkstra-family search needs a distance array, a settled set and a
-//! priority queue. Allocating them per query (`vec![INF; n]`, fresh
-//! `BinaryHeap`, hash maps) dominates query cost on large networks once the
-//! algorithmic work per query is small — the classic throughput killer for
-//! query streams. [`QueryScratch`] keeps those buffers alive across queries
-//! and resets them in `O(1)` via *epoch stamping*: each slot carries the
-//! epoch in which it was last written, and a slot is only valid when its
-//! stamp equals the current epoch. Starting the next query is a single
-//! epoch increment plus clearing the (already drained) heap — no `O(|V|)`
-//! refill, no rehashing, and no allocation once the buffers have grown to
-//! `|V|`.
+//! Every Dijkstra-family search needs a distance array and a priority
+//! queue. Allocating them per query (`vec![INF; n]`, a fresh `BinaryHeap`)
+//! dominates query cost on large networks once the algorithmic work per
+//! query is small — the classic throughput killer for query streams.
+//! [`QueryScratch`] keeps those buffers alive across queries: one dense
+//! `dist` array in which [`INF`] means "untouched", plus a `touched` list
+//! of every node whose distance the search wrote. Starting the next query
+//! resets exactly those entries, so a reset costs what the previous search
+//! already paid to touch them — no `O(|V|)` refill, and no allocation once
+//! the buffers have grown.
+//!
+//! No settled set is kept: with lazy deletion a heap entry is stale iff its
+//! key exceeds the node's current distance, and since every weight is
+//! `>= 1` a settled node can never be improved again. The memory is
+//! therefore 8 B per graph node plus 4 B per node the largest search so far
+//! touched.
 //!
 //! [`ScratchPool`] holds idle scratches for algorithms that run several
 //! concurrent expansions (`ObjectStreams` keeps one per query point) so a
@@ -20,22 +25,25 @@ use crate::{Dist, NodeId, INF};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// `touched` capacity reserved when a scratch first sizes itself for a
+/// graph, so a throw-away scratch running a small, local search does not
+/// reallocate the list as it grows (4 KB; larger searches still grow it).
+const TOUCHED_RESERVE: usize = 1024;
+
 /// Reusable buffers for one Dijkstra/A\*/INE search.
 ///
 /// Obtain one with [`QueryScratch::new`], hand it to the `*_with` search
 /// entry points (or [`crate::DijkstraIter::with_scratch`]), and keep
 /// reusing it: each search calls [`QueryScratch::begin`] internally, which
-/// invalidates all previous state without touching the buffers.
+/// resets what the previous search touched.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// Current epoch; slot `v` is live iff its stamp equals this.
-    epoch: u32,
-    dist_stamp: Vec<u32>,
+    /// Tentative distance per node; [`INF`] for every node not in `touched`.
     dist: Vec<Dist>,
-    settled_stamp: Vec<u32>,
+    /// Nodes whose `dist` the current search has written.
+    touched: Vec<NodeId>,
     /// Keyed by the search's priority (g for Dijkstra, f = g + h for A\*).
     heap: BinaryHeap<(Reverse<Dist>, NodeId)>,
-    settled: usize,
 }
 
 impl QueryScratch {
@@ -43,69 +51,37 @@ impl QueryScratch {
         Self::default()
     }
 
-    /// Pre-size for a graph with `n` nodes (optional; `begin` grows lazily).
-    pub fn with_capacity(n: usize) -> Self {
-        let mut s = Self::default();
-        s.grow(n);
-        s
-    }
-
-    fn grow(&mut self, n: usize) {
-        if self.dist_stamp.len() < n {
-            self.dist_stamp.resize(n, 0);
-            self.dist.resize(n, INF);
-            self.settled_stamp.resize(n, 0);
-        }
-    }
-
-    /// Start a fresh search over a graph with `n` nodes: bump the epoch
-    /// (invalidating every distance and settled mark) and clear the heap.
-    /// Amortized `O(1)`; allocation-free once grown to `n`.
+    /// Start a fresh search over a graph with `n` nodes: reset every
+    /// distance the previous search wrote to [`INF`] and clear the heap.
+    /// `O(touched)`; allocation-free once grown to `n`.
     pub fn begin(&mut self, n: usize) {
-        self.grow(n);
-        if self.epoch == u32::MAX {
-            // Epoch wrap (once per 2^32 queries): hard-reset the stamps.
-            self.dist_stamp.fill(0);
-            self.settled_stamp.fill(0);
-            self.epoch = 0;
+        for &v in &self.touched {
+            self.dist[v as usize] = INF;
         }
-        self.epoch += 1;
+        self.touched.clear();
+        if self.dist.len() < n {
+            if self.dist.is_empty() {
+                self.touched.reserve(n.min(TOUCHED_RESERVE));
+            }
+            self.dist.resize(n, INF);
+        }
         self.heap.clear();
-        self.settled = 0;
     }
 
     /// Tentative distance of `v` in the current search ([`INF`] if untouched).
     #[inline]
     pub fn dist(&self, v: NodeId) -> Dist {
-        if self.dist_stamp[v as usize] == self.epoch {
-            self.dist[v as usize]
-        } else {
-            INF
-        }
+        self.dist[v as usize]
     }
 
+    /// Set `v`'s tentative distance, listing `v` as touched on first write.
     #[inline]
     pub fn set_dist(&mut self, v: NodeId, d: Dist) {
-        self.dist_stamp[v as usize] = self.epoch;
-        self.dist[v as usize] = d;
-    }
-
-    #[inline]
-    pub fn is_settled(&self, v: NodeId) -> bool {
-        self.settled_stamp[v as usize] == self.epoch
-    }
-
-    #[inline]
-    pub fn mark_settled(&mut self, v: NodeId) {
-        debug_assert!(!self.is_settled(v), "node {v} settled twice");
-        self.settled_stamp[v as usize] = self.epoch;
-        self.settled += 1;
-    }
-
-    /// Nodes settled since the last [`QueryScratch::begin`].
-    #[inline]
-    pub fn settled_count(&self) -> usize {
-        self.settled
+        let slot = &mut self.dist[v as usize];
+        if *slot == INF {
+            self.touched.push(v);
+        }
+        *slot = d;
     }
 
     /// Push a heap entry keyed by `key` (g-value for Dijkstra, f for A\*).
@@ -124,12 +100,6 @@ impl QueryScratch {
     #[inline]
     pub fn peek(&self) -> Option<(Dist, NodeId)> {
         self.heap.peek().map(|&(Reverse(k), v)| (k, v))
-    }
-
-    /// Drop a stale heap top (caller decides staleness).
-    #[inline]
-    pub fn pop_discard(&mut self) {
-        self.heap.pop();
     }
 }
 
@@ -169,20 +139,28 @@ impl ScratchPool {
 mod tests {
     use super::*;
 
+    /// The reset invariant: every slot (also those beyond `n`, left from a
+    /// larger graph) reads [`INF`], nothing is touched and the heap is
+    /// empty.
+    fn assert_clean(s: &QueryScratch, n: usize) {
+        assert!(s.dist.len() >= n);
+        assert!(s.dist.iter().all(|&d| d == INF), "stale distance");
+        assert!(s.touched.is_empty(), "touched list survived begin");
+        assert_eq!(s.peek(), None);
+    }
+
     #[test]
     fn begin_invalidates_previous_state() {
         let mut s = QueryScratch::new();
         s.begin(4);
         s.set_dist(2, 7);
-        s.mark_settled(2);
+        s.set_dist(2, 5);
+        s.set_dist(0, 9);
         s.push(7, 2);
-        assert_eq!(s.dist(2), 7);
-        assert!(s.is_settled(2));
+        assert_eq!(s.dist(2), 5);
+        assert_eq!(s.touched, vec![2, 0], "each node listed once");
         s.begin(4);
-        assert_eq!(s.dist(2), INF);
-        assert!(!s.is_settled(2));
-        assert_eq!(s.peek(), None);
-        assert_eq!(s.settled_count(), 0);
+        assert_clean(&s, 4);
     }
 
     #[test]
@@ -191,9 +169,16 @@ mod tests {
         s.begin(2);
         s.set_dist(1, 3);
         s.begin(10);
-        assert_eq!(s.dist(9), INF);
+        assert_clean(&s, 10);
         s.set_dist(9, 1);
         assert_eq!(s.dist(9), 1);
+        // A smaller graph next: the slots beyond it are reset too, so a
+        // later larger search still starts clean.
+        s.begin(3);
+        assert_clean(&s, 3);
+        s.set_dist(2, 4);
+        s.begin(10);
+        assert_clean(&s, 10);
     }
 
     #[test]
@@ -211,18 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_wrap_resets_stamps() {
-        let mut s = QueryScratch::with_capacity(3);
-        s.epoch = u32::MAX - 1;
-        s.begin(3);
-        s.set_dist(0, 42);
-        assert_eq!(s.epoch, u32::MAX);
-        s.begin(3); // wraps
-        assert_eq!(s.epoch, 1);
-        assert_eq!(s.dist(0), INF, "stale value must not leak across wrap");
-    }
-
-    #[test]
     fn pool_recycles() {
         let mut pool = ScratchPool::new();
         let mut a = pool.take();
@@ -233,6 +206,6 @@ mod tests {
         let mut b = pool.take();
         assert_eq!(pool.idle_count(), 0);
         b.begin(8);
-        assert_eq!(b.dist(3), INF, "recycled scratch must start clean");
+        assert_clean(&b, 8);
     }
 }

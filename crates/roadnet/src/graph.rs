@@ -50,17 +50,47 @@ impl Point {
 /// topology and coordinates, copying only the weight array. A graph loaded
 /// from a v2 flat file ([`Graph::read_flat`]) serves all four arrays
 /// directly out of the single load buffer.
+///
+/// Every constructor also settles the graph's admissibility scale once
+/// (see [`crate::LowerBound::for_graph`]), so no query walks the edges
+/// to find it.
 #[derive(Clone)]
 pub struct Graph {
     offsets: FlatVec<u32>,
     targets: FlatVec<NodeId>,
     weights: FlatVec<Weight>,
     coords: FlatVec<Point>,
+    /// `min_e w(e) / euclid(e)` over edges of positive Euclidean length,
+    /// `INFINITY` if there are none. Derived from the four arrays.
+    lb_scale: f64,
 }
 
 /// Magic for the flat v2 graph container.
 pub const GRAPH_MAGIC: [u8; 8] = *b"FANNGR2\0";
 const GRAPH_VERSION: u32 = 2;
+
+/// `min_e w(e) / euclid(e)` over the undirected edges of positive
+/// Euclidean length, `INFINITY` if there are none: one pass over the CSR.
+fn admissibility_scale(
+    offsets: &[u32],
+    targets: &[NodeId],
+    weights: &[Weight],
+    coords: &[Point],
+) -> f64 {
+    let mut scale = f64::INFINITY;
+    for (u, arcs) in offsets.windows(2).enumerate() {
+        let (lo, hi) = (arcs[0] as usize, arcs[1] as usize);
+        for (&v, &w) in targets[lo..hi].iter().zip(&weights[lo..hi]) {
+            if (u as NodeId) < v {
+                let e = coords[u].dist(&coords[v as usize]);
+                if e > 0.0 {
+                    scale = scale.min(w as f64 / e);
+                }
+            }
+        }
+    }
+    scale
+}
 
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
@@ -183,11 +213,32 @@ impl Graph {
             weights[uv] = w;
             weights[vu] = w;
         }
+        // Every unpatched edge still bounds the scale from above, so it can
+        // only move through the patched edges: fold in their new ratios. An
+        // edge that attained the old minimum and got heavier can raise it;
+        // only then take the minimum afresh over the whole graph.
+        let mut lb_scale = self.lb_scale;
+        for &(u, v, _) in patches {
+            let (a, b) = (u.min(v), u.max(v));
+            let e = self.euclid(a, b);
+            if e <= 0.0 {
+                continue;
+            }
+            let arc = self.arc_index(a, b).expect("patched edge exists");
+            let (old, new) = (self.weights[arc], weights[arc]);
+            if new > old && old as f64 / e == self.lb_scale {
+                lb_scale =
+                    admissibility_scale(&self.offsets, &self.targets, &weights, &self.coords);
+                break;
+            }
+            lb_scale = lb_scale.min(new as f64 / e);
+        }
         Some(Graph {
             offsets: self.offsets.clone(),
             targets: self.targets.clone(),
             weights: weights.into(),
             coords: self.coords.clone(),
+            lb_scale,
         })
     }
 
@@ -196,6 +247,31 @@ impl Graph {
     /// [`Graph::with_patched_weights`] or `clone`).
     pub fn shares_topology_with(&self, other: &Graph) -> bool {
         self.offsets.ptr_eq(&other.offsets) && self.targets.ptr_eq(&other.targets)
+    }
+
+    /// Assemble a built or loaded graph from its arrays, computing its
+    /// admissibility scale in one pass.
+    fn from_parts(
+        offsets: FlatVec<u32>,
+        targets: FlatVec<NodeId>,
+        weights: FlatVec<Weight>,
+        coords: FlatVec<Point>,
+    ) -> Graph {
+        let lb_scale = admissibility_scale(&offsets, &targets, &weights, &coords);
+        Graph {
+            offsets,
+            targets,
+            weights,
+            coords,
+            lb_scale,
+        }
+    }
+
+    /// The raw admissibility scale computed at construction (un-nudged;
+    /// `INFINITY` for a graph with no edge of positive length).
+    #[inline]
+    pub(crate) fn lb_scale(&self) -> f64 {
+        self.lb_scale
     }
 
     /// Serialize into the flat v2 container (DESIGN.md §11). Sections:
@@ -263,12 +339,7 @@ impl Graph {
             targets.iter().all(|&t| (t as usize) < n),
             "graph target range",
         )?;
-        Ok(Graph {
-            offsets,
-            targets,
-            weights,
-            coords,
-        })
+        Ok(Graph::from_parts(offsets, targets, weights, coords))
     }
 }
 
@@ -411,12 +482,12 @@ impl GraphBuilder {
             weights[cv] = w;
             cursor[v as usize] += 1;
         }
-        Graph {
-            offsets: offsets.into(),
-            targets: targets.into(),
-            weights: weights.into(),
-            coords: self.coords.into(),
-        }
+        Graph::from_parts(
+            offsets.into(),
+            targets.into(),
+            weights.into(),
+            self.coords.into(),
+        )
     }
 }
 

@@ -4,9 +4,15 @@
 //! `lb(u, v) <= delta(u, v)` for all node pairs. If every edge satisfies
 //! `w(u, v) >= s * euclid(u, v)`, then by the triangle inequality every path
 //! satisfies the same, so `s * euclid(u, v)` is a valid lower bound on the
-//! shortest path. [`LowerBound::for_graph`] computes the largest such `s`
+//! shortest path. [`LowerBound::for_graph`] returns the largest such `s`
 //! (capped at the value implied by the data; graphs from our generators have
 //! `s = 1` by construction, imported graphs may need `s < 1`).
+//!
+//! The scale is computed once per graph, when the [`Graph`] value is
+//! constructed (built or loaded), and stored on it, so `for_graph` is an
+//! O(1) read and no query walks the edges. A weight-patched sibling folds
+//! its patched edges into the parent's scale and rescans only when an edge
+//! that attained the minimum got heavier.
 
 use crate::graph::{Graph, NodeId};
 use crate::Dist;
@@ -32,14 +38,9 @@ impl LowerBound {
     /// Largest admissible scale for `g`: `min_e w(e) / euclid(e)` over all
     /// edges with positive Euclidean length. Edges of zero geometric length
     /// impose no constraint. Returns the zero bound for an edgeless graph.
+    /// O(1): the minimum was taken when `g` was constructed.
     pub fn for_graph(g: &Graph) -> Self {
-        let mut scale = f64::INFINITY;
-        for (u, v, w) in g.edges() {
-            let e = g.euclid(u, v);
-            if e > 0.0 {
-                scale = scale.min(w as f64 / e);
-            }
-        }
+        let scale = g.lb_scale();
         if !scale.is_finite() {
             return LowerBound::zero();
         }
@@ -121,6 +122,22 @@ mod tests {
         let g = b.build();
         let lb = LowerBound::for_graph(&g);
         assert_eq!(lb.scale(), 0.0);
+    }
+
+    #[test]
+    fn all_zero_length_edges_get_zero_bound() {
+        // Coincident endpoints impose no constraint, so no edge bounds
+        // the scale, before or after a weight patch.
+        let mut b = GraphBuilder::new();
+        b.add_node(2.0, 3.0);
+        b.add_node(2.0, 3.0);
+        b.add_node(2.0, 3.0);
+        b.add_edge(0, 1, 4);
+        b.add_edge(1, 2, 9);
+        let g = b.build();
+        assert_eq!(LowerBound::for_graph(&g).scale(), 0.0);
+        let patched = g.with_patched_weights(&[(0, 1, 1)]).unwrap();
+        assert_eq!(LowerBound::for_graph(&patched).scale(), 0.0);
     }
 
     #[test]

@@ -164,8 +164,9 @@ pub struct NetworkSnapshot {
 }
 
 impl NetworkSnapshot {
-    /// Epoch 0 of a fresh lineage; captures the graph's admissibility
-    /// scale ([`LowerBound::for_graph`]).
+    /// Epoch 0 of a fresh lineage; pins the graph's admissibility scale
+    /// (an O(1) read of the value [`LowerBound::for_graph`] returns, which
+    /// the graph computed when it was constructed) as the lineage's scale.
     pub fn new(graph: Graph) -> Self {
         let scale = LowerBound::for_graph(&graph).scale();
         NetworkSnapshot {

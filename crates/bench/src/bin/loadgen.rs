@@ -938,8 +938,8 @@ struct StreamOpts {
 /// mirror (the checkpoint pattern — mid-flight answers race the stream,
 /// checkpointed ones must be exact). A final single-edge segment probes
 /// the scoped-repair footprint: the server's last-repair counters then
-/// show how many label roots and G-tree leaves one edge actually costs
-/// versus a full rebuild. `--bench-out` records everything
+/// show how many label roots one edge actually costs versus a full
+/// rebuild. `--bench-out` records everything
 /// (`results/BENCH_10.json` in CI).
 fn stream_leg(
     addr: &str,
@@ -1199,22 +1199,9 @@ fn stream_leg(
     } else {
         0.0
     };
-    let gtree_ratio = if h.gtree_entries_repaired > 0 {
-        h.gtree_entries_total as f64 / h.gtree_entries_repaired as f64
-    } else {
-        0.0
-    };
     eprintln!(
-        "loadgen: single-edge repair: {}/{} label roots ({}x fewer), {} scoped leaves, \
-         {}/{} g-tree entries ({}x fewer), {}ms",
-        h.labels_repaired,
-        h.labels_total,
-        repair_ratio as u64,
-        h.repair_scoped_leaves,
-        h.gtree_entries_repaired,
-        h.gtree_entries_total,
-        gtree_ratio as u64,
-        h.last_repair_ms
+        "loadgen: single-edge repair: {}/{} label roots ({}x fewer), {}ms",
+        h.labels_repaired, h.labels_total, repair_ratio as u64, h.last_repair_ms
     );
 
     if let Some(path) = bench_out {
@@ -1225,19 +1212,14 @@ fn stream_leg(
              \"ack_p99_us\": {},\n  \"staleness_p50_ms\": {},\n  \"staleness_p99_ms\": {},\n  \
              \"checkpoint_reads\": {checkpoint_queries},\n  \"mismatches\": 0,\n  \
              \"labels_repaired\": {},\n  \"labels_total\": {},\n  \
-             \"repair_scoped_leaves\": {},\n  \"gtree_entries_repaired\": {},\n  \
-             \"gtree_entries_total\": {},\n  \"last_repair_ms\": {},\n  \
-             \"repair_ratio\": {repair_ratio:.1},\n  \
-             \"gtree_repair_ratio\": {gtree_ratio:.1}\n}}\n",
+             \"last_repair_ms\": {},\n  \
+             \"repair_ratio\": {repair_ratio:.1}\n}}\n",
             ack_hist.p50_ns() / 1_000,
             ack_hist.p99_ns() / 1_000,
             staleness.p50_ns() / 1_000_000,
             staleness.p99_ns() / 1_000_000,
             h.labels_repaired,
             h.labels_total,
-            h.repair_scoped_leaves,
-            h.gtree_entries_repaired,
-            h.gtree_entries_total,
             h.last_repair_ms,
         );
         if let Some(dir) = std::path::Path::new(path).parent() {
@@ -1273,15 +1255,6 @@ fn stream_leg(
                 "single-edge repair touched {}/{} label roots ({repair_ratio:.1}x), \
                  required at least {:.1}x fewer than a full rebuild",
                 h.labels_repaired, h.labels_total, opts.min_repair_ratio
-            ));
-        }
-        // Gate the G-tree fold the same way, but only when the server
-        // maintains one (label-only deployments report 0 totals).
-        if h.gtree_entries_total > 0 && gtree_ratio < opts.min_repair_ratio {
-            return Err(format!(
-                "single-edge repair rewrote {}/{} g-tree entries ({gtree_ratio:.1}x), \
-                 required at least {:.1}x fewer than a full rebuild",
-                h.gtree_entries_repaired, h.gtree_entries_total, opts.min_repair_ratio
             ));
         }
     }

@@ -332,22 +332,12 @@ impl EngineSnapshot {
     }
 }
 
-/// A maintained G-tree: the current tree, its phase-1 assembly cache
-/// (what [`gtree::GTree::repair_scoped`] advances in place), and the
-/// epoch of the graph the tree matches.
-struct GtreeMaint {
-    tree: gtree::GTree,
-    cache: gtree::RepairCache,
-    workers: usize,
-    epoch: u64,
-}
-
-/// Footprint and cost of the most recent index repair, split by index.
+/// Footprint and cost of the most recent hub-label build or repair.
 /// A full label rebuild reports `labels_repaired == labels_total`; a
 /// scoped repair reports the (usually far smaller) replayed-hub count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairReport {
-    /// Epoch the repaired indexes match.
+    /// Epoch the repaired labels match.
     pub epoch: u64,
     /// Hub roots whose pruned search was re-run.
     pub labels_repaired: u64,
@@ -359,31 +349,9 @@ pub struct RepairReport {
     pub labels_dropped: Option<hublabel::BuildError>,
     /// Wall time of the label repair, milliseconds.
     pub label_wall_ms: u64,
-    /// G-tree leaves whose border matrices were reassembled.
-    pub scoped_leaves: u64,
-    /// G-tree nodes (leaves + internals) recomputed in either phase.
-    pub gtree_nodes_recomputed: u64,
-    /// G-tree matrix entries rewritten.
-    pub gtree_entries_repaired: u64,
-    /// Total G-tree matrix entries (what a full rebuild rewrites).
-    pub gtree_entries_total: u64,
-    /// Wall time of the G-tree fold, milliseconds.
-    pub gtree_wall_ms: u64,
-}
-
-impl RepairReport {
-    /// Combined wall time of the last repair, milliseconds.
-    pub fn wall_ms(&self) -> u64 {
-        self.label_wall_ms + self.gtree_wall_ms
-    }
 }
 
 /// Shared mutable state behind every clone of one [`Engine`].
-///
-/// Lock order (when nested): `gtree_state` → `writer` → `gtree_pending`
-/// → `report`. `apply_updates` takes `writer` → `gtree_pending`; the
-/// G-tree fold holds `gtree_state` across its repair and briefly nests
-/// the other two.
 struct EngineShared {
     cell: SnapshotCell<EngineSnapshot>,
     /// Serializes publication (updates, label installs); readers never
@@ -397,15 +365,6 @@ struct EngineShared {
     /// repair window: a batch landing anywhere inside the pass is
     /// detected even if its staleness was already absorbed.
     update_gen: AtomicU64,
-    /// G-tree maintenance is on: `apply_updates` folds each batch into
-    /// `gtree_pending` and repair passes advance `gtree_state`.
-    gtree_on: AtomicBool,
-    /// Touched edges not yet folded into the maintained G-tree, plus a
-    /// generation counter bumped on every absorb (so the fold can clear
-    /// exactly the scope it repaired).
-    gtree_pending: Mutex<(RepairScope, u64)>,
-    /// The maintained G-tree, when enabled.
-    gtree_state: Mutex<Option<GtreeMaint>>,
     /// The last repair's footprint, for the serving metrics.
     report: Mutex<Option<RepairReport>>,
     /// The epoch-keyed answer cache, when attached
@@ -420,24 +379,17 @@ pub struct IndexDirOptions {
     /// Backing for the flat-container loads. Defaults to
     /// [`roadnet::LoadMode::Auto`]: mmap with one-read fallback.
     pub load_mode: roadnet::LoadMode,
-    /// When `labels.v2` is missing, build hub labels (and a missing
-    /// `gtree.v2`) on a background thread and publish them through the
-    /// snapshot swap; until then queries answer exactly via the
-    /// index-free strategies. Off by default.
+    /// When `labels.v2` is missing, build hub labels on a background
+    /// thread and publish them through the snapshot swap; until then
+    /// queries answer exactly via the index-free strategies. Off by
+    /// default.
     pub background_build: bool,
-    /// Worker threads for the background builds (0 = all cores).
+    /// Worker threads for the background label build (0 = all cores).
     pub workers: usize,
     /// Write background-built artifacts back into the directory
     /// (atomically, via temp + rename) so the next cold start finds a
     /// complete index. On by default.
     pub persist: bool,
-    /// Partitioning parameters for a background-built G-tree.
-    pub gtree_params: gtree::GTreeParams,
-    /// Keep the G-tree live across weight updates: load (or build) it
-    /// with a repair cache and fold every update batch into it via
-    /// [`gtree::GTree::repair_scoped`] during repair passes. Off by
-    /// default.
-    pub maintain_gtree: bool,
 }
 
 impl Default for IndexDirOptions {
@@ -447,8 +399,6 @@ impl Default for IndexDirOptions {
             background_build: false,
             workers: 0,
             persist: true,
-            gtree_params: gtree::GTreeParams::default(),
-            maintain_gtree: false,
         }
     }
 }
@@ -498,9 +448,6 @@ impl Engine {
                 writer: Mutex::new(()),
                 repairing: AtomicBool::new(false),
                 update_gen: AtomicU64::new(0),
-                gtree_on: AtomicBool::new(false),
-                gtree_pending: Mutex::new((RepairScope::new(), 0)),
-                gtree_state: Mutex::new(None),
                 report: Mutex::new(None),
                 cache: OnceLock::new(),
             }),
@@ -544,8 +491,8 @@ impl Engine {
     /// [`Engine::from_index_dir`] with explicit [`IndexDirOptions`]. With
     /// `background_build` set, a directory holding only `graph.v2` is
     /// enough: the engine starts serving immediately (exactly, via the
-    /// index-free strategies) while hub labels and the G-tree build on a
-    /// background thread and publish through the snapshot swap.
+    /// index-free strategies) while hub labels build on a background
+    /// thread and publish through the snapshot swap.
     pub fn from_index_dir_with(
         dir: &std::path::Path,
         opts: &IndexDirOptions,
@@ -562,37 +509,21 @@ impl Engine {
             )?;
             engine = engine.with_prebuilt_labels(labels);
         }
-        let gtree_path = dir.join("gtree.v2");
-        let mut have_gtree = true;
-        if opts.maintain_gtree {
-            if gtree_path.exists() {
-                let tree = gtree::GTree::read_flat_with(&gtree_path, opts.load_mode)?;
-                engine.enable_gtree_maintenance_prebuilt(tree, opts.workers);
-            } else {
-                have_gtree = false;
-            }
-        }
-        if opts.background_build && (!have_labels || !have_gtree) {
+        if opts.background_build && !have_labels {
             engine.complete_index_in_background(dir, opts);
-        } else if !have_gtree {
-            // Maintenance requested without a background builder: pay for
-            // the tree synchronously so the maintained index exists on
-            // return.
-            engine.install_gtree_maintenance(opts.gtree_params, opts.workers);
         }
         Ok(engine)
     }
 
-    /// Build whatever the index directory is missing, on one background
-    /// thread with the parallel builders: hub labels first (published
+    /// Build the hub labels the index directory is missing, on one
+    /// background thread with the parallel builder, and publish them
     /// through the same snapshot swap as [`Engine::repair_indexes`] —
     /// queries keep answering exactly via the index-free strategies until
-    /// the swap lands), then a missing `gtree.v2`. Artifacts are built
-    /// against the snapshot pinned at call time (for a freshly cold-
-    /// started engine, exactly the `graph.v2` on disk) and written
-    /// atomically via temp + rename, so a concurrent cold start never
-    /// sees a torn file. Returns `false` when a build or repair thread is
-    /// already running.
+    /// the swap lands. Labels are built against the snapshot pinned at
+    /// call time (for a freshly cold-started engine, exactly the
+    /// `graph.v2` on disk) and written atomically via temp + rename, so a
+    /// concurrent cold start never sees a torn file. Returns `false` when
+    /// a build or repair thread is already running.
     pub fn complete_index_in_background(
         &self,
         dir: &std::path::Path,
@@ -632,25 +563,8 @@ impl Engine {
                 }
                 drop(guard);
             }
-            let need_file = opts.persist && !dir.join("gtree.v2").exists();
-            let need_maint = opts.maintain_gtree && !engine.gtree_maintenance_enabled();
-            if need_file || need_maint {
-                let (tree, cache) =
-                    gtree::GTree::build_with_cache(disk.graph(), opts.gtree_params, opts.workers);
-                if need_file {
-                    let _ = persist_atomic(&dir, "gtree.v2", |p| tree.write_flat(p));
-                }
-                if need_maint
-                    && !engine.install_gtree_prebuilt(tree, cache, disk.epoch(), opts.workers)
-                {
-                    // The epoch moved past the disk graph mid-build; the
-                    // persisted tree still matches graph.v2, but the
-                    // maintained one must match the live weights.
-                    engine.install_gtree_maintenance(opts.gtree_params, opts.workers);
-                }
-            }
             engine.shared.repairing.store(false, Ordering::SeqCst);
-            if engine.needs_repair() {
+            if engine.is_stale() {
                 // Updates that landed mid-build saw `repairing` set and
                 // skipped their own repair kick; pick them up.
                 engine.repair_in_background();
@@ -737,14 +651,6 @@ impl Engine {
         if cur.labels.is_some() {
             stale.absorb(&applied);
         }
-        if self.shared.gtree_on.load(Ordering::SeqCst) {
-            // Fold the batch into the G-tree's pending scope *before*
-            // publishing the snapshot: any reader that sees the new epoch
-            // is then guaranteed to see a pending scope covering it.
-            let mut pending = self.shared.gtree_pending.lock().unwrap();
-            pending.0.absorb(&applied);
-            pending.1 = pending.1.wrapping_add(1);
-        }
         self.shared.update_gen.fetch_add(1, Ordering::SeqCst);
         self.shared.cell.store(Arc::new(EngineSnapshot {
             net,
@@ -771,28 +677,14 @@ impl Engine {
         Ok(epoch)
     }
 
-    /// Repair every stale index on the current graph and publish,
-    /// synchronously: scoped label repair (replay only the hubs whose
-    /// certificates cross a touched edge) plus, when G-tree maintenance
-    /// is on, a scoped G-tree fold. Queries keep running (and stay
+    /// Repair stale hub labels on the current graph and publish,
+    /// synchronously: scoped label repair replays only the hubs whose
+    /// certificates cross a touched edge. Queries keep running (and stay
     /// exact) throughout; if updates land while repairing, the repair
-    /// restarts on the newer graph. No-op when everything is already
+    /// restarts on the newer graph. No-op when the labels are already
     /// fresh. Returns the epoch whose labels are fresh on return.
     pub fn repair_indexes(&self) -> u64 {
-        let epoch = self.publish_labels(true);
-        self.fold_gtree();
-        epoch
-    }
-
-    /// Anything for a repair pass to do: stale labels, or a maintained
-    /// G-tree with unfolded updates. Serving tiers surface this as the
-    /// health `stale` flag so clients can wait for full convergence.
-    pub fn needs_repair(&self) -> bool {
-        if self.is_stale() {
-            return true;
-        }
-        self.shared.gtree_on.load(Ordering::SeqCst)
-            && !self.shared.gtree_pending.lock().unwrap().0.is_empty()
+        self.publish_labels(true)
     }
 
     /// [`Engine::repair_indexes`] on a background thread. Returns `false`
@@ -816,7 +708,7 @@ impl Engine {
             // check and the publish); a batch landing after this check
             // sees the cleared flag and kicks its own repair.
             let missed =
-                engine.shared.update_gen.load(Ordering::SeqCst) != gen || engine.needs_repair();
+                engine.shared.update_gen.load(Ordering::SeqCst) != gen || engine.is_stale();
             if missed && !engine.shared.repairing.swap(true, Ordering::SeqCst) {
                 continue;
             }
@@ -879,146 +771,6 @@ impl Engine {
                 return pinned.epoch();
             }
             drop(guard); // weights moved while building; rebuild on the newer graph
-        }
-    }
-
-    /// Enable G-tree maintenance by building the tree (plus its repair
-    /// cache) for the current graph. Subsequent update batches
-    /// accumulate a pending [`RepairScope`] that repair passes fold into
-    /// the tree via [`gtree::GTree::repair_scoped`].
-    pub fn with_gtree_maintenance(self, params: gtree::GTreeParams, workers: usize) -> Self {
-        self.install_gtree_maintenance(params, workers);
-        self
-    }
-
-    /// [`Engine::with_gtree_maintenance`] on an engine reference.
-    pub fn install_gtree_maintenance(&self, params: gtree::GTreeParams, workers: usize) {
-        loop {
-            let pinned = self.snapshot();
-            let (tree, cache) = gtree::GTree::build_with_cache(pinned.graph(), params, workers);
-            if self.install_gtree_prebuilt(tree, cache, pinned.epoch(), workers) {
-                return;
-            }
-            // Weights moved mid-build; rebuild on the newer graph.
-        }
-    }
-
-    /// Enable G-tree maintenance from a previously built tree. The
-    /// caller asserts the tree was built for this engine's *current*
-    /// graph (same contract as [`Engine::with_prebuilt_labels`]); the
-    /// repair cache is reconstructed from the tree's own partition. If
-    /// the epoch moves mid-reconstruction the tree is rebuilt from
-    /// scratch on the live graph.
-    pub fn enable_gtree_maintenance_prebuilt(&self, tree: gtree::GTree, workers: usize) {
-        let params = tree.params();
-        let pinned = self.snapshot();
-        let cache = gtree::RepairCache::for_tree(&tree, pinned.graph(), workers);
-        if !self.install_gtree_prebuilt(tree, cache, pinned.epoch(), workers) {
-            self.install_gtree_maintenance(params, workers);
-        }
-    }
-
-    /// Whether G-tree maintenance is enabled.
-    pub fn gtree_maintenance_enabled(&self) -> bool {
-        self.shared.gtree_on.load(Ordering::SeqCst)
-    }
-
-    /// A handle to the maintained G-tree (cheap: the backing arrays are
-    /// shared), or `None` when maintenance is off. The tree matches the
-    /// epoch of the last completed repair pass, not necessarily the
-    /// live epoch.
-    pub fn maintained_gtree(&self) -> Option<gtree::GTree> {
-        let state = self.shared.gtree_state.lock().unwrap();
-        state.as_ref().map(|m| m.tree.clone())
-    }
-
-    /// Install a (tree, cache) pair built for `epoch` and switch
-    /// maintenance on; fails (returning `false`) when the live epoch has
-    /// already moved past `epoch`.
-    fn install_gtree_prebuilt(
-        &self,
-        tree: gtree::GTree,
-        cache: gtree::RepairCache,
-        epoch: u64,
-        workers: usize,
-    ) -> bool {
-        let mut state = self.shared.gtree_state.lock().unwrap();
-        let guard = self.shared.writer.lock().unwrap();
-        if self.shared.cell.load().epoch() != epoch {
-            return false;
-        }
-        self.shared.gtree_pending.lock().unwrap().0 = RepairScope::new();
-        *state = Some(GtreeMaint {
-            tree,
-            cache,
-            workers,
-            epoch,
-        });
-        self.shared.gtree_on.store(true, Ordering::SeqCst);
-        drop(guard);
-        true
-    }
-
-    /// Fold every pending touched edge into the maintained G-tree with
-    /// a scoped repair, looping until the tree has caught up with a
-    /// consistent (snapshot, pending-scope) pair. No-op when
-    /// maintenance is off or nothing is pending.
-    fn fold_gtree(&self) {
-        if !self.shared.gtree_on.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut state = self.shared.gtree_state.lock().unwrap();
-        let Some(maint) = state.as_mut() else { return };
-        loop {
-            // Pin the snapshot and clone the pending scope under the
-            // writer lock: `apply_updates` publishes both atomically, so
-            // the clone covers exactly the diff from the tree's base
-            // graph to the pinned epoch (a superset — round-tripped
-            // edges — is safe).
-            let (pinned, scope, gen) = {
-                let _guard = self.shared.writer.lock().unwrap();
-                let pinned = self.shared.cell.load();
-                let pending = self.shared.gtree_pending.lock().unwrap();
-                (pinned, pending.0.clone(), pending.1)
-            };
-            let epoch = pinned.epoch();
-            if scope.is_empty() && maint.epoch == epoch {
-                return;
-            }
-            let t0 = Instant::now();
-            let touched: Vec<(NodeId, NodeId)> = scope.touched_pairs().collect();
-            let (tree, stats) =
-                maint
-                    .tree
-                    .repair_scoped(pinned.graph(), &mut maint.cache, &touched, maint.workers);
-            maint.tree = tree;
-            maint.epoch = epoch;
-            {
-                let mut report = self.shared.report.lock().unwrap();
-                let r = report.get_or_insert_with(RepairReport::default);
-                r.epoch = epoch;
-                r.scoped_leaves = stats.scoped_leaves;
-                r.gtree_nodes_recomputed = stats.nodes_recomputed;
-                r.gtree_entries_repaired = stats.entries_repaired;
-                r.gtree_entries_total = stats.entries_total;
-                r.gtree_wall_ms = t0.elapsed().as_millis() as u64;
-            }
-            // Clear the pending scope only if nothing was absorbed since
-            // the clone (generation unchanged ⇒ no batch published ⇒ the
-            // live epoch is still the one the tree now matches).
-            let caught_up = {
-                let _guard = self.shared.writer.lock().unwrap();
-                let mut pending = self.shared.gtree_pending.lock().unwrap();
-                if pending.1 == gen {
-                    pending.0 = RepairScope::new();
-                    true
-                } else {
-                    false
-                }
-            };
-            if caught_up {
-                return;
-            }
         }
     }
 
@@ -2018,7 +1770,7 @@ mod tests {
             .collect();
         engine.apply_updates(&heavy).unwrap();
         assert_eq!(engine.repair_indexes(), 1);
-        assert!(!engine.has_labels() && !engine.needs_repair());
+        assert!(!engine.has_labels() && !engine.is_stale());
         let report = engine.last_repair_report().unwrap();
         assert!(matches!(
             report.labels_dropped,
@@ -2039,94 +1791,6 @@ mod tests {
             .unwrap()
             .labels_dropped
             .is_some());
-    }
-
-    #[test]
-    fn maintained_gtree_tracks_updates_through_repairs() {
-        let g = grid(6, 6);
-        let engine = Engine::new(&g).with_labels().with_gtree_maintenance(
-            gtree::GTreeParams {
-                fanout: 2,
-                leaf_cap: 4,
-            },
-            2,
-        );
-        assert!(engine.gtree_maintenance_enabled());
-        let base = engine.maintained_gtree().unwrap();
-        let fresh0 = gtree::GTree::build_with_params_parallel(
-            &g,
-            gtree::GTreeParams {
-                fanout: 2,
-                leaf_cap: 4,
-            },
-            2,
-        );
-        assert!(base == fresh0, "initial maintained tree matches a build");
-        for (round, batch) in [
-            vec![WeightUpdate { u: 0, v: 1, w: 70 }],
-            vec![
-                WeightUpdate {
-                    u: 14,
-                    v: 20,
-                    w: 10,
-                },
-                WeightUpdate {
-                    u: 34,
-                    v: 35,
-                    w: 55,
-                },
-            ],
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            engine.apply_updates(&batch).unwrap();
-            engine.repair_indexes();
-            let maintained = engine.maintained_gtree().unwrap();
-            let fresh = gtree::GTree::build_with_params_parallel(
-                engine.snapshot().graph(),
-                gtree::GTreeParams {
-                    fanout: 2,
-                    leaf_cap: 4,
-                },
-                2,
-            );
-            assert!(maintained == fresh, "round {round}: folded tree diverged");
-        }
-        let report = engine.last_repair_report().unwrap();
-        assert_eq!(report.epoch, 2);
-        assert!(report.gtree_entries_total > 0);
-        assert!(report.gtree_entries_repaired <= report.gtree_entries_total);
-    }
-
-    #[test]
-    fn background_repair_folds_gtree_updates() {
-        let g = grid(5, 5);
-        let engine = Engine::new(&g).with_labels().with_gtree_maintenance(
-            gtree::GTreeParams {
-                fanout: 2,
-                leaf_cap: 4,
-            },
-            1,
-        );
-        engine
-            .apply_updates(&[WeightUpdate { u: 6, v: 11, w: 44 }])
-            .unwrap();
-        assert!(engine.repair_in_background());
-        let deadline = Instant::now() + std::time::Duration::from_secs(60);
-        while engine.needs_repair() || engine.shared.repairing.load(Ordering::SeqCst) {
-            assert!(Instant::now() < deadline, "background fold never landed");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let fresh = gtree::GTree::build_with_params_parallel(
-            engine.snapshot().graph(),
-            gtree::GTreeParams {
-                fanout: 2,
-                leaf_cap: 4,
-            },
-            1,
-        );
-        assert!(engine.maintained_gtree().unwrap() == fresh);
     }
 
     #[test]

@@ -12,13 +12,18 @@
 //! replaced by geometric recursive bisection with greedy cut refinement,
 //! and matrices are lifted to global distances by a top-down refinement
 //! pass, which keeps queries simple and provably exact.
+//!
+//! The tree is built in memory for the paper's figures (Table I's `GTree`
+//! and `IER-GTree` backends, Fig. 9's index cost) and has no on-disk
+//! format: the serving tier answers from hub labels and never reads it.
+//! The partitioner also serves the router: [`top_level_cut`] splits a
+//! network into shards.
 
 pub mod knn;
 pub mod partition;
-pub mod persist;
 pub mod query;
 pub mod tree;
 
 pub use knn::Occurrence;
 pub use partition::top_level_cut;
-pub use tree::{GTree, GTreeParams, GTreeRepairStats, RepairCache};
+pub use tree::{GTree, GTreeParams};

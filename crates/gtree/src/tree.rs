@@ -21,14 +21,10 @@
 //! levels), so [`GTree::build_with_params_parallel`] fans each level across
 //! a worker pool and produces a bit-identical tree for any worker count.
 //!
-//! The built tree lives in flat CSR-style arrays behind shared
-//! [`FlatVec`] handles (per-node runs addressed by offset arrays), so the
-//! in-memory layout coincides with the flat v2 on-disk sections and a
-//! loaded index serves queries directly from the file buffer
-//! (see `crate::persist`).
+//! The built tree lives in flat CSR-style arrays (per-node runs addressed
+//! by offset arrays).
 
 use crate::partition::{partition_graph, PartitionNode};
-use roadnet::flat::FlatVec;
 use roadnet::par::par_map_indexed;
 use roadnet::{Dist, Graph, NodeId, INF};
 use std::cmp::Reverse;
@@ -58,11 +54,11 @@ impl Default for GTreeParams {
 }
 
 /// Sentinel for "no parent" in the flat parent array.
-pub(crate) const NO_PARENT: u32 = u32::MAX;
+const NO_PARENT: u32 = u32::MAX;
 
-/// Build- and v1-decode-time node representation; flattened into the CSR
-/// arrays of [`GTree`] once construction finishes.
-pub(crate) struct GNode {
+/// Build-time node representation; flattened into the CSR arrays of
+/// [`GTree`] once construction finishes.
+struct GNode {
     pub parent: Option<u32>,
     pub children: Vec<u32>,
     pub depth: u32,
@@ -103,36 +99,34 @@ pub(crate) fn pos_in(verts: &[NodeId], v: NodeId) -> u32 {
 }
 
 #[inline]
-pub(crate) fn try_pos_in(verts: &[NodeId], v: NodeId) -> Option<u32> {
+fn try_pos_in(verts: &[NodeId], v: NodeId) -> Option<u32> {
     verts.binary_search(&v).ok().map(|i| i as u32)
 }
 
 /// The built G-tree index, stored as flat per-tree arrays: scalar columns
 /// (`parent`, `depth`) plus CSR runs (`*_off[x]..*_off[x+1]` addresses node
-/// `x`'s children / borders / matrix vertices / matrix entries). All arrays
-/// are shared [`FlatVec`] handles, so a tree loaded from the flat v2 format
-/// answers queries straight out of the load buffer.
+/// `x`'s children / borders / matrix vertices / matrix entries).
+#[derive(Clone, PartialEq)]
 pub struct GTree {
     params: GTreeParams,
     /// Vertex -> arena index of its leaf node.
-    pub(crate) leaf_of: FlatVec<u32>,
-    pub(crate) parent: FlatVec<u32>,
-    pub(crate) depth: FlatVec<u32>,
-    pub(crate) children_off: FlatVec<u32>,
-    pub(crate) children: FlatVec<u32>,
-    pub(crate) borders_off: FlatVec<u32>,
-    pub(crate) borders: FlatVec<NodeId>,
+    pub(crate) leaf_of: Vec<u32>,
+    pub(crate) parent: Vec<u32>,
+    pub(crate) depth: Vec<u32>,
+    pub(crate) children_off: Vec<u32>,
+    pub(crate) children: Vec<u32>,
+    pub(crate) borders_off: Vec<u32>,
+    pub(crate) borders: Vec<NodeId>,
     /// Parallel to `borders` (shares `borders_off`).
-    pub(crate) border_pos: FlatVec<u32>,
-    pub(crate) verts_off: FlatVec<u32>,
-    pub(crate) verts: FlatVec<NodeId>,
-    pub(crate) matrix_off: FlatVec<u64>,
-    pub(crate) matrix: FlatVec<Dist>,
+    pub(crate) border_pos: Vec<u32>,
+    pub(crate) verts_off: Vec<u32>,
+    pub(crate) verts: Vec<NodeId>,
+    pub(crate) matrix_off: Vec<u64>,
+    pub(crate) matrix: Vec<Dist>,
 }
 
 /// Borrowed view of one tree node's runs — the accessor layer every query
-/// path goes through, independent of whether the arrays are owned or
-/// mapped from a flat file.
+/// path goes through.
 #[derive(Clone, Copy)]
 pub(crate) struct NodeView<'t> {
     pub children: &'t [u32],
@@ -192,24 +186,6 @@ impl GTree {
     /// of the hierarchy is a set of independent per-node computations, so
     /// the result is bit-identical to the sequential build.
     pub fn build_with_params_parallel(g: &Graph, params: GTreeParams, workers: usize) -> Self {
-        Self::build_parallel_inner(g, params, workers, false).0
-    }
-
-    /// Build a G-tree and keep its phase-1 (within-subgraph) assembly
-    /// matrices as a [`RepairCache`], the state [`GTree::repair_scoped`]
-    /// needs to fold weight updates in incrementally. The tree is
-    /// bit-identical to [`GTree::build_with_params_parallel`].
-    pub fn build_with_cache(g: &Graph, params: GTreeParams, workers: usize) -> (Self, RepairCache) {
-        let (tree, cache) = Self::build_parallel_inner(g, params, workers, true);
-        (tree, cache.expect("cache requested"))
-    }
-
-    fn build_parallel_inner(
-        g: &Graph,
-        params: GTreeParams,
-        workers: usize,
-        want_cache: bool,
-    ) -> (Self, Option<RepairCache>) {
         let workers = if workers == 0 {
             roadnet::par::default_workers()
         } else {
@@ -223,16 +199,8 @@ impl GTree {
         };
         b.instantiate(&hierarchy, None, 0);
         b.assemble_bottom_up(g);
-        // Snapshot before refinement overwrites the matrices in place.
-        let cache = want_cache.then(|| RepairCache {
-            assembly: b.nodes.iter().map(|n| n.matrix.clone()).collect(),
-        });
         b.refine_top_down();
-        (Self::from_parts(b.nodes, b.leaf_of, params), cache)
-    }
-
-    pub fn params(&self) -> GTreeParams {
-        self.params
+        Self::from_parts(b.nodes, b.leaf_of, params)
     }
 
     /// Number of tree nodes.
@@ -245,8 +213,8 @@ impl GTree {
         self.depth.iter().copied().max().unwrap_or(0) as usize + 1
     }
 
-    /// Flatten build/decode nodes into the CSR arrays.
-    pub(crate) fn from_parts(nodes: Vec<GNode>, leaf_of: Vec<u32>, params: GTreeParams) -> Self {
+    /// Flatten build nodes into the CSR arrays.
+    fn from_parts(nodes: Vec<GNode>, leaf_of: Vec<u32>, params: GTreeParams) -> Self {
         let t = nodes.len();
         let mut parent = Vec::with_capacity(t);
         let mut depth = Vec::with_capacity(t);
@@ -276,40 +244,6 @@ impl GTree {
             matrix.extend_from_slice(&n.matrix);
             matrix_off.push(matrix.len() as u64);
         }
-        GTree {
-            params,
-            leaf_of: leaf_of.into(),
-            parent: parent.into(),
-            depth: depth.into(),
-            children_off: children_off.into(),
-            children: children.into(),
-            borders_off: borders_off.into(),
-            borders: borders.into(),
-            border_pos: border_pos.into(),
-            verts_off: verts_off.into(),
-            verts: verts.into(),
-            matrix_off: matrix_off.into(),
-            matrix: matrix.into(),
-        }
-    }
-
-    /// Assemble directly from validated flat arrays (zero-copy load path).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_flat_parts(
-        params: GTreeParams,
-        leaf_of: FlatVec<u32>,
-        parent: FlatVec<u32>,
-        depth: FlatVec<u32>,
-        children_off: FlatVec<u32>,
-        children: FlatVec<u32>,
-        borders_off: FlatVec<u32>,
-        borders: FlatVec<NodeId>,
-        border_pos: FlatVec<u32>,
-        verts_off: FlatVec<u32>,
-        verts: FlatVec<NodeId>,
-        matrix_off: FlatVec<u64>,
-        matrix: FlatVec<Dist>,
-    ) -> Self {
         GTree {
             params,
             leaf_of,
@@ -392,383 +326,6 @@ impl GTree {
             + self.leaf_of.len() * 4
             + self.parent.len() * 8
     }
-
-    /// The vertex -> leaf-node assignment (e.g. for
-    /// `roadnet::snapshot::RepairScope::leaves`).
-    pub fn leaf_assignment(&self) -> &[u32] {
-        &self.leaf_of
-    }
-
-    /// The child of internal node `x` whose subtree contains graph vertex
-    /// `v`, or `None` when `v` is outside `x`'s subtree.
-    fn child_under(&self, x: u32, v: NodeId) -> Option<u32> {
-        let mut cur = self.leaf_of[v as usize];
-        loop {
-            match self.parent_of(cur) {
-                Some(p) if p == x => return Some(cur),
-                Some(p) => cur = p,
-                None => return None,
-            }
-        }
-    }
-
-    /// Arena indices grouped by depth, deepest level first.
-    fn levels_deepest_first(&self) -> Vec<Vec<u32>> {
-        let max_depth = self.depth.iter().copied().max().unwrap_or(0) as usize;
-        let mut levels: Vec<Vec<u32>> = vec![Vec::new(); max_depth + 1];
-        for x in 0..self.num_tree_nodes() {
-            levels[max_depth - self.depth[x] as usize].push(x as u32);
-        }
-        levels
-    }
-
-    /// Topology-only build nodes (no borders/matrices), for recomputing a
-    /// [`RepairCache`] over an already-built tree.
-    fn topology_gnodes(&self) -> Vec<GNode> {
-        (0..self.num_tree_nodes() as u32)
-            .map(|x| {
-                let v = self.node(x);
-                GNode {
-                    parent: self.parent_of(x),
-                    children: v.children.to_vec(),
-                    depth: self.depth_of(x),
-                    borders: Vec::new(),
-                    verts: if v.is_leaf() {
-                        v.verts.to_vec()
-                    } else {
-                        Vec::new()
-                    },
-                    border_pos: Vec::new(),
-                    matrix: Vec::new(),
-                }
-            })
-            .collect()
-    }
-
-    /// Recompute the within-subgraph (phase-1) matrix of node `x` on the
-    /// patched graph, reading children's assemblies from the cache.
-    fn assemble_one(&self, g: &Graph, x: u32, cache: &RepairCache) -> Vec<Dist> {
-        let node = self.node(x);
-        if node.is_leaf() {
-            return leaf_assembly(g, node.borders, node.verts);
-        }
-        let verts = node.verts;
-        let nv = verts.len();
-        let mut adj: Vec<Vec<(u32, Dist)>> = vec![Vec::new(); nv];
-        for &c in node.children {
-            let cn = self.node(c);
-            let ca = &cache.assembly[c as usize];
-            let cnv = cn.verts.len();
-            for (i, &bi) in cn.borders.iter().enumerate() {
-                let pi = pos_in(verts, bi);
-                for (j, &bj) in cn.borders.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    let d = if cn.is_leaf() {
-                        ca[i * cnv + pos_in(cn.verts, bj) as usize]
-                    } else {
-                        ca[pos_in(cn.verts, bi) as usize * cnv + pos_in(cn.verts, bj) as usize]
-                    };
-                    if d != INF {
-                        adj[pi as usize].push((pos_in(verts, bj), d));
-                    }
-                }
-            }
-        }
-        // Cut edges between children of `x` (resolved by walking each
-        // endpoint's leaf up to the child, instead of the build-time
-        // subtree-vertex hash map).
-        for &u in verts {
-            let cu = self
-                .child_under(x, u)
-                .expect("assembly vertex lies inside the subtree");
-            for (v, w) in g.neighbors(u) {
-                if let Some(cv) = self.child_under(x, v) {
-                    if cv != cu {
-                        adj[pos_in(verts, u) as usize].push((pos_in(verts, v), w as Dist));
-                    }
-                }
-            }
-        }
-        assembly_all_pairs(&adj)
-    }
-
-    /// True when the global border-to-border block node `x` reads from its
-    /// parent's matrix differs between the old tree and `new_matrix`.
-    fn gbb_block_changed(&self, x: u32, p: u32, new_matrix: &[Dist]) -> bool {
-        let xv = self.node(x);
-        let pv = self.node(p);
-        let pnv = pv.verts.len();
-        let pm0 = self.matrix_off[p as usize] as usize;
-        for &a in xv.borders {
-            let pa = pos_in(pv.verts, a) as usize;
-            for &b in xv.borders {
-                let pb = pos_in(pv.verts, b) as usize;
-                let at = pm0 + pa * pnv + pb;
-                if self.matrix[at] != new_matrix[at] {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Re-refine node `x` against its parent's already-final matrix in
-    /// `new_matrix` (phase 2 of the scoped repair).
-    fn refine_one(&self, x: u32, p: u32, cache: &RepairCache, new_matrix: &[Dist]) -> Vec<Dist> {
-        let xv = self.node(x);
-        let nb = xv.borders.len();
-        let own = &cache.assembly[x as usize];
-        if nb == 0 {
-            // Isolated subgraph: nothing can leave it, the assembly matrix
-            // is already global (mirrors `Builder::refined_matrix == None`).
-            return own.clone();
-        }
-        let pv = self.node(p);
-        let pnv = pv.verts.len();
-        let pm0 = self.matrix_off[p as usize] as usize;
-        let pnew = &new_matrix[pm0..pm0 + pnv * pnv];
-        let mut gbb = vec![INF; nb * nb];
-        for (a, &ba) in xv.borders.iter().enumerate() {
-            let pa = pos_in(pv.verts, ba) as usize;
-            for (b, &bb) in xv.borders.iter().enumerate() {
-                let pb = pos_in(pv.verts, bb) as usize;
-                gbb[a * nb + b] = pnew[pa * pnv + pb];
-            }
-        }
-        refine_with_gbb(xv.is_leaf(), xv.verts.len(), xv.border_pos, own, &gbb)
-    }
-
-    /// Scoped repair after a batch of edge-weight changes: recompute only
-    /// the tree nodes whose matrices can actually differ, and return a new
-    /// tree **bit-identical** to a from-scratch rebuild on `g`, sharing
-    /// every topology array (and all unchanged matrix content is memcpy'd,
-    /// not recomputed).
-    ///
-    /// `touched` lists edges whose weights differ from the graph this tree
-    /// was built on (a superset is safe). `cache` must hold this tree's
-    /// phase-1 assembly matrices ([`GTree::build_with_cache`] /
-    /// [`RepairCache::for_tree`]); it is advanced to `g` in place, so after
-    /// this call it belongs to the *returned* tree.
-    ///
-    /// Scoping argument: partition, borders and vertex sets depend only on
-    /// topology, which weight updates never change. A touched edge's weight
-    /// is read by exactly one node's phase-1 computation — the leaf
-    /// containing both endpoints, or the LCA of the two leaves when it is a
-    /// cut edge — so phase 1 recomputes those anchors and propagates
-    /// upward only while a recomputed assembly actually changed. Phase 2
-    /// walks back down re-refining a node iff its own assembly changed or
-    /// the border-to-border block it reads from its parent did, which
-    /// bounds the fringe to matrices whose inputs differ; everything
-    /// skipped is bit-identical by the determinism of the shared
-    /// per-node kernels.
-    pub fn repair_scoped(
-        &self,
-        g: &Graph,
-        cache: &mut RepairCache,
-        touched: &[(NodeId, NodeId)],
-        workers: usize,
-    ) -> (GTree, GTreeRepairStats) {
-        let workers = if workers == 0 {
-            roadnet::par::default_workers()
-        } else {
-            workers
-        };
-        let t = self.num_tree_nodes();
-        assert_eq!(cache.assembly.len(), t, "cache must match this tree");
-        let mut stats = GTreeRepairStats {
-            entries_total: self.matrix.len() as u64,
-            ..GTreeRepairStats::default()
-        };
-
-        let mut anchor = vec![false; t];
-        for &(u, v) in touched {
-            let (lu, lv) = (self.leaf(u), self.leaf(v));
-            let a = if lu == lv { lu } else { self.lca(lu, lv) };
-            anchor[a as usize] = true;
-        }
-
-        let levels = self.levels_deepest_first();
-        let mut recomputed = vec![false; t];
-        let mut assembly_changed = vec![false; t];
-
-        // Phase 1 (bottom-up, level-parallel): recompute anchors and any
-        // node with a changed child assembly; stop propagating upward as
-        // soon as a recomputed assembly matches the cached one.
-        for level in &levels {
-            let work: Vec<u32> = level
-                .iter()
-                .copied()
-                .filter(|&x| {
-                    anchor[x as usize]
-                        || self
-                            .node(x)
-                            .children
-                            .iter()
-                            .any(|&c| assembly_changed[c as usize])
-                })
-                .collect();
-            if work.is_empty() {
-                continue;
-            }
-            let results = {
-                let cache = &*cache;
-                par_map_indexed(work.len(), workers, |i| {
-                    self.assemble_one(g, work[i], cache)
-                })
-            };
-            for (&x, m) in work.iter().zip(results) {
-                let xi = x as usize;
-                recomputed[xi] = true;
-                if self.node(x).is_leaf() {
-                    stats.scoped_leaves += 1;
-                }
-                if m != cache.assembly[xi] {
-                    assembly_changed[xi] = true;
-                    cache.assembly[xi] = m;
-                }
-            }
-        }
-
-        // Phase 2 (top-down, level-parallel): parents are final before
-        // children read their border-to-border blocks.
-        let mut new_matrix: Vec<Dist> = self.matrix.to_vec();
-        let mut refined_changed = vec![false; t];
-        for level in levels.iter().rev() {
-            let work: Vec<u32> = level
-                .iter()
-                .copied()
-                .filter(|&x| {
-                    let xi = x as usize;
-                    match self.parent_of(x) {
-                        // Root: refined == assembly.
-                        None => assembly_changed[xi],
-                        Some(p) => {
-                            assembly_changed[xi]
-                                || (refined_changed[p as usize]
-                                    && self.gbb_block_changed(x, p, &new_matrix))
-                        }
-                    }
-                })
-                .collect();
-            if work.is_empty() {
-                continue;
-            }
-            let results = {
-                let cache = &*cache;
-                let new_matrix = &new_matrix;
-                par_map_indexed(work.len(), workers, |i| {
-                    let x = work[i];
-                    match self.parent_of(x) {
-                        None => cache.assembly[x as usize].clone(),
-                        Some(p) => self.refine_one(x, p, cache, new_matrix),
-                    }
-                })
-            };
-            for (&x, m) in work.iter().zip(results) {
-                let xi = x as usize;
-                recomputed[xi] = true;
-                let (m0, m1) = (
-                    self.matrix_off[xi] as usize,
-                    self.matrix_off[xi + 1] as usize,
-                );
-                if m[..] != self.matrix[m0..m1] {
-                    refined_changed[xi] = true;
-                    new_matrix[m0..m1].copy_from_slice(&m);
-                }
-            }
-        }
-
-        for (xi, &hit) in recomputed.iter().enumerate() {
-            if hit {
-                stats.nodes_recomputed += 1;
-                stats.entries_repaired += self.matrix_off[xi + 1] - self.matrix_off[xi];
-            }
-        }
-
-        let tree = GTree {
-            params: self.params,
-            leaf_of: self.leaf_of.clone(),
-            parent: self.parent.clone(),
-            depth: self.depth.clone(),
-            children_off: self.children_off.clone(),
-            children: self.children.clone(),
-            borders_off: self.borders_off.clone(),
-            borders: self.borders.clone(),
-            border_pos: self.border_pos.clone(),
-            verts_off: self.verts_off.clone(),
-            verts: self.verts.clone(),
-            matrix_off: self.matrix_off.clone(),
-            matrix: new_matrix.into(),
-        };
-        (tree, stats)
-    }
-}
-
-/// The phase-1 (within-subgraph) assembly matrices of a built tree — the
-/// sidecar state scoped repair needs, kept out of [`GTree`] so the flat
-/// persist format and tree equality are unchanged.
-pub struct RepairCache {
-    /// Per arena node, the matrix as of the end of bottom-up assembly.
-    assembly: Vec<Vec<Dist>>,
-}
-
-impl RepairCache {
-    /// Recompute the cache for an already-built tree (e.g. one loaded from
-    /// the flat format) against the graph it was built on. Costs one
-    /// bottom-up assembly pass (roughly half a rebuild).
-    pub fn for_tree(tree: &GTree, g: &Graph, workers: usize) -> Self {
-        let workers = if workers == 0 {
-            roadnet::par::default_workers()
-        } else {
-            workers
-        };
-        let mut b = Builder {
-            nodes: tree.topology_gnodes(),
-            leaf_of: tree.leaf_of.to_vec(),
-            workers,
-        };
-        b.assemble_bottom_up(g);
-        RepairCache {
-            assembly: b.nodes.into_iter().map(|n| n.matrix).collect(),
-        }
-    }
-}
-
-/// Repair-cost counters from [`GTree::repair_scoped`]: how much matrix
-/// content was actually recomputed versus the full-rebuild volume.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GTreeRepairStats {
-    /// Leaves whose assembly matrix was recomputed.
-    pub scoped_leaves: u64,
-    /// Tree nodes touched by either repair phase.
-    pub nodes_recomputed: u64,
-    /// Matrix entries belonging to recomputed nodes.
-    pub entries_repaired: u64,
-    /// Matrix entries a full rebuild recomputes (the whole index).
-    pub entries_total: u64,
-}
-
-impl Clone for GTree {
-    /// Cheap: every array is a shared [`FlatVec`] handle.
-    fn clone(&self) -> Self {
-        GTree {
-            params: self.params,
-            leaf_of: self.leaf_of.clone(),
-            parent: self.parent.clone(),
-            depth: self.depth.clone(),
-            children_off: self.children_off.clone(),
-            children: self.children.clone(),
-            borders_off: self.borders_off.clone(),
-            borders: self.borders.clone(),
-            border_pos: self.border_pos.clone(),
-            verts_off: self.verts_off.clone(),
-            verts: self.verts.clone(),
-            matrix_off: self.matrix_off.clone(),
-            matrix: self.matrix.clone(),
-        }
-    }
 }
 
 impl std::fmt::Debug for GTree {
@@ -779,24 +336,6 @@ impl std::fmt::Debug for GTree {
             .field("tree_nodes", &self.num_tree_nodes())
             .field("matrix_entries", &self.matrix.len())
             .finish()
-    }
-}
-
-impl PartialEq for GTree {
-    fn eq(&self, other: &Self) -> bool {
-        self.params == other.params
-            && self.leaf_of == other.leaf_of
-            && self.parent == other.parent
-            && self.depth == other.depth
-            && self.children_off == other.children_off
-            && self.children == other.children
-            && self.borders_off == other.borders_off
-            && self.borders == other.borders
-            && self.border_pos == other.border_pos
-            && self.verts_off == other.verts_off
-            && self.verts == other.verts
-            && self.matrix_off == other.matrix_off
-            && self.matrix == other.matrix
     }
 }
 
@@ -1053,8 +592,7 @@ impl Builder {
 }
 
 /// Leaf assembly matrix (`|borders| x |verts|`, row-major): Dijkstra
-/// restricted to the leaf subgraph from each border. Shared by the build
-/// and the scoped-repair paths so both produce bit-identical matrices.
+/// restricted to the leaf subgraph from each border.
 fn leaf_assembly(g: &Graph, borders: &[NodeId], verts: &[NodeId]) -> Vec<Dist> {
     let ncols = verts.len();
     let mut matrix = vec![INF; borders.len() * ncols];
@@ -1066,7 +604,7 @@ fn leaf_assembly(g: &Graph, borders: &[NodeId], verts: &[NodeId]) -> Vec<Dist> {
 }
 
 /// All-pairs shortest paths over an assembly adjacency (`adj.len()` small
-/// vertices). Shared by the build and the scoped-repair paths.
+/// vertices).
 fn assembly_all_pairs(adj: &[Vec<(u32, Dist)>]) -> Vec<Dist> {
     let nv = adj.len();
     let mut matrix = vec![INF; nv * nv];
@@ -1094,7 +632,7 @@ fn assembly_all_pairs(adj: &[Vec<(u32, Dist)>]) -> Vec<Dist> {
 
 /// Lift a node's within-subgraph matrix `own` to global distances given
 /// the global border-to-border matrix `gbb` (`nb x nb`, `nb =
-/// border_pos.len()`). Shared by the build and the scoped-repair paths.
+/// border_pos.len()`).
 fn refine_with_gbb(
     is_leaf: bool,
     verts_len: usize,
@@ -1368,103 +906,5 @@ mod tests {
         let g = grid(8, 8);
         let t = GTree::build(&g);
         assert!(t.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn build_with_cache_matches_plain_build() {
-        let g = grid(8, 6);
-        let params = GTreeParams {
-            fanout: 4,
-            leaf_cap: 8,
-        };
-        let plain = GTree::build_with_params(&g, params);
-        let (cached, _) = GTree::build_with_cache(&g, params, 2);
-        assert!(cached == plain);
-    }
-
-    #[test]
-    fn repair_scoped_is_bit_identical_to_rebuild() {
-        let g = grid(9, 7);
-        let params = GTreeParams {
-            fanout: 4,
-            leaf_cap: 8,
-        };
-        let (tree, mut cache) = GTree::build_with_cache(&g, params, 2);
-        // Same-leaf edge, likely cross-leaf edges, increase + decrease,
-        // and a multi-edge batch.
-        let batches: Vec<Vec<(NodeId, NodeId, u32)>> = vec![
-            vec![(0, 1, 9)],
-            vec![(30, 31, 1)],
-            vec![(4, 13, 7), (40, 41, 2)],
-            vec![(20, 29, 5), (55, 56, 8), (10, 11, 1)],
-        ];
-        let mut cur = tree;
-        let mut g2 = g.clone();
-        for batch in batches {
-            let patches: Vec<_> = batch.iter().map(|&(u, v, w)| (u, v, w)).collect();
-            g2 = g2.with_patched_weights(&patches).unwrap();
-            let touched: Vec<(NodeId, NodeId)> = batch.iter().map(|&(u, v, _)| (u, v)).collect();
-            let (next, stats) = cur.repair_scoped(&g2, &mut cache, &touched, 2);
-            let fresh = GTree::build_with_params(&g2, params);
-            assert!(next == fresh, "repair diverged for batch {batch:?}");
-            assert_eq!(stats.entries_total, fresh_entries(&fresh));
-            assert!(stats.entries_repaired <= stats.entries_total);
-            // Cross-leaf edges anchor at the leaves' LCA, so a batch may
-            // legitimately touch zero leaf matrices — but something must
-            // have been recomputed.
-            assert!(stats.nodes_recomputed >= 1);
-            cur = next;
-        }
-    }
-
-    fn fresh_entries(t: &GTree) -> u64 {
-        t.matrix.len() as u64
-    }
-
-    #[test]
-    fn repair_scoped_empty_scope_changes_nothing() {
-        let g = grid(6, 6);
-        let params = GTreeParams {
-            fanout: 4,
-            leaf_cap: 6,
-        };
-        let (tree, mut cache) = GTree::build_with_cache(&g, params, 1);
-        let (same, stats) = tree.repair_scoped(&g, &mut cache, &[], 1);
-        assert!(same == tree);
-        assert_eq!(stats.nodes_recomputed, 0);
-        assert_eq!(stats.scoped_leaves, 0);
-    }
-
-    #[test]
-    fn repair_cache_for_tree_matches_build_cache() {
-        // A cache recomputed over a finished tree must repair exactly like
-        // the cache captured during the build.
-        let g = grid(7, 7);
-        let params = GTreeParams {
-            fanout: 4,
-            leaf_cap: 7,
-        };
-        let (tree, mut built_cache) = GTree::build_with_cache(&g, params, 2);
-        let mut recomputed_cache = RepairCache::for_tree(&tree, &g, 2);
-        let g2 = g.with_patched_weights(&[(8, 9, 9), (24, 31, 1)]).unwrap();
-        let touched = [(8, 9), (24, 31)];
-        let (a, _) = tree.repair_scoped(&g2, &mut built_cache, &touched, 2);
-        let (b, _) = tree.repair_scoped(&g2, &mut recomputed_cache, &touched, 2);
-        assert!(a == b);
-        assert!(a == GTree::build_with_params(&g2, params));
-    }
-
-    #[test]
-    fn repair_scoped_single_leaf_tree() {
-        let g = grid(3, 3);
-        let params = GTreeParams {
-            fanout: 4,
-            leaf_cap: 16,
-        };
-        let (tree, mut cache) = GTree::build_with_cache(&g, params, 1);
-        assert_eq!(tree.num_tree_nodes(), 1);
-        let g2 = g.with_patched_weights(&[(0, 1, 7)]).unwrap();
-        let (next, _) = tree.repair_scoped(&g2, &mut cache, &[(0, 1)], 1);
-        assert!(next == GTree::build_with_params(&g2, params));
     }
 }

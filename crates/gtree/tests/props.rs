@@ -1,5 +1,5 @@
-//! Property tests: the G-tree is exact for distances and kNN, and its
-//! persistence round-trips, on arbitrary graphs and parameters.
+//! Property tests: the G-tree is exact for distances and kNN on arbitrary
+//! graphs and parameters.
 
 use gtree::{GTree, GTreeParams, Occurrence};
 use proptest::prelude::*;
@@ -70,17 +70,6 @@ proptest! {
             want.truncate(k);
             let got: Vec<u64> = t.knn(&g, &occ, v, k).into_iter().map(|(_, dd)| dd).collect();
             prop_assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn persistence_roundtrip(g in arb_graph()) {
-        let t = GTree::build_with_params(&g, GTreeParams { fanout: 2, leaf_cap: 4 });
-        let t2 = GTree::from_bytes(&t.to_bytes()).unwrap();
-        for s in 0..g.num_nodes() as u32 {
-            for v in 0..g.num_nodes() as u32 {
-                prop_assert_eq!(t2.dist(&g, s, v), t.dist(&g, s, v));
-            }
         }
     }
 }

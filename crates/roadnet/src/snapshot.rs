@@ -51,8 +51,8 @@ impl AppliedUpdate {
 
 /// The merged footprint of one or more applied update batches: the set of
 /// touched edges (canonicalised across both orientations and repeat
-/// updates), ready to be handed to the scoped index-repair paths
-/// (`GTree::repair_scoped`, `HubLabels::repair_scoped`).
+/// updates), ready to be handed to the scoped label repair
+/// (`HubLabels::repair_scoped`).
 ///
 /// Merge semantics match index-staleness tracking: an edge keeps the
 /// `w_old` of the *first* batch that touched it (the weight the indexes
@@ -127,20 +127,6 @@ impl RepairScope {
     /// Every endpoint of a touched edge, sorted and deduplicated.
     pub fn endpoints(&self) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self.edges.iter().flat_map(|e| [e.u, e.v]).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// The distinct partition cells (e.g. G-tree leaves) containing a
-    /// touched endpoint, given a node -> cell assignment. Sorted and
-    /// deduplicated; endpoints outside the slice are ignored.
-    pub fn leaves(&self, leaf_of: &[u32]) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .endpoints()
-            .into_iter()
-            .filter_map(|v| leaf_of.get(v as usize).copied())
-            .collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -502,15 +488,12 @@ mod tests {
         assert_eq!(scope.len(), 1);
         assert_eq!((scope.edges()[0].w_old, scope.edges()[0].w_new), (5, 5));
         assert!(scope.increase_only());
-        // Leaf resolution dedups cells across endpoints.
-        let leaf_of = [7u32, 3, 3, 9];
         scope.absorb(&[AppliedUpdate {
             u: 0,
             v: 1,
             w_old: 5,
             w_new: 6,
         }]);
-        assert_eq!(scope.leaves(&leaf_of), vec![3, 7]);
         assert_eq!(
             scope.touched_pairs().collect::<Vec<_>>(),
             vec![(1, 2), (0, 1)]

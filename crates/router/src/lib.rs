@@ -996,15 +996,7 @@ fn handle_health(
     stop: &AtomicBool,
     started: Instant,
 ) -> Response {
-    let mut epoch = 0u64;
-    let mut stale = false;
-    let mut labels_repaired = 0u64;
-    let mut labels_total = 0u64;
-    let mut labels_dropped = false;
-    let mut repair_scoped_leaves = 0u64;
-    let mut gtree_entries_repaired = 0u64;
-    let mut gtree_entries_total = 0u64;
-    let mut last_repair_ms = 0u64;
+    let mut view = HealthInfo::default();
     for pool in pools {
         let req = Request {
             id: None,
@@ -1014,17 +1006,7 @@ fn handle_health(
             Ok(Response {
                 body: Body::Health(h),
                 ..
-            }) => {
-                epoch = epoch.max(h.epoch);
-                stale |= h.stale;
-                labels_repaired += h.labels_repaired;
-                labels_total += h.labels_total;
-                labels_dropped |= h.labels_dropped;
-                repair_scoped_leaves += h.repair_scoped_leaves;
-                gtree_entries_repaired += h.gtree_entries_repaired;
-                gtree_entries_total += h.gtree_entries_total;
-                last_repair_ms = last_repair_ms.max(h.last_repair_ms);
-            }
+            }) => view.merge_shard(&h),
             Ok(_) => {
                 return upstream_failure(
                     id,
@@ -1044,18 +1026,7 @@ fn handle_health(
             queued: 0,
             workers: pools.len() as u64,
             draining: stop.load(Ordering::SeqCst),
-            epoch,
-            stale,
-            shard: None,
-            owned_nodes: 0,
-            region: None,
-            labels_repaired,
-            labels_total,
-            labels_dropped,
-            repair_scoped_leaves,
-            gtree_entries_repaired,
-            gtree_entries_total,
-            last_repair_ms,
+            ..view
         }),
     }
 }
@@ -1100,7 +1071,6 @@ fn handle_metrics(
                 // out to every shard, so summing would multiply-count.
                 m.labels_repaired += sm.labels_repaired;
                 m.labels_total += sm.labels_total;
-                m.repair_scoped_leaves += sm.repair_scoped_leaves;
                 m.last_repair_ms = m.last_repair_ms.max(sm.last_repair_ms);
                 m.search.add(&sm.search);
             }

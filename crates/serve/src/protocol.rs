@@ -316,14 +316,22 @@ pub struct HealthInfo {
     /// distance outgrew the label entry width): queries are answered
     /// index-free — exactly, but slower.
     pub labels_dropped: bool,
-    /// G-tree leaves reassembled by the last scoped repair.
-    pub repair_scoped_leaves: u64,
-    /// G-tree matrix entries rewritten by the last scoped repair.
-    pub gtree_entries_repaired: u64,
-    /// G-tree matrix entries a full rebuild rewrites (the whole index).
-    pub gtree_entries_total: u64,
     /// Wall time of the last repair pass, milliseconds.
     pub last_repair_ms: u64,
+}
+
+impl HealthInfo {
+    /// Fold one shard's health into a deployment view: the newest epoch,
+    /// stale if any shard is, repair footprints summed (each shard repairs
+    /// its own labels) and the slowest shard's repair wall time.
+    pub fn merge_shard(&mut self, shard: &HealthInfo) {
+        self.epoch = self.epoch.max(shard.epoch);
+        self.stale |= shard.stale;
+        self.labels_repaired += shard.labels_repaired;
+        self.labels_total += shard.labels_total;
+        self.labels_dropped |= shard.labels_dropped;
+        self.last_repair_ms = self.last_repair_ms.max(shard.last_repair_ms);
+    }
 }
 
 /// Aggregate serving counters for a `metrics` response.
@@ -380,9 +388,6 @@ pub struct MetricsInfo {
     pub labels_repaired: u64,
     /// Hub roots a full rebuild would run (router: summed over shards).
     pub labels_total: u64,
-    /// G-tree leaves reassembled by the last scoped repair (router:
-    /// summed over shards).
-    pub repair_scoped_leaves: u64,
     /// Wall time of the last repair pass, milliseconds (router: max over
     /// shards).
     pub last_repair_ms: u64,
@@ -421,7 +426,6 @@ impl PartialEq for MetricsInfo {
             && self.stream_updates == other.stream_updates
             && self.labels_repaired == other.labels_repaired
             && self.labels_total == other.labels_total
-            && self.repair_scoped_leaves == other.repair_scoped_leaves
             && self.last_repair_ms == other.last_repair_ms
             && self.search == other.search
             && self.latency.count() == other.latency.count()
@@ -602,18 +606,6 @@ impl Response {
                 if h.labels_dropped {
                     members.push(("labels_dropped".into(), Json::Bool(true)));
                 }
-                members.push((
-                    "repair_scoped_leaves".into(),
-                    Json::from(h.repair_scoped_leaves),
-                ));
-                members.push((
-                    "gtree_entries_repaired".into(),
-                    Json::from(h.gtree_entries_repaired),
-                ));
-                members.push((
-                    "gtree_entries_total".into(),
-                    Json::from(h.gtree_entries_total),
-                ));
                 members.push(("last_repair_ms".into(), Json::from(h.last_repair_ms)));
             }
             Body::Metrics(m) => {
@@ -648,10 +640,6 @@ impl Response {
                 members.push(("stream_updates".into(), Json::from(m.stream_updates)));
                 members.push(("labels_repaired".into(), Json::from(m.labels_repaired)));
                 members.push(("labels_total".into(), Json::from(m.labels_total)));
-                members.push((
-                    "repair_scoped_leaves".into(),
-                    Json::from(m.repair_scoped_leaves),
-                ));
                 members.push(("last_repair_ms".into(), Json::from(m.last_repair_ms)));
                 members.push(("p50_us".into(), Json::from(m.latency.p50_ns() / 1_000)));
                 members.push(("p90_us".into(), Json::from(m.latency.p90_ns() / 1_000)));
@@ -765,18 +753,6 @@ impl Response {
                 labels_repaired: v.get("labels_repaired").and_then(Json::as_u64).unwrap_or(0),
                 labels_total: v.get("labels_total").and_then(Json::as_u64).unwrap_or(0),
                 labels_dropped: v.get("labels_dropped").and_then(Json::as_bool) == Some(true),
-                repair_scoped_leaves: v
-                    .get("repair_scoped_leaves")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                gtree_entries_repaired: v
-                    .get("gtree_entries_repaired")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                gtree_entries_total: v
-                    .get("gtree_entries_total")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
                 last_repair_ms: v.get("last_repair_ms").and_then(Json::as_u64).unwrap_or(0),
             }),
             Some("metrics") => {
@@ -813,7 +789,6 @@ impl Response {
                 m.stream_updates = opt("stream_updates");
                 m.labels_repaired = opt("labels_repaired");
                 m.labels_total = opt("labels_total");
-                m.repair_scoped_leaves = opt("repair_scoped_leaves");
                 m.last_repair_ms = opt("last_repair_ms");
                 // The histogram itself does not round-trip; carry the
                 // quantiles through as single samples so the client can
@@ -984,9 +959,6 @@ mod tests {
                 labels_repaired: 12,
                 labels_total: 50_000,
                 labels_dropped: true,
-                repair_scoped_leaves: 2,
-                gtree_entries_repaired: 96,
-                gtree_entries_total: 18_432,
                 last_repair_ms: 7,
                 ..Default::default()
             }),
@@ -997,7 +969,6 @@ mod tests {
             stream_updates: 160,
             labels_repaired: 12,
             labels_total: 50_000,
-            repair_scoped_leaves: 2,
             last_repair_ms: 7,
             ..Default::default()
         };
@@ -1011,11 +982,112 @@ mod tests {
                 assert_eq!(parsed.stream_updates, 160);
                 assert_eq!(parsed.labels_repaired, 12);
                 assert_eq!(parsed.labels_total, 50_000);
-                assert_eq!(parsed.repair_scoped_leaves, 2);
                 assert_eq!(parsed.last_repair_ms, 7);
             }
             other => panic!("expected metrics, got {other:?}"),
         }
+    }
+
+    /// `health` as servers that still maintained a G-tree wrote it.
+    const OLD_HEALTH: &str = concat!(
+        r#"{"status":"health","uptime_ms":5,"inflight":0,"queued":0,"workers":2,"#,
+        r#""draining":false,"epoch":3,"stale":true,"shard":1,"owned_nodes":40,"#,
+        r#""labels_repaired":12,"labels_total":50000,"repair_scoped_leaves":2,"#,
+        r#""gtree_entries_repaired":96,"gtree_entries_total":18432,"last_repair_ms":7}"#
+    );
+
+    fn parse_health(line: &str) -> HealthInfo {
+        match Response::parse(line).unwrap().body {
+            Body::Health(h) => h,
+            other => panic!("expected health, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn older_peers_g_tree_fields_are_ignored() {
+        let old = parse_health(OLD_HEALTH);
+        let want = HealthInfo {
+            uptime_ms: 5,
+            workers: 2,
+            epoch: 3,
+            stale: true,
+            shard: Some(1),
+            owned_nodes: 40,
+            labels_repaired: 12,
+            labels_total: 50_000,
+            last_repair_ms: 7,
+            ..Default::default()
+        };
+        assert_eq!(old, want);
+        // What this version writes for the same state drops the keys.
+        let line = Response {
+            id: None,
+            body: Body::Health(want),
+        }
+        .to_json();
+        assert!(
+            !line.contains("gtree") && !line.contains("scoped_leaves"),
+            "{line}"
+        );
+        assert_eq!(parse_health(&line), want);
+
+        let old_metrics = concat!(
+            r#"{"status":"metrics","requests":9,"ok":8,"empty":1,"cancelled":0,"#,
+            r#""shed":0,"errors":0,"updates":2,"epoch":3,"labels_repaired":12,"#,
+            r#""labels_total":50000,"repair_scoped_leaves":2,"last_repair_ms":7}"#
+        );
+        match Response::parse(old_metrics).unwrap().body {
+            Body::Metrics(m) => {
+                assert_eq!((m.requests, m.ok, m.empty, m.updates), (9, 8, 1, 2));
+                assert_eq!((m.labels_repaired, m.labels_total), (12, 50_000));
+                assert_eq!(m.last_repair_ms, 7);
+                let line = Response {
+                    id: None,
+                    body: Body::Metrics(m),
+                }
+                .to_json();
+                assert!(!line.contains("scoped_leaves"), "{line}");
+            }
+            other => panic!("expected metrics, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn router_view_of_mixed_version_shards_matches() {
+        // A rolling upgrade: one shard still writes the G-tree keys, the
+        // other does not. The deployment view must not depend on which.
+        let old = parse_health(OLD_HEALTH);
+        let new = parse_health(
+            &Response {
+                id: None,
+                body: Body::Health(HealthInfo {
+                    epoch: 4,
+                    labels_repaired: 3,
+                    labels_total: 48_000,
+                    last_repair_ms: 11,
+                    ..Default::default()
+                }),
+            }
+            .to_json(),
+        );
+        let upgraded_line = OLD_HEALTH.replace(
+            r#""repair_scoped_leaves":2,"gtree_entries_repaired":96,"gtree_entries_total":18432,"#,
+            "",
+        );
+        assert_ne!(upgraded_line, OLD_HEALTH);
+        let upgraded = parse_health(&upgraded_line);
+        let view = |shards: [&HealthInfo; 2]| {
+            let mut v = HealthInfo::default();
+            for h in shards {
+                v.merge_shard(h);
+            }
+            v
+        };
+        let mixed = view([&old, &new]);
+        assert_eq!(mixed, view([&upgraded, &new]));
+        assert_eq!((mixed.epoch, mixed.stale), (4, true));
+        assert_eq!((mixed.labels_repaired, mixed.labels_total), (15, 98_000));
+        assert_eq!(mixed.last_repair_ms, 11);
     }
 
     #[test]

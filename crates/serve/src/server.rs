@@ -419,19 +419,14 @@ fn handle_line(
                 workers: config.workers.max(1) as u64,
                 draining: stop.load(Ordering::SeqCst) || sig::signalled(),
                 epoch: snap.epoch(),
-                // Stale covers every index a repair pass still owes: lagging
-                // labels and unfolded maintained-G-tree updates alike.
-                stale: snap.is_stale() || engine.needs_repair(),
+                stale: snap.is_stale(),
                 shard,
                 owned_nodes,
                 region,
                 labels_repaired: report.labels_repaired,
                 labels_total: report.labels_total,
                 labels_dropped: report.labels_dropped.is_some(),
-                repair_scoped_leaves: report.scoped_leaves,
-                gtree_entries_repaired: report.gtree_entries_repaired,
-                gtree_entries_total: report.gtree_entries_total,
-                last_repair_ms: report.wall_ms(),
+                last_repair_ms: report.label_wall_ms,
             });
             write_response(writer, &Response { id: req.id, body });
         }
@@ -453,8 +448,7 @@ fn handle_line(
             if let Some(report) = engine.last_repair_report() {
                 m.labels_repaired = report.labels_repaired;
                 m.labels_total = report.labels_total;
-                m.repair_scoped_leaves = report.scoped_leaves;
-                m.last_repair_ms = report.wall_ms();
+                m.last_repair_ms = report.label_wall_ms;
             }
             write_response(
                 writer,

@@ -2,8 +2,8 @@
 //!
 //! A delivery chain wants the 5 best fast-food locations (`P` = FF POIs)
 //! to serve hospital demand (`Q` = HOS POIs), where each kitchen only has
-//! capacity for 60% of the hospitals. Builds the full index stack (hub
-//! labels, G-tree, R-tree) as a production deployment would, then answers
+//! capacity for 60% of the hospitals. Builds the index stack a
+//! production deployment serves from (hub labels, R-tree), then answers
 //! with the indexed IER-kNN pipeline and cross-checks with Exact-max.
 //!
 //! Run with: `cargo run --release --example poi_site_selection`

@@ -29,7 +29,6 @@ use fannr::fann::gphi::oracle::LabelOracle;
 use fannr::fann::gphi::GPhi;
 use fannr::fann::metrics::{SearchStats, StatsSink};
 use fannr::fann::{Aggregate, FannAnswer, FannQuery};
-use fannr::gtree::{GTree, GTreeParams};
 use fannr::hublabel::HubLabels;
 use fannr::roadnet::io::{read_compact, write_compact};
 use fannr::roadnet::{shortest_path, Graph, ScratchPool, ShardMap};
@@ -101,12 +100,10 @@ commands:
              --nodes --seed, --addr, --workers, --queue-depth,
              --deadline-ms, --labels, --cache-capacity,
              --batch-window-ms, --batch-max, --no-mmap,
-             --maintain-gtree to keep a live G-tree repaired in place
-             under weight updates instead of rebuilding,
              --shard-id N --shard-map FILE for one shard of a
              partitioned deployment);
-             with --index, graph.v2 alone suffices: missing labels.v2 /
-             gtree.v2 are built in the background and hot-swapped in
+             with --index, graph.v2 alone suffices: a missing labels.v2
+             is built in the background and hot-swapped in
   partition  cut a network into shards and write (--graph | --nodes --seed,
              the FANNSM2 shard map                --shards K, --out FILE)
   route      front a set of shard servers with   (--graph | --nodes --seed,
@@ -118,8 +115,8 @@ commands:
              running server without a restart     --stream for an
                                                   update_stream segment)
   build-index  build the flat v2 index directory (--graph | --nodes --seed,
-             --out DIR, --workers, --fanout, --leaf-cap, --skip-gtree);
-             writes graph.v2 + labels.v2 + gtree.v2 for `serve --index`
+             --out DIR, --workers); writes graph.v2 +
+             labels.v2 for `serve --index`
   bench-batch  measure batch throughput          (--nodes, --queries,
              --p-size, --q-size, --phi, --workers, --seed)
   bench-coldstart  compare text-graph parse vs   (--nodes, --seed, --queries,
@@ -490,8 +487,8 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     // `--index DIR` cold-starts from a flat v2 index directory: graph.v2
     // (required) and labels.v2 both load zero-copy, mmap-backed unless
     // `--no-mmap`. A directory holding only graph.v2 is enough — the
-    // missing labels (and gtree.v2) build on a background thread with the
-    // parallel builders and publish through the snapshot swap, while
+    // missing labels build on a background thread with the parallel
+    // builder and publish through the snapshot swap, while
     // queries answer exactly via the index-free strategies. Otherwise the
     // graph comes from `--graph`/`--nodes` and labels optionally from a
     // `--labels` file (`fannr index` output).
@@ -503,10 +500,6 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
                 LoadMode::Auto
             },
             background_build: true,
-            // `--maintain-gtree` keeps a live G-tree alongside the labels:
-            // weight updates repair only the touched leaves' matrices
-            // instead of rebuilding, at the cost of the resident tree.
-            maintain_gtree: opts.contains_key("maintain-gtree"),
             // `--workers` sizes the serve pool; the background index
             // build always uses every core (workers: 0).
             ..IndexDirOptions::default()
@@ -514,7 +507,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         let engine = Engine::from_index_dir_with(Path::new(dir), &index_opts)
             .map_err(|e| format!("{dir}: {e}"))?;
         if !engine.has_labels() {
-            println!("index dir has no labels.v2: serving index-free while labels + G-tree build in the background");
+            println!("index dir has no labels.v2: serving index-free while labels build in the background");
         }
         let g = engine.snapshot().graph().clone();
         (g, engine)
@@ -529,9 +522,6 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         let mut engine = Engine::new(&g);
         if let Some(path) = opts.get("labels") {
             engine = engine.with_prebuilt_labels(load_labels(path)?);
-        }
-        if opts.contains_key("maintain-gtree") {
-            engine = engine.with_gtree_maintenance(GTreeParams::default(), 0);
         }
         (g, engine)
     };
@@ -837,11 +827,10 @@ fn file_kib(path: &Path) -> u64 {
     std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
 }
 
-/// Build the flat v2 index directory: `graph.v2` + `labels.v2` (+
-/// `gtree.v2` unless `--skip-gtree`), each written in the zero-copy
-/// container so `serve --index` / `Engine::from_index_dir` cold-start
-/// without deserialization. `--workers 0` uses every core for the
-/// parallel label and G-tree matrix builds.
+/// Build the flat v2 index directory: `graph.v2` + `labels.v2`, each
+/// written in the zero-copy container so `serve --index` /
+/// `Engine::from_index_dir` cold-start without deserialization.
+/// `--workers 0` uses every core for the parallel label build.
 fn cmd_build_index(opts: &HashMap<String, String>) -> Result<(), String> {
     let g = if opts.contains_key("graph") {
         load_graph(opts)?
@@ -879,25 +868,6 @@ fn cmd_build_index(opts: &HashMap<String, String>) -> Result<(), String> {
         labels.avg_label_size()
     );
 
-    if opts.contains_key("skip-gtree") {
-        println!("gtree.v2   skipped (--skip-gtree)");
-    } else {
-        let params = GTreeParams {
-            fanout: get(opts, "fanout", 4usize),
-            leaf_cap: get(opts, "leaf-cap", 64usize),
-        };
-        let t0 = Instant::now();
-        let tree = GTree::build_with_params_parallel(&g, params, workers);
-        tree.write_flat(&dir.join("gtree.v2"))
-            .map_err(|e| e.to_string())?;
-        println!(
-            "gtree.v2   {:>12} bytes  built+written in {:.2}s  ({} tree nodes, height {})",
-            file_kib(&dir.join("gtree.v2")),
-            t0.elapsed().as_secs_f64(),
-            tree.num_tree_nodes(),
-            tree.height()
-        );
-    }
     println!("index directory ready: {out}");
     Ok(())
 }

@@ -1,13 +1,13 @@
 //! The flat v2 index contract, end to end: round-trips are bit-identical
-//! (v2 bytes == in-memory build for graph, hub labels, and G-tree; for
-//! the G-tree also == v1 decode), an engine cold-started from an index
-//! directory answers every strategy bit-identically to an engine built in
-//! memory, and malformed containers are rejected with typed errors rather
-//! than panics.
+//! (v2 bytes == in-memory build for graph and hub labels), an engine
+//! cold-started from an index directory answers every strategy
+//! bit-identically to an engine built in memory, an index directory is
+//! `graph.v2` + `labels.v2` and nothing else (a `gtree.v2` left by older
+//! builds is never read or written), and malformed containers are
+//! rejected with typed errors rather than panics.
 
 use fannr::fann::engine::{Engine, IndexDirOptions};
 use fannr::fann::{Aggregate, FannAnswer};
-use fannr::gtree::{GTree, GTreeParams};
 use fannr::hublabel::HubLabels;
 use fannr::roadnet::{Graph, GraphBuilder, LoadMode, NodeId};
 use proptest::prelude::*;
@@ -60,19 +60,6 @@ proptest! {
         prop_assert!(via_v2 == built);
         prop_assert_eq!(via_v2.order(), built.order());
         prop_assert!(HubLabels::build_parallel(&g, 2).unwrap() == built);
-    }
-
-    /// G-tree: v2 round trip == in-memory build == v1 decode.
-    #[test]
-    fn gtree_v2_matches_build_and_v1(g in arb_graph()) {
-        let built = GTree::build_with_params(
-            &g,
-            GTreeParams { fanout: 2, leaf_cap: 5 },
-        );
-        let via_v1 = GTree::from_bytes(&built.to_bytes()).unwrap();
-        let via_v2 = GTree::from_flat_bytes(&built.to_flat_bytes()).unwrap();
-        prop_assert!(via_v2 == built);
-        prop_assert!(via_v2 == via_v1);
     }
 
     /// Truncating a v2 container anywhere must produce an error, not a
@@ -158,19 +145,11 @@ fn engine_from_index_dir_matches_in_memory_for_all_strategies() {
 fn mmap_load_matches_read_load_for_all_containers() {
     let graph = fannr::workload::synth::road_network(500, &mut fannr::workload::rng(13));
     let labels = HubLabels::build(&graph).unwrap();
-    let gtree = GTree::build_with_params(
-        &graph,
-        GTreeParams {
-            fanout: 2,
-            leaf_cap: 16,
-        },
-    );
 
     let dir = std::env::temp_dir().join(format!("fannr-flatmm-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     graph.write_flat(&dir.join("graph.v2")).unwrap();
     labels.write_flat(&dir.join("labels.v2")).unwrap();
-    gtree.write_flat(&dir.join("gtree.v2")).unwrap();
 
     let g_read = Graph::read_flat_with(&dir.join("graph.v2"), LoadMode::Read).unwrap();
     let g_mmap = Graph::read_flat_with(&dir.join("graph.v2"), LoadMode::Mmap).unwrap();
@@ -179,10 +158,6 @@ fn mmap_load_matches_read_load_for_all_containers() {
     let l_read = HubLabels::read_flat_with(&dir.join("labels.v2"), LoadMode::Read).unwrap();
     let l_mmap = HubLabels::read_flat_with(&dir.join("labels.v2"), LoadMode::Mmap).unwrap();
     assert!(l_mmap == l_read && l_mmap == labels, "labels: mmap != read");
-
-    let t_read = GTree::read_flat_with(&dir.join("gtree.v2"), LoadMode::Read).unwrap();
-    let t_mmap = GTree::read_flat_with(&dir.join("gtree.v2"), LoadMode::Mmap).unwrap();
-    assert!(t_mmap == t_read && t_mmap == gtree, "gtree: mmap != read");
 
     // And the mapped engine answers bit-identically to the in-memory one.
     let (p, qs) = workload(&graph, 7);
@@ -205,7 +180,8 @@ fn mmap_load_matches_read_load_for_all_containers() {
 /// answers the first query correctly (index-free, exactly) before the
 /// labels publish, the background thread eventually swaps hub labels in
 /// through the snapshot cell, answers stay bit-identical across the
-/// swap, and `labels.v2` + `gtree.v2` land on disk for the next start.
+/// swap, and `labels.v2` — and nothing else — lands on disk for the next
+/// start.
 #[test]
 fn background_build_serves_exactly_then_publishes_and_persists() {
     let graph = fannr::workload::synth::road_network(400, &mut fannr::workload::rng(23));
@@ -216,10 +192,6 @@ fn background_build_serves_exactly_then_publishes_and_persists() {
     let opts = IndexDirOptions {
         background_build: true,
         workers: 2,
-        gtree_params: GTreeParams {
-            fanout: 2,
-            leaf_cap: 16,
-        },
         ..IndexDirOptions::default()
     };
     let engine = Engine::from_index_dir_with(&dir, &opts).unwrap();
@@ -261,22 +233,19 @@ fn background_build_serves_exactly_then_publishes_and_persists() {
         );
     }
 
-    // Both artifacts persist (atomically) for the next cold start; the
-    // G-tree may land shortly after the label swap, so poll for it too.
-    while !dir.join("labels.v2").exists() || !dir.join("gtree.v2").exists() {
+    // The labels persist (atomically, before the swap) for the next cold
+    // start. Once the build thread has exited — a repair kick is then
+    // accepted — the directory holds exactly the two artifacts.
+    while !engine.repair_in_background() {
         assert!(
             std::time::Instant::now() < deadline,
-            "background build never persisted labels.v2 + gtree.v2"
+            "background build thread never exited"
         );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     let persisted = HubLabels::read_flat(&dir.join("labels.v2")).unwrap();
-    assert_eq!(persisted.num_nodes(), graph.num_nodes());
-    let persisted_tree = GTree::read_flat(&dir.join("gtree.v2")).unwrap();
-    assert!(
-        persisted_tree == GTree::build_with_params(&graph, opts.gtree_params),
-        "persisted gtree.v2 must match a from-scratch build on graph.v2"
-    );
+    assert!(persisted == HubLabels::build(&graph).unwrap());
+    assert_eq!(dir_listing(&dir), ["graph.v2", "labels.v2"]);
 
     // A second cold start now attaches the persisted labels eagerly.
     let warm = Engine::from_index_dir(&dir).unwrap();
@@ -290,6 +259,99 @@ fn background_build_serves_exactly_then_publishes_and_persists() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn dir_listing(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A `gtree.v2` written by a build that still produced one, for the
+/// 8 x 6 grid of [`legacy_grid`] (fanout 2, leaf capacity 8).
+const LEGACY_GTREE_V2: &[u8] = include_bytes!("data/legacy_gtree.v2");
+
+fn legacy_grid() -> Graph {
+    let (w, h) = (8u32, 6u32);
+    let mut b = GraphBuilder::new();
+    for y in 0..h {
+        for x in 0..w {
+            b.add_node(x as f64 * 10.0, y as f64 * 10.0);
+        }
+    }
+    for y in 0..h {
+        for x in 0..w {
+            let v = y * w + x;
+            if x + 1 < w {
+                b.add_edge(v, v + 1, 10 + (x + 2 * y) % 7);
+            }
+            if y + 1 < h {
+                b.add_edge(v, v + w, 10 + (3 * x + y) % 5);
+            }
+        }
+    }
+    b.build()
+}
+
+/// An index directory in the older layout — `graph.v2`, `labels.v2` and a
+/// leftover `gtree.v2`, intact or corrupt — still cold-starts with
+/// `background_build` on: the leftover is neither read nor rewritten,
+/// nothing builds in the background, and every answer is bit-identical
+/// to an in-memory engine.
+#[test]
+fn leftover_gtree_v2_is_never_read() {
+    let graph = legacy_grid();
+    let labels = HubLabels::build(&graph).unwrap();
+    let mem = Engine::new(&graph).with_labels();
+    let opts = IndexDirOptions {
+        background_build: true,
+        ..IndexDirOptions::default()
+    };
+    let mut corrupt = LEGACY_GTREE_V2.to_vec();
+    corrupt.truncate(corrupt.len() / 2);
+    corrupt[40..80].fill(0xA5);
+    let leftovers: [(&str, Vec<u8>); 3] = [
+        ("intact", LEGACY_GTREE_V2.to_vec()),
+        ("corrupt", corrupt),
+        ("garbage", b"not a gtree".to_vec()),
+    ];
+    for (what, gtree_bytes) in leftovers {
+        let dir = std::env::temp_dir().join(format!("fannr-flatold-{what}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        graph.write_flat(&dir.join("graph.v2")).unwrap();
+        labels.write_flat(&dir.join("labels.v2")).unwrap();
+        std::fs::write(dir.join("gtree.v2"), &gtree_bytes).unwrap();
+        let labels_bytes = std::fs::read(dir.join("labels.v2")).unwrap();
+
+        let engine = Engine::from_index_dir_with(&dir, &opts).unwrap();
+        assert!(engine.has_labels(), "{what}: labels.v2 must attach");
+        // No build thread is running: a repair kick is accepted at once.
+        assert!(
+            engine.repair_in_background(),
+            "{what}: cold start left a background thread running"
+        );
+        for q in [vec![0u32, 47], vec![3, 20, 44], vec![9, 10, 11, 38]] {
+            let p: Vec<NodeId> = (0..48).step_by(5).collect();
+            for agg in [Aggregate::Max, Aggregate::Sum] {
+                assert_eq!(
+                    engine.query(&p, &q, 0.5, agg).unwrap(),
+                    mem.query(&p, &q, 0.5, agg).unwrap(),
+                    "{what}: answer diverged ({agg})"
+                );
+            }
+        }
+        assert_eq!(
+            dir_listing(&dir),
+            ["graph.v2", "gtree.v2", "labels.v2"],
+            "{what}"
+        );
+        assert_eq!(std::fs::read(dir.join("gtree.v2")).unwrap(), gtree_bytes);
+        assert_eq!(std::fs::read(dir.join("labels.v2")).unwrap(), labels_bytes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// A missing or mangled index directory yields typed errors, and a label

@@ -1,13 +1,12 @@
 //! Zero-copy loading really is zero-copy: heap allocations during a flat
 //! v2 load are O(sections) — a small constant per file — independent of
-//! how many nodes, labels, or matrix entries the index holds. This is the
+//! how many nodes or labels the index holds. This is the
 //! load-path contract that makes continental cold starts I/O-bound.
 //!
 //! This file must hold only these tests: it installs a counting global
 //! allocator and the counts would be polluted by concurrent tests.
 
 use fannr::bench::throughput::{allocation_count, CountingAlloc};
-use fannr::gtree::{GTree, GTreeParams};
 use fannr::hublabel::HubLabels;
 use fannr::roadnet::Graph;
 use std::path::PathBuf;
@@ -25,18 +24,10 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 fn write_index(nodes: usize, tag: &str) -> (PathBuf, Graph) {
     let g = fannr::workload::synth::road_network(nodes, &mut fannr::workload::rng(11));
     let labels = HubLabels::build(&g).unwrap();
-    let tree = GTree::build_with_params(
-        &g,
-        GTreeParams {
-            fanout: 4,
-            leaf_cap: 32,
-        },
-    );
     let dir = std::env::temp_dir().join(format!("fannr-allocs-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     g.write_flat(&dir.join("graph.v2")).unwrap();
     labels.write_flat(&dir.join("labels.v2")).unwrap();
-    tree.write_flat(&dir.join("gtree.v2")).unwrap();
     (dir, g)
 }
 
@@ -50,8 +41,7 @@ fn v2_load_allocations_are_constant_in_index_size() {
     let load_all = |dir: &PathBuf| {
         let g = Graph::read_flat(&dir.join("graph.v2")).unwrap();
         let l = HubLabels::read_flat(&dir.join("labels.v2")).unwrap();
-        let t = GTree::read_flat(&dir.join("gtree.v2")).unwrap();
-        (g, l, t)
+        (g, l)
     };
 
     // Warm up (File/BufReader one-time setup, test-harness noise).
@@ -64,10 +54,9 @@ fn v2_load_allocations_are_constant_in_index_size() {
     assert_eq!(small_loaded.0.num_nodes(), small_g.num_nodes());
     assert_eq!(large_loaded.0.num_nodes(), large_g.num_nodes());
     assert!(large_loaded.1.total_label_entries() > small_loaded.1.total_label_entries());
-    assert!(large_loaded.2.num_tree_nodes() > small_loaded.2.num_tree_nodes());
 
-    // O(sections): a generous fixed budget per load (3 files, ~20
-    // sections total, plus one buffer each), and — the real contract —
+    // O(sections): a generous fixed budget per load (2 files, about a
+    // dozen sections total, plus one buffer each), and — the real contract —
     // no growth with index size.
     assert!(
         small_allocs <= 256,

@@ -1,5 +1,6 @@
 //! Persistence round-trips through real files: the build-once / ship-index
-//! deployment story (hub labels and G-tree), plus Engine integration.
+//! deployment story for hub labels, plus Engine integration. The G-tree has
+//! no file of its own; it is rebuilt from the persisted graph.
 
 use fannr::fann::engine::Engine;
 use fannr::fann::Aggregate;
@@ -34,23 +35,25 @@ fn labels_survive_disk_roundtrip_and_power_engine() {
 #[test]
 fn gtree_survives_disk_roundtrip() {
     let graph = fannr::workload::synth::road_network(700, &mut fannr::workload::rng(79));
-    let tree = GTree::build_with_params(
-        &graph,
-        GTreeParams {
-            fanout: 4,
-            leaf_cap: 32,
-        },
-    );
+    let params = GTreeParams {
+        fanout: 4,
+        leaf_cap: 32,
+    };
+    let tree = GTree::build_with_params(&graph, params);
+
     let dir = std::env::temp_dir().join(format!("fannr-test-gt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("gtree.bin");
-    std::fs::write(&path, tree.to_bytes()).unwrap();
-    let loaded = GTree::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+    let path = dir.join("graph.v2");
+    graph.write_flat(&path).unwrap();
+    let loaded_graph = fannr::roadnet::Graph::read_flat(&path).unwrap();
     std::fs::remove_file(&path).ok();
+    let rebuilt = GTree::build_with_params(&loaded_graph, params);
 
+    assert_eq!(rebuilt.num_tree_nodes(), tree.num_tree_nodes());
+    assert_eq!(rebuilt.memory_bytes(), tree.memory_bytes());
     for s in (0..graph.num_nodes() as u32).step_by(37) {
         for t in (0..graph.num_nodes() as u32).step_by(41) {
-            assert_eq!(loaded.dist(&graph, s, t), tree.dist(&graph, s, t));
+            assert_eq!(rebuilt.dist(&loaded_graph, s, t), tree.dist(&graph, s, t));
         }
     }
 }

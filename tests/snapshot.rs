@@ -15,16 +15,14 @@
 //!   engine: every pinned snapshot shows each writer's batch fully
 //!   applied or not at all, and epochs never run backwards. The `stress_`
 //!   prefix is the CI filter for the multi-threaded step.
-//! * **scoped repair ≡ rebuild** — `HubLabels::repair_scoped` and
-//!   `GTree::repair_scoped`, driven by a [`RepairScope`], produce indexes
-//!   bit-identical to a from-scratch build on the patched graph:
-//!   structurally (`PartialEq`), in the serialized artifact bytes, and in
-//!   query answers — for chained per-batch repairs and for merged
-//!   multi-batch scopes alike.
+//! * **scoped repair ≡ rebuild** — `HubLabels::repair_scoped`, driven
+//!   by a [`RepairScope`], produces labels bit-identical to a
+//!   from-scratch build on the patched graph: structurally (`PartialEq`),
+//!   in the serialized artifact bytes, and in query answers — for chained
+//!   per-batch repairs and for merged multi-batch scopes alike.
 
 use fannr::fann::engine::Engine;
 use fannr::fann::Aggregate;
-use fannr::gtree::{GTree, GTreeParams, RepairCache};
 use fannr::hublabel::HubLabels;
 use fannr::roadnet::{AppliedUpdate, Graph, GraphBuilder, RepairScope, WeightUpdate};
 use proptest::prelude::*;
@@ -244,13 +242,9 @@ proptest! {
 
     /// Scoped index repair is indistinguishable from rebuilding on the
     /// patched graph — structurally, byte-for-byte in the serialized
-    /// artifact, and in query answers. A `fanout 2 / leaf_cap 4` G-tree
-    /// over 4–28 node graphs is several levels deep, so the seed-chosen
-    /// batches routinely span multiple leaves and include cut (border)
-    /// edges whose repair anchor is an internal LCA node. Covers chained
-    /// repairs (one per batch), a merged two-batch scope repaired in one
-    /// pass from the original index, and the disk-load path where the
-    /// repair cache is reconstructed with [`RepairCache::for_tree`].
+    /// artifact, and in query answers. Covers chained repairs (one per
+    /// batch) and a merged two-batch scope repaired in one pass from the
+    /// original index.
     #[test]
     fn scoped_repairs_match_rebuilds_bit_for_bit(
         (g, p, q, phi, upd_seed) in arb_instance()
@@ -311,30 +305,6 @@ proptest! {
         let (lm, _) = l0.repair_scoped(&g2, &merged_pairs).unwrap();
         prop_assert!(lm == want2, "merged-scope label repair diverged");
         prop_assert!(lm.to_flat_bytes() == want2.to_flat_bytes(), "label artifact bytes differ");
-
-        // G-tree: same three shapes against a parallel from-scratch build.
-        let params = GTreeParams { fanout: 2, leaf_cap: 4 };
-        let (t0, mut cache) = GTree::build_with_cache(&g, params, 1);
-        let (t1, gs1) = t0.repair_scoped(&g1, &mut cache, &touched1, 1);
-        let want_t1 = GTree::build_with_params_parallel(&g1, params, 1);
-        prop_assert!(t1 == want_t1, "g-tree repair diverged (increase batch)");
-        prop_assert!(t1.to_bytes() == want_t1.to_bytes(), "g-tree artifact bytes differ");
-        // A cut-edge-only batch anchors at internal LCA nodes and may
-        // recompute zero leaves — but never zero nodes.
-        prop_assert!(gs1.nodes_recomputed >= 1);
-        prop_assert!(gs1.entries_repaired <= gs1.entries_total);
-
-        let (t2, _) = t1.repair_scoped(&g2, &mut cache, &touched2, 1);
-        let want_t2 = GTree::build_with_params_parallel(&g2, params, 1);
-        prop_assert!(t2 == want_t2, "g-tree repair diverged (decrease batch)");
-        prop_assert!(t2.to_bytes() == want_t2.to_bytes(), "g-tree artifact bytes differ");
-
-        // Merged scope through a cache rebuilt off the original tree —
-        // the path a server takes after loading a flat index from disk.
-        let mut cache_m = RepairCache::for_tree(&t0, &g, 1);
-        let (tm, _) = t0.repair_scoped(&g2, &mut cache_m, &merged_pairs, 1);
-        prop_assert!(tm == want_t2, "merged-scope g-tree repair diverged");
-        prop_assert!(tm.to_bytes() == want_t2.to_bytes(), "g-tree artifact bytes differ");
 
         // Answers: engines over the scoped-repaired labels agree with
         // freshly built engines for every strategy and aggregate.

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fann_core::gphi::oracle::{
-    AStarOracle, BidirOracle, DijkstraOracle, DistanceOracle, GTreeOracle, LabelOracle,
+    AStarOracle, BidirOracle, DijkstraOracle, DistanceOracle, GTreeOracle, GuardedLabelOracle,
 };
 use std::time::Duration;
 
@@ -22,7 +22,7 @@ fn bench(c: &mut Criterion) {
         Box::new(DijkstraOracle::new(&g)),
         Box::new(AStarOracle::new(&g)),
         Box::new(BidirOracle { graph: &g }),
-        Box::new(LabelOracle { labels: &hl }),
+        Box::new(GuardedLabelOracle::new(&hl)),
         Box::new(GTreeOracle {
             tree: &gt,
             graph: &g,

@@ -10,13 +10,11 @@
 //! crossovers fall) is asserted by each binary's shape checks and recorded
 //! in EXPERIMENTS.md.
 
-pub mod throughput;
-
 use fann_core::algo::{apx_sum, exact_max, gd, ier_knn, r_list};
 use fann_core::gphi::gtree_knn::GTreeKnnPhi;
 use fann_core::gphi::ier2::IerPhi;
 use fann_core::gphi::ine::InePhi;
-use fann_core::gphi::oracle::{AStarOracle, GTreeOracle, LabelOracle};
+use fann_core::gphi::oracle::{AStarOracle, GTreeOracle, GuardedLabelOracle};
 use fann_core::gphi::scan::ScanPhi;
 use fann_core::gphi::GPhi;
 use fann_core::{Aggregate, FannAnswer, FannQuery};
@@ -102,9 +100,7 @@ impl<'e> QueryCtx<'e> {
             "INE" => Box::new(InePhi::new(g, &self.q)),
             "A*" => Box::new(ScanPhi::new(AStarOracle::with_lb(g, self.env.lb), &self.q)),
             "PHL" => Box::new(ScanPhi::new(
-                LabelOracle {
-                    labels: &self.env.labels,
-                },
+                GuardedLabelOracle::new(&self.env.labels),
                 &self.q,
             )),
             "GTree" => Box::new(GTreeKnnPhi::new(&self.env.gtree, g, &self.q)),
@@ -115,9 +111,7 @@ impl<'e> QueryCtx<'e> {
             )),
             "IER-PHL" => Box::new(IerPhi::new(
                 g,
-                LabelOracle {
-                    labels: &self.env.labels,
-                },
+                GuardedLabelOracle::new(&self.env.labels),
                 &self.q,
             )),
             "IER-GTree" => Box::new(IerPhi::new(

@@ -50,7 +50,7 @@ use crate::gphi::oracle::GuardedLabelOracle;
 use crate::locality::{AnswerCache, CacheKey, CacheStats, NO_REACH};
 use crate::metrics::{LatencyHistogram, Recorder, SearchStats, StatsSink};
 use crate::{flex_k, Aggregate, FannAnswer, FannQuery, KFannAnswer, QueryError};
-use hublabel::HubLabels;
+use hublabel::{HubLabels, SourceTable};
 use roadnet::cancel::{CancelCheck, CancelToken, Cancelled};
 use roadnet::{
     AppliedUpdate, Dist, Graph, NetworkSnapshot, NodeId, RepairScope, ScratchPool, SharedExpansion,
@@ -322,7 +322,7 @@ impl EngineSnapshot {
     /// snapshot is index-free.
     pub fn oracle(&self) -> Option<GuardedLabelOracle<'_>> {
         let labels = self.labels.as_deref()?;
-        Some(GuardedLabelOracle::new(
+        Some(GuardedLabelOracle::guarded(
             labels,
             self.net.graph(),
             self.stale.updates(),
@@ -832,11 +832,12 @@ impl Engine {
         let answer = match prep.strategy {
             Strategy::IerKnnLabels => {
                 let oracle = snap.oracle().expect("strategy implies labels");
+                let oracle = oracle.with_table(std::mem::take(&mut state.labels));
                 let rtree = build_p_rtree(graph, query.p);
                 // Each IerPhi eval is a bounded |Q|-label scan, so polling
                 // between evals (inside ier_knn_cancellable) is enough.
-                let gphi = IerPhi::with_recorder(graph, oracle, query.q, rec);
-                ier_knn_cancellable(
+                let gphi = IerPhi::with_recorder(graph, &oracle, query.q, rec);
+                let answer = ier_knn_cancellable(
                     graph,
                     &query,
                     &rtree,
@@ -844,7 +845,10 @@ impl Engine {
                     IerBound::Flexible,
                     rec,
                     cancel,
-                )
+                );
+                drop(gphi);
+                state.labels = oracle.into_table();
+                answer
             }
             Strategy::ExactMax => {
                 exact_max_cancellable(graph, &query, &mut state.pool, rec, cancel)
@@ -1188,15 +1192,17 @@ impl BatchReport {
 }
 
 /// The one recycled per-worker search container: a scratch pool for the
-/// `|Q|`-expansion algorithms and APX-sum's candidate searches, and the
-/// graph-free buffers of the INE `g_phi` backend. It holds no graph and no
-/// `(R, C)` instantiation, so one state serves every strategy, traced or
-/// not, across epoch swaps; a throw-away one ([`Engine::query`]) answers
-/// like a warm one, only slower.
+/// `|Q|`-expansion algorithms and APX-sum's candidate searches, the
+/// graph-free buffers of the INE `g_phi` backend, and the label oracle's
+/// [`SourceTable`]. It holds no graph and no `(R, C)` instantiation, so
+/// one state serves every strategy, traced or not, across epoch swaps (the
+/// table knows which labels it holds); a throw-away one
+/// ([`Engine::query`]) answers like a warm one, only slower.
 #[derive(Default)]
 struct SearchState {
     pool: ScratchPool,
     ine: IneBuffers,
+    labels: SourceTable,
 }
 
 /// What a [`QuerySession`] query resolved to, as the serving tier reports
@@ -1791,6 +1797,96 @@ mod tests {
             .unwrap()
             .labels_dropped
             .is_some());
+    }
+
+    /// Fires on the `n`-th poll and stays fired: a deterministic cancel
+    /// point inside a search.
+    #[derive(Clone, Copy)]
+    struct CancelAfter<'a>(&'a std::cell::Cell<u32>);
+
+    impl CancelCheck for CancelAfter<'_> {
+        fn poll_cancelled(self) -> bool {
+            self.0.set(self.0.get().saturating_sub(1));
+            self.0.get() == 0
+        }
+        fn cancelled_now(self) -> bool {
+            self.0.get() == 0
+        }
+    }
+
+    #[test]
+    fn a_session_cancelled_mid_ier_answers_next_like_a_fresh_one() {
+        // Cancel the session's IER-kNN at every poll in turn, so some
+        // cancels land with the label table pinned on a candidate; the
+        // session's next answers and work counts must not notice.
+        let g = grid(9, 9);
+        let engine = Engine::new(&g).with_labels();
+        let token = CancelToken::new();
+        let snap = engine.snapshot();
+        let p: Vec<u32> = (0..81).step_by(2).collect();
+        let q = vec![3u32, 17, 40, 62, 77, 8];
+        let other_q = vec![0u32, 44, 80];
+        let mut cancelled = 0;
+        for polls in 1..48 {
+            for agg in [Aggregate::Sum, Aggregate::Max] {
+                let mut session = engine.session(&token);
+                let prep = engine.prepare(&snap, &p, &q, 0.5, agg).unwrap();
+                assert_eq!(prep.strategy, Strategy::IerKnnLabels);
+                let left = std::cell::Cell::new(polls);
+                let cut = Engine::answer(&snap, &prep, &mut session.state, (), CancelAfter(&left));
+                match cut {
+                    Err(QueryError::Cancelled) => cancelled += 1,
+                    other => assert_eq!(other, engine.query(&p, &q, 0.5, agg)),
+                }
+                for qq in [&q, &other_q] {
+                    let warm = session.query(&p, qq, 0.5, agg).unwrap();
+                    let fresh = engine.session(&token).query(&p, qq, 0.5, agg).unwrap();
+                    assert_eq!((warm.0, warm.1), (fresh.0, fresh.1), "polls {polls} {agg}");
+                }
+            }
+        }
+        assert!(cancelled > 2, "no cancel landed mid-search");
+    }
+
+    #[test]
+    fn a_session_stays_exact_across_label_republication() {
+        // One session through fresh labels, stale labels guarding an
+        // increase or a decrease, and labels a repair republished.
+        let g = grid(6, 6);
+        let engine = Engine::new(&g).with_labels();
+        let token = CancelToken::new();
+        let mut session = engine.session(&token);
+        // A lone candidate leaves the table pinned on it, and the next
+        // stage starts from that same source: 7, an end of the edge
+        // that changes.
+        let many: Vec<u32> = (0..36).step_by(3).collect();
+        let q = vec![1u32, 14, 22, 35, 8];
+        let check = |session: &mut QuerySession<'_>, stage: &str| {
+            for p in [&[7][..], &many, &[7]] {
+                for agg in [Aggregate::Sum, Aggregate::Max] {
+                    let query = FannQuery::new(p, &q, 0.6, agg);
+                    let truth = brute_force(engine.snapshot().graph(), &query).unwrap();
+                    let (got, ..) = session.query(p, &q, 0.6, agg).unwrap();
+                    assert_eq!(got.as_ref().unwrap().dist, truth.dist, "{stage} {agg}");
+                    let fresh = engine.session(&token).query(p, &q, 0.6, agg).unwrap();
+                    assert_eq!(got, fresh.0, "{stage} {agg}");
+                }
+            }
+        };
+        check(&mut session, "built");
+        for w in [60, 10, 25] {
+            let before = engine.snapshot().hub_labels().unwrap().clone();
+            engine
+                .apply_updates(&[WeightUpdate { u: 7, v: 8, w }])
+                .unwrap();
+            assert!(engine.is_stale());
+            check(&mut session, &format!("stale w={w}"));
+            engine.repair_indexes();
+            assert!(!engine.is_stale());
+            let after = engine.snapshot().hub_labels().unwrap().clone();
+            assert!(!Arc::ptr_eq(&before, &after));
+            check(&mut session, &format!("repaired w={w}"));
+        }
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl<O: DistanceOracle, R: Recorder> GPhi for IerPhi<'_, O, R> {
 mod tests {
     use super::*;
     use crate::gphi::ine::InePhi;
-    use crate::gphi::oracle::{AStarOracle, DijkstraOracle, GTreeOracle, LabelOracle};
+    use crate::gphi::oracle::{AStarOracle, DijkstraOracle, GTreeOracle, GuardedLabelOracle};
     use gtree::{GTree, GTreeParams};
     use hublabel::HubLabels;
     use roadnet::GraphBuilder;
@@ -165,7 +165,7 @@ mod tests {
         let backends: Vec<Box<dyn GPhi + '_>> = vec![
             Box::new(IerPhi::new(&g, DijkstraOracle::new(&g), &q)),
             Box::new(IerPhi::new(&g, AStarOracle::new(&g), &q)),
-            Box::new(IerPhi::new(&g, LabelOracle { labels: &hl }, &q)),
+            Box::new(IerPhi::new(&g, GuardedLabelOracle::new(&hl), &q)),
             Box::new(IerPhi::new(
                 &g,
                 GTreeOracle {

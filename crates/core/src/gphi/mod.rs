@@ -11,11 +11,11 @@
 //! |---|---|---|
 //! | INE        | [`ine::InePhi`]           | incremental network expansion |
 //! | A\*        | [`scan::ScanPhi`] over [`oracle::AStarOracle`] | per-pair A\* |
-//! | PHL        | [`scan::ScanPhi`] over [`oracle::LabelOracle`] | hub-label lookups |
+//! | PHL        | [`scan::ScanPhi`] over [`oracle::GuardedLabelOracle`] | hub-label lookups |
 //! | GTree      | [`gtree_knn::GTreeKnnPhi`] | occurrence-list kNN |
 //! | IER-A\*    | [`ier2::IerPhi`] over [`oracle::AStarOracle`] | R-tree on `Q` + A\* |
 //! | IER-GTree  | [`ier2::IerPhi`] over [`oracle::GTreeOracle`] | R-tree on `Q` + G-tree |
-//! | IER-PHL    | [`ier2::IerPhi`] over [`oracle::LabelOracle`] | R-tree on `Q` + labels |
+//! | IER-PHL    | [`ier2::IerPhi`] over [`oracle::GuardedLabelOracle`] | R-tree on `Q` + labels |
 //!
 //! A backend is constructed once per query (capturing the graph, `Q`, and
 //! any index) and then evaluated for many candidate points `p`.

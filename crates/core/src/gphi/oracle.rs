@@ -8,7 +8,7 @@
 
 use crate::metrics::Recorder;
 use gtree::GTree;
-use hublabel::HubLabels;
+use hublabel::{HubLabels, SourceTable};
 use roadnet::{
     astar_pair_recorded, astar_pair_with, bidirectional_pair, dijkstra_pair_recorded,
     AppliedUpdate, Dist, Graph, LowerBound, NodeId, QueryScratch,
@@ -137,25 +137,12 @@ impl DistanceOracle for BidirOracle<'_> {
     }
 }
 
-/// Hub-label oracle — the paper's "PHL" role (DESIGN.md §5).
-pub struct LabelOracle<'l> {
-    pub labels: &'l HubLabels,
-}
-
-impl DistanceOracle for LabelOracle<'_> {
-    fn dist(&self, s: NodeId, t: NodeId) -> Option<Dist> {
-        self.labels.distance(s, t)
-    }
-    fn name(&self) -> &'static str {
-        "PHL"
-    }
-}
-
-/// Hub labels guarded by a set of weight updates the labels have not yet
-/// absorbed — the staleness contract of the snapshot engine.
+/// Hub-label oracle — the paper's "PHL" role (DESIGN.md §5) — guarded by
+/// a set of weight updates the labels have not yet absorbed: the
+/// staleness contract of the snapshot engine.
 ///
-/// * No pending updates: plain label lookups (identical to
-///   [`LabelOracle`]).
+/// * No pending updates ([`GuardedLabelOracle::new`]): plain label
+///   lookups.
 /// * Increase-only updates: the old label distance is trusted unless some
 ///   updated edge was *tight* on an old shortest path between the pair
 ///   (`d_old(s,u) + w_old + d_old(v,t) == d_old(s,t)` in either
@@ -166,11 +153,23 @@ impl DistanceOracle for LabelOracle<'_> {
 ///   do not compose across multiple changed edges, so the oracle is
 ///   conservative — stale answers are *never* wrong, only slower.
 ///
+/// Every label distance from the query's source `s` — the fresh lookup,
+/// `d_old(s,t)` and each `d_old(s,u)` — resolves through one
+/// [`SourceTable`] ([`HubLabels::distance_from`]), so IER's run of `|Q|`
+/// lookups per candidate scatters the candidate's label once.
+///
 /// The A\* fallback uses the snapshot lineage's lower bound, which stays
 /// admissible across epochs because every published update is validated
 /// against it.
 pub struct GuardedLabelOracle<'s> {
     labels: &'s HubLabels,
+    /// Updates the labels have not absorbed; `None` when they are fresh.
+    stale: Option<Stale<'s>>,
+    table: RefCell<SourceTable>,
+}
+
+/// What [`GuardedLabelOracle`] needs to stay exact past the labels' epoch.
+struct Stale<'s> {
     graph: &'s Graph,
     updates: &'s [AppliedUpdate],
     increase_only: bool,
@@ -179,7 +178,17 @@ pub struct GuardedLabelOracle<'s> {
 }
 
 impl<'s> GuardedLabelOracle<'s> {
-    pub fn new(
+    /// Labels that match the graph they answer on: no updates to guard.
+    pub fn new(labels: &'s HubLabels) -> Self {
+        GuardedLabelOracle {
+            labels,
+            stale: None,
+            table: RefCell::default(),
+        }
+    }
+
+    /// Labels built before `updates` were applied to `graph`.
+    pub fn guarded(
         labels: &'s HubLabels,
         graph: &'s Graph,
         updates: &'s [AppliedUpdate],
@@ -187,44 +196,66 @@ impl<'s> GuardedLabelOracle<'s> {
         lb: LowerBound,
     ) -> Self {
         GuardedLabelOracle {
-            labels,
-            graph,
-            updates,
-            increase_only,
-            lb,
-            scratch: RefCell::new(QueryScratch::new()),
+            stale: (!updates.is_empty()).then(|| Stale {
+                graph,
+                updates,
+                increase_only,
+                lb,
+                scratch: RefCell::new(QueryScratch::new()),
+            }),
+            ..Self::new(labels)
         }
+    }
+
+    /// Answer through `table` (a recycled one, typically) instead of an
+    /// empty one.
+    pub fn with_table(self, table: SourceTable) -> Self {
+        self.table.replace(table);
+        self
+    }
+
+    /// Give the table back for the next oracle.
+    pub fn into_table(self) -> SourceTable {
+        self.table.into_inner()
     }
 }
 
 impl DistanceOracle for GuardedLabelOracle<'_> {
     fn dist(&self, s: NodeId, t: NodeId) -> Option<Dist> {
-        if self.updates.is_empty() {
-            return self.labels.distance(s, t);
-        }
-        if self.increase_only {
+        let from_s = |t| {
+            self.labels
+                .distance_from(&mut self.table.borrow_mut(), s, t)
+        };
+        let Some(stale) = &self.stale else {
+            return from_s(t);
+        };
+        if stale.increase_only {
             // Weight increases never change connectivity, so a `None`
             // here is a genuine disconnection in every epoch.
-            let d_old = self.labels.distance(s, t)?;
-            let tight = |a: NodeId, b: NodeId, w_old: Dist| match (
-                self.labels.distance(s, a),
-                self.labels.distance(b, t),
-            ) {
-                (Some(da), Some(db)) => da.saturating_add(w_old).saturating_add(db) == d_old,
-                _ => false,
-            };
-            let affected = self.updates.iter().any(|up| {
+            let d_old = from_s(t)?;
+            let tight =
+                |a: NodeId, b: NodeId, w_old: Dist| match (from_s(a), self.labels.distance(b, t)) {
+                    (Some(da), Some(db)) => da.saturating_add(w_old).saturating_add(db) == d_old,
+                    _ => false,
+                };
+            let affected = stale.updates.iter().any(|up| {
                 tight(up.u, up.v, up.w_old as Dist) || tight(up.v, up.u, up.w_old as Dist)
             });
             if !affected {
                 return Some(d_old);
             }
         }
-        astar_pair_with(self.graph, &self.lb, s, t, &mut self.scratch.borrow_mut())
+        astar_pair_with(
+            stale.graph,
+            &stale.lb,
+            s,
+            t,
+            &mut stale.scratch.borrow_mut(),
+        )
     }
 
-    // Same role as [`LabelOracle`] in figure legends and IER stats: the
-    // fallback is an internal freshness detail, not a different method.
+    // One name whatever the staleness: the fallback is an internal
+    // freshness detail, not a different method.
     fn name(&self) -> &'static str {
         "PHL"
     }
@@ -272,7 +303,7 @@ mod tests {
             Box::new(DijkstraOracle::new(&g)),
             Box::new(AStarOracle::new(&g)),
             Box::new(BidirOracle { graph: &g }),
-            Box::new(LabelOracle { labels: &hl }),
+            Box::new(GuardedLabelOracle::new(&hl)),
             Box::new(GTreeOracle {
                 tree: &gt,
                 graph: &g,
@@ -297,7 +328,7 @@ mod tests {
             DijkstraOracle::new(&g).name(),
             AStarOracle::new(&g).name(),
             BidirOracle { graph: &g }.name(),
-            LabelOracle { labels: &hl }.name(),
+            GuardedLabelOracle::new(&hl).name(),
             GTreeOracle {
                 tree: &gt,
                 graph: &g,
@@ -313,7 +344,7 @@ mod tests {
         let g = diamond();
         let hl = HubLabels::build(&g).unwrap();
         // No pending updates: identical to plain label lookups.
-        let fresh = GuardedLabelOracle::new(&hl, &g, &[], true, LowerBound::for_graph(&g));
+        let fresh = GuardedLabelOracle::guarded(&hl, &g, &[], true, LowerBound::for_graph(&g));
         for s in 0..4 {
             for t in 0..4 {
                 assert_eq!(fresh.dist(s, t), dijkstra_pair(&g, s, t));
@@ -329,7 +360,7 @@ mod tests {
             w_old: 1,
             w_new: 5,
         }];
-        let inc = GuardedLabelOracle::new(&hl, &patched, &ups, true, LowerBound::for_graph(&g));
+        let inc = GuardedLabelOracle::guarded(&hl, &patched, &ups, true, LowerBound::for_graph(&g));
         for s in 0..4 {
             for t in 0..4 {
                 assert_eq!(inc.dist(s, t), dijkstra_pair(&patched, s, t), "{s}->{t}");
@@ -344,7 +375,8 @@ mod tests {
             w_old: 2,
             w_new: 1,
         }];
-        let dec = GuardedLabelOracle::new(&hl, &patched, &ups, false, LowerBound::for_graph(&g));
+        let dec =
+            GuardedLabelOracle::guarded(&hl, &patched, &ups, false, LowerBound::for_graph(&g));
         for s in 0..4 {
             for t in 0..4 {
                 assert_eq!(dec.dist(s, t), dijkstra_pair(&patched, s, t), "{s}->{t}");

@@ -67,7 +67,7 @@ impl<O: DistanceOracle, R: Recorder> GPhi for ScanPhi<'_, O, R> {
 mod tests {
     use super::*;
     use crate::gphi::ine::InePhi;
-    use crate::gphi::oracle::{AStarOracle, DijkstraOracle, LabelOracle};
+    use crate::gphi::oracle::{AStarOracle, DijkstraOracle, GuardedLabelOracle};
     use hublabel::HubLabels;
     use roadnet::{Graph, GraphBuilder};
 
@@ -100,7 +100,7 @@ mod tests {
         let ine = InePhi::new(&g, &q);
         let scan_dij = ScanPhi::new(DijkstraOracle::new(&g), &q);
         let scan_astar = ScanPhi::new(AStarOracle::new(&g), &q);
-        let scan_label = ScanPhi::new(LabelOracle { labels: &hl }, &q);
+        let scan_label = ScanPhi::new(GuardedLabelOracle::new(&hl), &q);
         for p in 0..25u32 {
             for k in [1usize, 3, 7] {
                 for agg in [Aggregate::Sum, Aggregate::Max] {

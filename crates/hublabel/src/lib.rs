@@ -23,8 +23,12 @@
 //! cover*: for every pair `(s, t)` some vertex on a shortest `s`-`t` path
 //! is in both labels.
 //!
-//! Queries are a sorted-list merge: `min over common hubs h of
-//! L_s(h) + L_t(h)` — about a microsecond in practice.
+//! A query is `min over common hubs h of L_s(h) + L_t(h)`. A lone pair is
+//! a sorted-list merge ([`HubLabels::distance`]). Many pairs that share a
+//! source go through a [`SourceTable`]: `L_s` is scattered once into a
+//! rank-indexed array, and each `d(s, t)` is a gather over `L_t` alone
+//! ([`HubLabels::distance_from`]). The build's pruning test is the same
+//! scatter/gather, with the hub being searched from as the source.
 //!
 //! Label distances are stored as `u32` (edge weights are `u32`, and a
 //! road network's diameter fits with room to spare); a distance that does
@@ -38,7 +42,7 @@ use roadnet::{Dist, Graph, NodeId, INF};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Why a label build or repair produced no index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,6 +197,15 @@ pub struct HubLabels {
     dists: FlatVec<u32>,
     /// `order[rank]` is the hub with that rank: a permutation of `0..n`.
     order: FlatVec<NodeId>,
+    /// Process-unique identity, so a [`SourceTable`] never serves one
+    /// index's scatter to another. Not part of the index's value.
+    id: u64,
+}
+
+/// A fresh identity for every index built or loaded.
+fn next_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl HubLabels {
@@ -273,21 +286,17 @@ impl HubLabels {
             w => w,
         };
         let mut labels: Vec<Label> = vec![Vec::new(); n];
+        let mut hub_dist = SourceTable::new();
         for (b, batch) in order.chunks(BATCH).enumerate() {
             let base = (b * BATCH) as u32;
             let candidates = Self::batch_searches(g, batch, &labels, workers);
             for (i, (&hub, cands)) in batch.iter().zip(candidates).enumerate() {
                 // Distance from this hub to each earlier hub of the batch.
-                let mut hub_dist = [INF; BATCH];
-                for &(r, dh) in tail_from(&labels[hub as usize], base) {
-                    hub_dist[(r - base) as usize] = dh as Dist;
-                }
+                hub_dist.scatter(n, tail_from(&labels[hub as usize], base).iter().copied());
                 for (u, d) in cands {
-                    let certified = tail_from(&labels[u as usize], base)
-                        .iter()
-                        .map(|&(r, du)| hub_dist[(r - base) as usize].saturating_add(du as Dist))
-                        .min();
-                    if certified.is_none_or(|c| c > d) {
+                    let certified =
+                        hub_dist.gather(tail_from(&labels[u as usize], base).iter().copied());
+                    if certified > d {
                         push_entry(&mut labels, (hub, base + i as u32), u, d)?;
                     }
                 }
@@ -366,6 +375,7 @@ impl HubLabels {
             ranks: ranks.into(),
             dists: dists.into(),
             order: order.to_vec().into(),
+            id: next_id(),
         }
     }
 
@@ -403,6 +413,24 @@ impl HubLabels {
             i += (a <= b) as usize;
             j += (b <= a) as usize;
         }
+        (best != INF).then_some(best)
+    }
+
+    /// [`HubLabels::distance`] through `table`: scatter `L(s)` into it
+    /// unless it already holds `s` for this index, then gather over
+    /// `L(t)`. Bit-identical to `distance(s, t)`; a run of targets for one
+    /// source pays for `L(s)` once instead of once per merge.
+    pub fn distance_from(&self, table: &mut SourceTable, s: NodeId, t: NodeId) -> Option<Dist> {
+        if s == t {
+            return Some(0);
+        }
+        if table.source != Some((self.id, s)) {
+            let (sr, sd) = self.label(s);
+            table.scatter(self.num_nodes(), sr.iter().copied().zip(sd.iter().copied()));
+            table.source = Some((self.id, s));
+        }
+        let (tr, td) = self.label(t);
+        let best = table.gather(tr.iter().copied().zip(td.iter().copied()));
         (best != INF).then_some(best)
     }
 
@@ -576,10 +604,64 @@ impl PartialEq for HubLabels {
     }
 }
 
+/// One source's label scattered by hub rank, for
+/// [`HubLabels::distance_from`]: `INF` at every rank the source's label
+/// lacks. A new source clears only the ranks the previous one wrote, so a
+/// switch costs `O(|L(s)|)`, never `O(n)`. The array grows to the index's
+/// node count on first use; a table may be reused across queries,
+/// sources and indexes.
+///
+/// The merge it replaces is latency-bound: which list advances depends
+/// on the previous comparison, so each step waits for the last. A gather
+/// over `L(t)`'s ranks is independent loads in ascending address order.
+#[derive(Default)]
+pub struct SourceTable {
+    /// `by_rank[r]` = `dist(source, hub of rank r)`, or `INF`.
+    by_rank: Vec<Dist>,
+    /// The ranks the current source wrote: exactly what the next clear
+    /// resets.
+    written: Vec<u32>,
+    /// `(index id, source)` the table holds, if it holds a label of an
+    /// index at all.
+    source: Option<(u64, NodeId)>,
+}
+
+impl SourceTable {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replace the table's contents with `entries` (`(rank, dist)`, ranks
+    /// `< n`), clearing the previous source's ranks first.
+    fn scatter(&mut self, n: usize, entries: impl Iterator<Item = (u32, u32)>) {
+        for r in self.written.drain(..) {
+            self.by_rank[r as usize] = INF;
+        }
+        if self.by_rank.len() < n {
+            self.by_rank.resize(n, INF);
+        }
+        self.source = None;
+        for (r, d) in entries {
+            self.by_rank[r as usize] = d as Dist;
+            self.written.push(r);
+        }
+    }
+
+    /// `min over entries (r, d) of table[r] + d`, `INF` when no rank of
+    /// `entries` is in the table. An absent rank saturates to `INF`, so
+    /// the loop has no branch on it.
+    #[inline]
+    fn gather(&self, entries: impl Iterator<Item = (u32, u32)>) -> Dist {
+        entries.fold(INF, |best, (r, d)| {
+            best.min(self.by_rank[r as usize].saturating_add(d as Dist))
+        })
+    }
+}
+
 /// Reusable per-worker state for one pruned Dijkstra.
 struct SearchScratch {
     dist: Vec<Dist>,
-    hub_dist_by_rank: Vec<Dist>,
+    hub: SourceTable,
     touched: Vec<NodeId>,
     heap: BinaryHeap<(Reverse<Dist>, NodeId)>,
 }
@@ -588,7 +670,7 @@ impl SearchScratch {
     fn new(n: usize) -> Self {
         SearchScratch {
             dist: vec![INF; n],
-            hub_dist_by_rank: vec![INF; n],
+            hub: SourceTable::new(),
             touched: Vec::new(),
             heap: BinaryHeap::new(),
         }
@@ -598,9 +680,8 @@ impl SearchScratch {
     /// `(node, dist)` for every settled, unpruned node in settle order.
     fn pruned_dijkstra(&mut self, g: &Graph, hub: NodeId, labels: &[Label]) -> Vec<(NodeId, Dist)> {
         let mut out = Vec::new();
-        for &(r, d) in &labels[hub as usize] {
-            self.hub_dist_by_rank[r as usize] = d as Dist;
-        }
+        self.hub
+            .scatter(labels.len(), labels[hub as usize].iter().copied());
         self.dist[hub as usize] = 0;
         self.touched.push(hub);
         self.heap.push((Reverse(0), hub));
@@ -609,13 +690,7 @@ impl SearchScratch {
                 continue;
             }
             // Pruning test: is (hub -> u) already certified by earlier hubs?
-            let mut certified = INF;
-            for &(r, du) in &labels[u as usize] {
-                let dh = self.hub_dist_by_rank[r as usize];
-                if dh != INF {
-                    certified = certified.min(dh + du as Dist);
-                }
-            }
+            let certified = self.hub.gather(labels[u as usize].iter().copied());
             if certified <= d {
                 continue;
             }
@@ -628,9 +703,6 @@ impl SearchScratch {
                     self.heap.push((Reverse(nd), t));
                 }
             }
-        }
-        for &(r, _) in &labels[hub as usize] {
-            self.hub_dist_by_rank[r as usize] = INF;
         }
         for &v in &self.touched {
             self.dist[v as usize] = INF;
@@ -686,12 +758,16 @@ mod tests {
         b.build()
     }
 
+    /// Both kernels against Dijkstra on every pair; one table serves the
+    /// whole sweep, so it switches source `n` times.
     fn assert_exact(g: &Graph, hl: &HubLabels) {
+        let mut table = SourceTable::new();
         for s in 0..g.num_nodes() as NodeId {
             let truth = dijkstra_all(g, s);
             for t in 0..g.num_nodes() as NodeId {
                 let expect = (truth[t as usize] != INF).then_some(truth[t as usize]);
                 assert_eq!(hl.distance(s, t), expect, "pair {s}->{t}");
+                assert_eq!(hl.distance_from(&mut table, s, t), expect, "table {s}->{t}");
             }
         }
     }
@@ -775,19 +851,59 @@ mod tests {
         b.add_edge(2, 3, 5);
         let g = b.build();
         let hl = HubLabels::build(&g).unwrap();
-        assert_eq!(hl.distance(0, 1), Some(2));
-        assert_eq!(hl.distance(2, 3), Some(5));
-        assert_eq!(hl.distance(0, 2), None);
-        assert_eq!(hl.distance(1, 3), None);
+        let mut table = SourceTable::new();
+        for (s, t, want) in [
+            (0, 1, Some(2)),
+            (0, 2, None),
+            (2, 3, Some(5)),
+            (2, 0, None),
+            (1, 3, None),
+            (1, 0, Some(2)),
+        ] {
+            assert_eq!(hl.distance(s, t), want, "{s}->{t}");
+            assert_eq!(hl.distance_from(&mut table, s, t), want, "table {s}->{t}");
+        }
     }
 
     #[test]
     fn self_distance_zero() {
         let g = grid(3, 3);
         let hl = HubLabels::build(&g).unwrap();
+        let mut table = SourceTable::new();
         for v in 0..9 {
             assert_eq!(hl.distance(v, v), Some(0));
+            // Pinned on another source, and pinned on `v` itself.
+            assert_eq!(hl.distance_from(&mut table, v, v), Some(0));
+            assert_eq!(
+                hl.distance_from(&mut table, v, (v + 1) % 9),
+                hl.distance(v, (v + 1) % 9)
+            );
+            assert_eq!(hl.distance_from(&mut table, v, v), Some(0));
         }
+    }
+
+    #[test]
+    fn one_table_serves_many_indexes() {
+        // Same node count, different weights: a table pinned on source 0
+        // of one index must not answer for source 0 of the other, whether
+        // the second is built, loaded, or a repair of the first.
+        let a = grid(5, 4);
+        let b = patched(&a, &[(0, 1, 9), (0, 5, 9)]);
+        let la = HubLabels::build(&a).unwrap();
+        let lb = HubLabels::build(&b).unwrap();
+        let loaded = HubLabels::from_flat_bytes(&lb.to_flat_bytes()).unwrap();
+        let (repaired, _) = la.repair_scoped(&b, &[(0, 1), (0, 5)]).unwrap();
+        let mut table = SourceTable::new();
+        for t in 1..20 {
+            for hl in [&la, &lb, &loaded, &repaired, &la] {
+                assert_eq!(
+                    hl.distance_from(&mut table, 0, t),
+                    hl.distance(0, t),
+                    "0->{t}"
+                );
+            }
+        }
+        assert_ne!(la.distance(0, 1), lb.distance(0, 1));
     }
 
     #[test]
@@ -924,6 +1040,16 @@ mod tests {
         let hl = HubLabels::build_with_order(&edge, &[1, 0, 2]).unwrap();
         assert_exact(&edge, &hl);
         assert_eq!(hl.distance(0, 2), Some(2 * u32::MAX as Dist));
+        let mut table = SourceTable::new();
+        assert_eq!(
+            hl.distance_from(&mut table, 0, 2),
+            Some(2 * u32::MAX as Dist)
+        );
+        assert_eq!(
+            hl.distance_from(&mut table, 2, 0),
+            Some(2 * u32::MAX as Dist)
+        );
+        assert_eq!(hl.distance_from(&mut table, 2, 1), Some(u32::MAX as Dist));
     }
 
     fn patched(g: &Graph, patches: &[(NodeId, NodeId, u32)]) -> Graph {

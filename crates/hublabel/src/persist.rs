@@ -15,7 +15,7 @@
 //! order (repairs re-derived one); such a file is refused with
 //! `UnsupportedVersion(2)` rather than served against the wrong ranks.
 
-use crate::{is_permutation, HubLabels};
+use crate::{is_permutation, next_id, HubLabels};
 use roadnet::flat::{ensure, FlatError, FlatFile, FlatStreamWriter, FlatVec, FlatWriter, LoadMode};
 use roadnet::NodeId;
 use std::path::Path;
@@ -102,6 +102,7 @@ impl HubLabels {
             ranks,
             dists,
             order,
+            id: next_id(),
         })
     }
 }

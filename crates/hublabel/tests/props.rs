@@ -1,7 +1,7 @@
 //! Property tests: hub labels are exact, survive persistence, and repair
 //! to exactly what a rebuild with the index's own hub order produces.
 
-use hublabel::{default_order, HubLabels};
+use hublabel::{default_order, HubLabels, SourceTable};
 use proptest::prelude::*;
 use roadnet::dijkstra::dijkstra_all;
 use roadnet::{Graph, GraphBuilder, NodeId, INF};
@@ -54,14 +54,28 @@ fn update_batch(g: &Graph, seed: u64) -> Vec<(NodeId, NodeId, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    /// Both kernels ≡ Dijkstra on every pair. The table sees the pairs in
+    /// an order whose source changes mid-stream (`s, s, s', s, …`), so a
+    /// source switch that left a stale rank behind would show.
     #[test]
-    fn labels_exact(g in arb_graph()) {
+    fn labels_exact(g in arb_graph(), seed in any::<u64>()) {
         let hl = HubLabels::build(&g).unwrap();
-        for s in 0..g.num_nodes() as u32 {
-            let truth = dijkstra_all(&g, s);
-            for t in 0..g.num_nodes() as u32 {
-                let want = (truth[t as usize] != INF).then_some(truth[t as usize]);
-                prop_assert_eq!(hl.distance(s, t), want);
+        let n = g.num_nodes() as u32;
+        let truth: Vec<Vec<_>> = (0..n).map(|s| dijkstra_all(&g, s)).collect();
+        let want = |s: u32, t: u32| {
+            let d = truth[s as usize][t as usize];
+            (d != INF).then_some(d)
+        };
+        let mut next = xorshift(seed);
+        let mut table = SourceTable::new();
+        for s in 0..n {
+            for t in 0..n {
+                prop_assert_eq!(hl.distance(s, t), want(s, t));
+                prop_assert_eq!(hl.distance_from(&mut table, s, t), want(s, t));
+                if next().is_multiple_of(3) {
+                    let other = (next() % n as u64) as u32;
+                    prop_assert_eq!(hl.distance_from(&mut table, other, t), want(other, t));
+                }
             }
         }
     }

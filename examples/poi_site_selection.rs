@@ -11,7 +11,7 @@
 use fannr::fann::algo::ier::build_p_rtree;
 use fannr::fann::algo::topk::{exact_max_topk, ier_topk};
 use fannr::fann::gphi::ier2::IerPhi;
-use fannr::fann::gphi::oracle::LabelOracle;
+use fannr::fann::gphi::oracle::GuardedLabelOracle;
 use fannr::fann::{Aggregate, FannQuery};
 use fannr::hublabel::HubLabels;
 use fannr::workload::poi::{generate_poi, PoiKind};
@@ -45,7 +45,7 @@ fn main() {
 
     let query = FannQuery::new(&kitchens, &hospitals, 0.6, Aggregate::Max);
     let rtree = build_p_rtree(&graph, &kitchens);
-    let gphi = IerPhi::new(&graph, LabelOracle { labels: &labels }, &hospitals);
+    let gphi = IerPhi::new(&graph, GuardedLabelOracle::new(&labels), &hospitals);
 
     // Top-5 sites via the indexed pipeline.
     let t0 = std::time::Instant::now();

@@ -11,11 +11,8 @@
 //!
 //! `query` generates `P`/`Q` with the §VI-A generators (deterministic per
 //! `--seed`) and prints the answer; `--routes` additionally materializes
-//! the winning shortest paths. `bench-batch` runs the batch/throughput
-//! experiment (recycled scratch vs per-query setup, sequential vs
-//! `Engine::query_batch`).
+//! the winning shortest paths.
 
-use fannr::bench::throughput::{run_throughput, CountingAlloc, ThroughputOpts};
 use fannr::fann::algo::ier::build_p_rtree;
 use fannr::fann::algo::topk::{exact_max_topk, gd_topk, ier_topk, rlist_topk};
 use fannr::fann::algo::{
@@ -25,7 +22,7 @@ use fannr::fann::algo::{
 use fannr::fann::engine::{Engine, IndexDirOptions};
 use fannr::fann::gphi::ier2::IerPhi;
 use fannr::fann::gphi::ine::InePhi;
-use fannr::fann::gphi::oracle::LabelOracle;
+use fannr::fann::gphi::oracle::GuardedLabelOracle;
 use fannr::fann::gphi::GPhi;
 use fannr::fann::metrics::{SearchStats, StatsSink};
 use fannr::fann::{Aggregate, FannAnswer, FannQuery};
@@ -40,10 +37,6 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
-
-// Count heap allocations so `bench-batch` can report allocations/query.
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -65,8 +58,6 @@ fn main() -> ExitCode {
         "route" => cmd_route(&opts),
         "update" => cmd_update(&opts),
         "build-index" => cmd_build_index(&opts),
-        "bench-batch" => cmd_bench_batch(&opts),
-        "bench-coldstart" => cmd_bench_coldstart(&opts),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -117,11 +108,6 @@ commands:
   build-index  build the flat v2 index directory (--graph | --nodes --seed,
              --out DIR, --workers); writes graph.v2 +
              labels.v2 for `serve --index`
-  bench-batch  measure batch throughput          (--nodes, --queries,
-             --p-size, --q-size, --phi, --workers, --seed)
-  bench-coldstart  compare text-graph parse vs   (--nodes, --seed, --queries,
-             flat v2 read vs mmap zero-copy load  --q-size, --p-density, --phi,
-                                                  --out JSON, --artifacts DIR)
 algorithms:  gd | r-list | ier-knn | exact-max | apx-sum";
 
 fn parse_opts(args: impl Iterator<Item = String>) -> HashMap<String, String> {
@@ -257,7 +243,7 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     // Backend: persisted labels if provided, else index-free INE.
     let labels = opts.get("labels").map(|p| load_labels(p)).transpose()?;
     let gphi: Box<dyn GPhi> = match &labels {
-        Some(l) => Box::new(IerPhi::new(&g, LabelOracle { labels: l }, &q)),
+        Some(l) => Box::new(IerPhi::new(&g, GuardedLabelOracle::new(l), &q)),
         None => Box::new(InePhi::new(&g, &q)),
     };
     if json {
@@ -383,7 +369,7 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
                 apx_sum_traced(&g, &query, &gphi, &sink)
             }
             "IER-kNN/PHL" => {
-                let gphi = IerPhi::with_recorder(&g, LabelOracle { labels: &labels }, &q, &sink);
+                let gphi = IerPhi::with_recorder(&g, GuardedLabelOracle::new(&labels), &q, &sink);
                 ier_knn_traced(&g, &query, &rtree, &gphi, IerBound::Flexible, &sink)
             }
             _ => unreachable!("strategy list is fixed above"),
@@ -800,29 +786,6 @@ fn cmd_update(opts: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-fn cmd_bench_batch(opts: &HashMap<String, String>) -> Result<(), String> {
-    let defaults = ThroughputOpts::default();
-    let nodes: usize = get(opts, "nodes", defaults.nodes);
-    let queries: usize = get(opts, "queries", defaults.queries);
-    if nodes < 4 {
-        return Err(format!("--nodes must be at least 4, got {nodes}"));
-    }
-    if queries == 0 {
-        return Err("--queries must be at least 1".to_string());
-    }
-    let topts = ThroughputOpts {
-        nodes,
-        queries,
-        p_size: get(opts, "p-size", defaults.p_size),
-        q_size: get(opts, "q-size", defaults.q_size),
-        phi: get(opts, "phi", defaults.phi),
-        workers: get(opts, "workers", defaults.workers),
-        seed: get(opts, "seed", defaults.seed),
-    };
-    run_throughput(&topts);
-    Ok(())
-}
-
 fn file_kib(path: &Path) -> u64 {
     std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
 }
@@ -869,167 +832,5 @@ fn cmd_build_index(opts: &HashMap<String, String>) -> Result<(), String> {
     );
 
     println!("index directory ready: {out}");
-    Ok(())
-}
-
-/// Cold-start benchmark: the same graph persisted both ways plus its hub
-/// labels, then timed from artifact bytes to a first correct query answer.
-/// v1 = compact text graph parse (labels have one format, the flat
-/// container, so this leg reads `labels.v2` too); v2 = the flat
-/// containers (one buffer read + typed views). Answers must be
-/// bit-identical; results land in `--out` as JSON.
-fn cmd_bench_coldstart(opts: &HashMap<String, String>) -> Result<(), String> {
-    let nodes: usize = get(opts, "nodes", 30_000);
-    let seed: u64 = get(opts, "seed", 7);
-    let queries: usize = get(opts, "queries", 8);
-    let q_size: usize = get(opts, "q-size", 16);
-    let p_density: f64 = get(opts, "p-density", 0.01);
-    let phi: f64 = get(opts, "phi", 0.5);
-    let workers: usize = get(opts, "workers", 0);
-    let out = opts
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "results/BENCH_8.json".to_string());
-
-    // `--artifacts DIR` persists the serialized indexes and reuses them on
-    // later runs, so re-measuring the load paths skips the label build.
-    let (dir, keep) = match opts.get("artifacts") {
-        Some(d) => (std::path::PathBuf::from(d), true),
-        None => (
-            std::env::temp_dir().join(format!("fannr-coldstart-{}", std::process::id())),
-            false,
-        ),
-    };
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let graph_v1 = dir.join("graph.txt");
-    let graph_v2 = dir.join("graph.v2");
-    let labels_v2 = dir.join("labels.v2");
-    let have_artifacts = [&graph_v1, &graph_v2, &labels_v2]
-        .iter()
-        .all(|p| p.exists());
-
-    let g = if have_artifacts {
-        println!("reusing artifacts in {}", dir.display());
-        fannr::roadnet::Graph::read_flat(&graph_v2).map_err(|e| e.to_string())?
-    } else {
-        println!("generating {nodes}-node network (seed {seed})...");
-        let g = fannr::workload::synth::road_network(nodes, &mut fannr::workload::rng(seed));
-        let t0 = Instant::now();
-        let labels = HubLabels::build_parallel(&g, workers).map_err(|e| e.to_string())?;
-        println!(
-            "built hub labels in {:.1}s ({} entries)",
-            t0.elapsed().as_secs_f64(),
-            labels.total_label_entries()
-        );
-        std::fs::write(&graph_v1, write_compact(&g)).map_err(|e| e.to_string())?;
-        g.write_flat(&graph_v2).map_err(|e| e.to_string())?;
-        labels.write_flat(&labels_v2).map_err(|e| e.to_string())?;
-        g
-    };
-    let v1_bytes = file_kib(&graph_v1) + file_kib(&labels_v2);
-    let v2_bytes = file_kib(&graph_v2) + file_kib(&labels_v2);
-
-    // Deterministic workload shared by both engines.
-    let mut rng = fannr::workload::rng(seed ^ 0xC01D);
-    let p = fannr::workload::points::uniform_data_points(&g, p_density, &mut rng);
-    let mut qs = Vec::with_capacity(queries);
-    for _ in 0..queries {
-        qs.push(fannr::workload::points::uniform_query_points(
-            &g, q_size, 0.2, &mut rng,
-        ));
-    }
-
-    let run_queries = |engine: &Engine| -> Result<(f64, Vec<Option<FannAnswer>>), String> {
-        let t0 = Instant::now();
-        let mut answers = Vec::new();
-        let mut first_query_s = 0.0;
-        for (i, q) in qs.iter().enumerate() {
-            for agg in [Aggregate::Max, Aggregate::Sum] {
-                answers.push(engine.query(&p, q, phi, agg).map_err(|e| e.to_string())?);
-                if i == 0 && first_query_s == 0.0 {
-                    first_query_s = t0.elapsed().as_secs_f64();
-                }
-            }
-        }
-        Ok((first_query_s, answers))
-    };
-
-    // v1 cold start: parse the text graph (labels only exist flat).
-    let t0 = Instant::now();
-    let text = std::fs::read_to_string(&graph_v1).map_err(|e| e.to_string())?;
-    let g1 = read_compact(&text).map_err(|e| e.to_string())?;
-    let l1 = HubLabels::read_flat_with(&labels_v2, LoadMode::Read).map_err(|e| e.to_string())?;
-    let v1_load_s = t0.elapsed().as_secs_f64();
-    let e1 = Engine::new(&g1).with_prebuilt_labels(l1);
-    let (v1_first_q, a1) = run_queries(&e1)?;
-    let v1_total_s = t0.elapsed().as_secs_f64();
-
-    // v2 cold start, eager: one buffer read per file, typed views, no
-    // per-node deserialization.
-    let t0 = Instant::now();
-    let g2 = fannr::roadnet::Graph::read_flat_with(&graph_v2, LoadMode::Read)
-        .map_err(|e| e.to_string())?;
-    let l2 = HubLabels::read_flat_with(&labels_v2, LoadMode::Read).map_err(|e| e.to_string())?;
-    let v2_load_s = t0.elapsed().as_secs_f64();
-    let label_entries = l2.total_label_entries();
-    let e2 = Engine::new(&g2).with_prebuilt_labels(l2);
-    let (v2_first_q, a2) = run_queries(&e2)?;
-    let v2_total_s = t0.elapsed().as_secs_f64();
-
-    // v2 cold start, mapped: the load is just mmap + a scanning
-    // validation pass; bytes page in lazily on first touch, so the first
-    // queries carry the faults for the pages they actually read.
-    let t0 = Instant::now();
-    let g3 = fannr::roadnet::Graph::read_flat_with(&graph_v2, LoadMode::Mmap)
-        .map_err(|e| e.to_string())?;
-    let l3 = HubLabels::read_flat_with(&labels_v2, LoadMode::Mmap).map_err(|e| e.to_string())?;
-    let mmap_load_s = t0.elapsed().as_secs_f64();
-    let e3 = Engine::new(&g3).with_prebuilt_labels(l3);
-    let (mmap_first_q, a3) = run_queries(&e3)?;
-    let mmap_total_s = t0.elapsed().as_secs_f64();
-
-    if a1 != a2 || a1 != a3 {
-        return Err("v1, v2, and mmap engines disagree on query answers".to_string());
-    }
-    if !keep {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    let first_correct_v1 = v1_load_s + v1_first_q;
-    let first_correct_v2 = v2_load_s + v2_first_q;
-    let first_correct_mmap = mmap_load_s + mmap_first_q;
-    let json = format!(
-        "{{\n  \"bench\": \"coldstart\",\n  \"nodes\": {},\n  \"edges\": {},\n  \"label_entries\": {},\n  \"queries\": {},\n  \"answers_identical\": true,\n  \"v1\": {{ \"bytes\": {}, \"load_s\": {:.6}, \"first_correct_query_s\": {:.6}, \"total_s\": {:.6} }},\n  \"v2_read\": {{ \"bytes\": {}, \"load_s\": {:.6}, \"first_correct_query_s\": {:.6}, \"total_s\": {:.6} }},\n  \"v2_mmap\": {{ \"bytes\": {}, \"load_s\": {:.6}, \"first_correct_query_s\": {:.6}, \"total_s\": {:.6} }},\n  \"load_speedup_v1_over_v2\": {:.2},\n  \"first_correct_query_speedup_v1_over_v2\": {:.2},\n  \"load_speedup_read_over_mmap\": {:.2},\n  \"first_correct_query_speedup_read_over_mmap\": {:.2}\n}}\n",
-        g.num_nodes(),
-        g.num_edges(),
-        label_entries,
-        qs.len() * 2,
-        v1_bytes,
-        v1_load_s,
-        first_correct_v1,
-        v1_total_s,
-        v2_bytes,
-        v2_load_s,
-        first_correct_v2,
-        v2_total_s,
-        v2_bytes,
-        mmap_load_s,
-        first_correct_mmap,
-        mmap_total_s,
-        v1_load_s / v2_load_s,
-        first_correct_v1 / first_correct_v2,
-        v2_load_s / mmap_load_s,
-        first_correct_v2 / first_correct_mmap,
-    );
-    if let Some(parent) = Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
-        }
-    }
-    std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
-    print!("{json}");
-    println!(
-        "load: v1 {v1_load_s:.3}s vs v2-read {v2_load_s:.3}s vs v2-mmap {mmap_load_s:.3}s; first correct query: {first_correct_v1:.3}s vs {first_correct_v2:.3}s vs {first_correct_mmap:.3}s -> {out}",
-    );
     Ok(())
 }

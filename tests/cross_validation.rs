@@ -7,7 +7,7 @@ use fannr::fann::algo::{apx_sum, brute_force, exact_max, gd, ier_knn, r_list};
 use fannr::fann::gphi::gtree_knn::GTreeKnnPhi;
 use fannr::fann::gphi::ier2::IerPhi;
 use fannr::fann::gphi::ine::InePhi;
-use fannr::fann::gphi::oracle::{AStarOracle, GTreeOracle, LabelOracle};
+use fannr::fann::gphi::oracle::{AStarOracle, GTreeOracle, GuardedLabelOracle};
 use fannr::fann::gphi::scan::ScanPhi;
 use fannr::fann::gphi::GPhi;
 use fannr::fann::{Aggregate, FannQuery};
@@ -54,10 +54,10 @@ fn backends<'a>(f: &'a Fixture) -> Vec<Box<dyn GPhi + 'a>> {
     vec![
         Box::new(InePhi::new(g, &f.q)),
         Box::new(ScanPhi::new(AStarOracle::new(g), &f.q)),
-        Box::new(ScanPhi::new(LabelOracle { labels: &f.labels }, &f.q)),
+        Box::new(ScanPhi::new(GuardedLabelOracle::new(&f.labels), &f.q)),
         Box::new(GTreeKnnPhi::new(&f.gtree, g, &f.q)),
         Box::new(IerPhi::new(g, AStarOracle::new(g), &f.q)),
-        Box::new(IerPhi::new(g, LabelOracle { labels: &f.labels }, &f.q)),
+        Box::new(IerPhi::new(g, GuardedLabelOracle::new(&f.labels), &f.q)),
         Box::new(IerPhi::new(
             g,
             GTreeOracle {

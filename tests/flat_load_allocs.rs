@@ -6,13 +6,43 @@
 //! This file must hold only these tests: it installs a counting global
 //! allocator and the counts would be polluted by concurrent tests.
 
-use fannr::bench::throughput::{allocation_count, CountingAlloc};
 use fannr::hublabel::HubLabels;
 use fannr::roadnet::Graph;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Allocation-counting wrapper around the system allocator.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: defers all allocation to `System`; only adds a relaxed counter.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Heap allocations since process start.
+fn allocation_count() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
 
 /// Allocations performed by `f`, excluding anything before/after.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {

@@ -132,6 +132,35 @@ proptest! {
     }
 }
 
+/// The same on a road network and a long stream of distinct queries, so
+/// each worker's recycled search state (scratch pool, INE buffers, label
+/// table) carries over between queries: traced ≡ untraced, every query
+/// counted, and every strategy that answered recorded work.
+#[test]
+fn traced_batch_equals_untraced_on_a_road_network_stream() {
+    let mut rng = fannr::workload::rng(0x51ED);
+    let g = fannr::workload::synth::road_network(3_000, &mut rng);
+    let stream: Vec<BatchQuery> = (0..60)
+        .map(|i| {
+            let p = fannr::workload::points::uniform_data_points(&g, 0.01, &mut rng);
+            let q = fannr::workload::points::uniform_query_points(&g, 6, 0.2, &mut rng);
+            let agg = [Aggregate::Max, Aggregate::Sum][i % 2];
+            BatchQuery::new(p, q, 0.5, agg)
+        })
+        .collect();
+    for engine in [Engine::new(&g), Engine::new(&g).with_labels()] {
+        for workers in [1usize, 2] {
+            let plain = engine.query_batch(&stream, workers);
+            let (traced, report) = engine.query_batch_traced(&stream, workers);
+            assert_eq!(plain, traced);
+            assert_eq!(report.total_queries(), stream.len() as u64);
+            for (strategy, r) in report.active() {
+                assert!(!r.stats.is_empty(), "{strategy} recorded no work");
+            }
+        }
+    }
+}
+
 /// At fixed subset size `k`, growing `Q` can only *shorten* an INE
 /// expansion: the search stops once `k` query points are settled, and a
 /// superset of targets is hit no later. So `nodes_settled` is weakly

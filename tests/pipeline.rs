@@ -4,7 +4,7 @@
 use fannr::fann::algo::ier::build_p_rtree;
 use fannr::fann::algo::{brute_force, exact_max, ier_knn};
 use fannr::fann::gphi::ier2::IerPhi;
-use fannr::fann::gphi::oracle::LabelOracle;
+use fannr::fann::gphi::oracle::GuardedLabelOracle;
 use fannr::fann::{Aggregate, FannQuery};
 use fannr::hublabel::HubLabels;
 use fannr::roadnet::io::{read_compact, write_compact};
@@ -25,7 +25,7 @@ fn smallest_dataset_full_pipeline() {
     query.validate(&graph).unwrap();
 
     let rtree = build_p_rtree(&graph, &p);
-    let gphi = IerPhi::new(&graph, LabelOracle { labels: &labels }, &q);
+    let gphi = IerPhi::new(&graph, GuardedLabelOracle::new(&labels), &q);
     let indexed = ier_knn(&graph, &query, &rtree, &gphi).unwrap();
     let index_free = exact_max(&graph, &query).unwrap();
     let truth = brute_force(&graph, &query).unwrap();

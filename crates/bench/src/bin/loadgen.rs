@@ -1,21 +1,15 @@
-//! `loadgen` — open-loop load generator for `fannr serve`.
+//! `loadgen` — verified smoke and feature legs for `fannr serve`.
 //!
 //! Regenerates the same synthetic network as the server (`--nodes`,
 //! `--seed` must match the `fannr serve` invocation) so it can produce
-//! valid query workloads, then drives the server at a fixed arrival rate
-//! and reports achieved QPS, shed rate, and client-observed p50/p90/p99.
+//! valid query workloads and check every answer against a local engine.
+//! One mode per run:
 //!
 //! ```text
-//! loadgen --addr 127.0.0.1:7878 --nodes 10000 --seed 7 \
-//!         --rate 200 --duration-s 10 --conns 2 [--deadline-ms 50] [--shutdown]
 //! loadgen --addr 127.0.0.1:7878 --nodes 2000 --seed 7 --smoke
 //! loadgen --addr 127.0.0.1:7878 --nodes 2000 --seed 7 --smoke \
 //!         --update-rate 20 --bench-out results/BENCH_5.json
 //! ```
-//!
-//! Open loop means the send schedule never adapts to response latency —
-//! requests go out on their ticks whether or not earlier ones have been
-//! answered, which is what exposes queueing and shedding behaviour.
 //!
 //! `--smoke` is the CI mode: sequential queries cross-validated against a
 //! local [`Engine`], a forced-cancellation probe, a metrics check, and a
@@ -60,25 +54,10 @@
 //!         --rate 2000 --duration-s 4 --segment 64 --min-updates-per-s 1000 \
 //!         --min-repair-ratio 10 --shutdown --bench-out results/BENCH_10.json
 //! ```
-//!
-//! `--router` drives a partitioned deployment: every answer through the
-//! shard router (`--addr`) is cross-validated bit-for-bit against a local
-//! engine, per-shard balance comes from each shard's own metrics
-//! (`--shard-addrs a:p,b:p`), and the router's metrics supply the
-//! shards-pruned rate. `--single-addr` adds an unpartitioned comparison
-//! leg:
-//!
-//! ```text
-//! loadgen --addr 127.0.0.1:7893 --router --nodes 2000 --seed 7 \
-//!         --shard-addrs 127.0.0.1:7890,127.0.0.1:7891 \
-//!         --single-addr 127.0.0.1:7892 --queries 128 \
-//!         --shutdown --bench-out results/BENCH_9.json
-//! ```
 
 use std::collections::{HashMap, VecDeque};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use fann_core::engine::Engine;
@@ -305,17 +284,6 @@ fn main() -> ExitCode {
             },
             bench_out.as_deref(),
         )
-    } else if opts.contains_key("router") {
-        router_leg(
-            &addr,
-            opts.get("single-addr").map(String::as_str),
-            opts.get("shard-addrs").map(String::as_str).unwrap_or(""),
-            &graph,
-            &pool,
-            get(&opts, "queries", 128usize),
-            opts.contains_key("shutdown"),
-            bench_out.as_deref(),
-        )
     } else if let Some(cached_addr) = opts.get("compare-addr") {
         compare(
             &addr,
@@ -331,16 +299,7 @@ fn main() -> ExitCode {
     } else if opts.contains_key("smoke") {
         smoke(&addr, &graph, &pool, update_rate, bench_out.as_deref())
     } else {
-        open_loop(
-            &addr,
-            &graph,
-            &pool,
-            get(&opts, "rate", 100.0),
-            Duration::from_secs_f64(get(&opts, "duration-s", 5.0)),
-            get(&opts, "conns", 1usize),
-            update_rate,
-            opts.contains_key("shutdown"),
-        )
+        Err("no mode: pass --smoke, --compare-addr ADDR2 or --update-stream".to_string())
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -715,194 +674,6 @@ fn compare(
     }
     println!(
         "COMPARE PASS: {queries} queries, 0 mismatches, {speedup:.1}x client-observed speedup"
-    );
-    Ok(())
-}
-
-/// The partitioned-deployment leg (`--router`): drive the workload
-/// through the shard router (`--addr`), cross-validate every answer
-/// bit-for-bit against a local [`Engine`] (the router must be
-/// indistinguishable from one server), and report the routing economics —
-/// per-shard request balance (via each shard's own metrics, reached
-/// directly through `--shard-addrs`) and the shards-pruned rate from the
-/// router's metrics. With `--single-addr` the same workload also runs
-/// through an unpartitioned server for a throughput ratio. `--bench-out`
-/// records everything (`results/BENCH_9.json` in CI).
-#[allow(clippy::too_many_arguments)]
-fn router_leg(
-    router_addr: &str,
-    single_addr: Option<&str>,
-    shard_addrs: &str,
-    graph: &Graph,
-    pool: &QueryPool,
-    queries: usize,
-    send_shutdown: bool,
-    bench_out: Option<&str>,
-) -> Result<(), String> {
-    let engine = Engine::new(graph);
-
-    // One sequential, timed, cross-validated leg against one address.
-    let run_leg = |addr: &str, tag: &str| -> Result<(u64, u64, f64, LatencyHistogram), String> {
-        let mut client = connect_with_retry(addr, Duration::from_secs(20))?;
-        client
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .map_err(|e| e.to_string())?;
-        let mut hist = LatencyHistogram::default();
-        let mut ok = 0u64;
-        let mut empty = 0u64;
-        let started = Instant::now();
-        for i in 0..queries {
-            let spec = pool.spec(i).clone();
-            let want = engine
-                .query(&spec.p, &spec.q, spec.phi, spec.agg)
-                .map_err(|e| format!("local engine rejected query {tag}{i}: {e}"))?;
-            let sent = Instant::now();
-            let resp = client
-                .call(&Request {
-                    id: Some(format!("{tag}{i}")),
-                    op: Op::Query(QuerySpec {
-                        deadline_ms: None,
-                        ..spec
-                    }),
-                })
-                .map_err(|e| format!("query {tag}{i}: {e}"))?;
-            hist.record(sent.elapsed());
-            match (&resp.body, &want) {
-                (
-                    Body::Ok {
-                        p_star,
-                        dist,
-                        subset,
-                        ..
-                    },
-                    Some(w),
-                ) if *p_star == w.p_star && *dist == w.dist && *subset == w.subset => ok += 1,
-                (Body::Empty, None) => empty += 1,
-                (body, want) => {
-                    return Err(format!(
-                        "MISMATCH on query {tag}{i} via {addr}: got {body:?}, expected {want:?}"
-                    ))
-                }
-            }
-        }
-        let qps = queries as f64 / started.elapsed().as_secs_f64().max(1e-9);
-        Ok((ok, empty, qps, hist))
-    };
-
-    let (ok, empty, router_qps, router_hist) = run_leg(router_addr, "r")?;
-    if ok == 0 {
-        return Err("no query succeeded through the router".to_string());
-    }
-    let single = match single_addr {
-        Some(addr) => Some(run_leg(addr, "s")?),
-        None => None,
-    };
-
-    // The router's own routing economics.
-    let mut client = connect_with_retry(router_addr, Duration::from_secs(5))?;
-    let resp = client
-        .call(&Request {
-            id: None,
-            op: Op::Metrics,
-        })
-        .map_err(|e| format!("router metrics: {e}"))?;
-    let rm = match resp.body {
-        Body::Metrics(m) => *m,
-        other => return Err(format!("expected router metrics, got {other:?}")),
-    };
-    let planned = rm.shards_contacted + rm.shards_pruned;
-    let pruned_rate = rm.shards_pruned as f64 / planned.max(1) as f64;
-
-    // Per-shard balance straight from each shard's own counters.
-    let mut per_shard: Vec<u64> = Vec::new();
-    for addr in shard_addrs.split(',').filter(|a| !a.trim().is_empty()) {
-        let mut sc = connect_with_retry(addr.trim(), Duration::from_secs(5))?;
-        let resp = sc
-            .call(&Request {
-                id: None,
-                op: Op::Metrics,
-            })
-            .map_err(|e| format!("shard metrics {addr}: {e}"))?;
-        match resp.body {
-            Body::Metrics(m) => per_shard.push(m.requests),
-            other => return Err(format!("expected shard metrics from {addr}, got {other:?}")),
-        }
-    }
-    let balance = match (per_shard.iter().min(), per_shard.iter().max()) {
-        (Some(&lo), Some(&hi)) if hi > 0 => lo as f64 / hi as f64,
-        _ => 0.0,
-    };
-
-    println!(
-        "router: {queries} queries ({ok} ok, {empty} empty), 0 mismatches | {:.0} qps | \
-         {} shards contacted, {} pruned ({:.0}% pruned) | per-shard {:?} (balance {:.2})",
-        router_qps,
-        rm.shards_contacted,
-        rm.shards_pruned,
-        100.0 * pruned_rate,
-        per_shard,
-        balance,
-    );
-    let (single_qps, single_p50_us) = match &single {
-        Some((sok, sempty, qps, hist)) => {
-            println!(
-                "single: {queries} queries ({sok} ok, {sempty} empty), 0 mismatches | {qps:.0} qps \
-                 | router/single {:.2}x",
-                router_qps / qps.max(1e-9)
-            );
-            (*qps, hist.p50_ns() / 1_000)
-        }
-        None => (0.0, 0),
-    };
-
-    if let Some(path) = bench_out {
-        let shard_list = per_shard
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let json = format!(
-            "{{\n  \"bench\": \"router\",\n  \"queries\": {queries},\n  \"shards\": {},\n  \
-             \"mismatches\": 0,\n  \"router_qps\": {router_qps:.1},\n  \
-             \"single_qps\": {single_qps:.1},\n  \"router_p50_us\": {},\n  \
-             \"single_p50_us\": {single_p50_us},\n  \"shards_contacted\": {},\n  \
-             \"shards_pruned\": {},\n  \"pruned_rate\": {pruned_rate:.3},\n  \
-             \"per_shard_requests\": [{shard_list}],\n  \"balance\": {balance:.3}\n}}\n",
-            per_shard.len(),
-            router_hist.p50_ns() / 1_000,
-            rm.shards_contacted,
-            rm.shards_pruned,
-        );
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(|e| format!("{path}: {e}"))?;
-            }
-        }
-        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("loadgen: wrote {path}");
-    }
-
-    if send_shutdown {
-        // One shutdown to the router drains the whole deployment; the
-        // single-process comparison server needs its own.
-        client
-            .call(&Request {
-                id: None,
-                op: Op::Shutdown,
-            })
-            .map_err(|e| format!("shutdown {router_addr}: {e}"))?;
-        if let Some(addr) = single_addr {
-            let mut sc = connect_with_retry(addr, Duration::from_secs(5))?;
-            sc.call(&Request {
-                id: None,
-                op: Op::Shutdown,
-            })
-            .map_err(|e| format!("shutdown {addr}: {e}"))?;
-        }
-    }
-    println!(
-        "ROUTER PASS: {queries} queries, 0 mismatches, {:.0}% of shard contacts pruned",
-        100.0 * pruned_rate
     );
     Ok(())
 }
@@ -1357,238 +1128,4 @@ fn write_bench_json(path: &str, mixed: &MixedStats) -> Result<(), String> {
     std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
     eprintln!("loadgen: wrote {path}");
     Ok(())
-}
-
-#[derive(Default)]
-struct Tally {
-    sent: AtomicU64,
-    ok: AtomicU64,
-    empty: AtomicU64,
-    cancelled: AtomicU64,
-    shed: AtomicU64,
-    errors: AtomicU64,
-}
-
-/// Fixed-rate open loop across `conns` connections, with an optional
-/// live-update leg on its own connection.
-#[allow(clippy::too_many_arguments)]
-fn open_loop(
-    addr: &str,
-    graph: &Graph,
-    pool: &QueryPool,
-    rate: f64,
-    duration: Duration,
-    conns: usize,
-    update_rate: f64,
-    send_shutdown: bool,
-) -> Result<(), String> {
-    if rate.is_nan() || rate <= 0.0 {
-        return Err("--rate must be positive".to_string());
-    }
-    let conns = conns.max(1);
-    let per_conn_interval = Duration::from_secs_f64(conns as f64 / rate);
-    let tally = Tally::default();
-    let latency = Mutex::new(LatencyHistogram::default());
-    let started = Instant::now();
-    let mut updates_sent = 0u64;
-    let stop_updates = AtomicBool::new(false);
-
-    std::thread::scope(|scope| -> Result<(), String> {
-        let updater = if update_rate > 0.0 {
-            let edge = mutation_edge(graph)?;
-            let stop = &stop_updates;
-            Some(scope.spawn(move || updater_loop(addr, edge, update_rate, stop)))
-        } else {
-            None
-        };
-        let mut handles = Vec::new();
-        for conn in 0..conns {
-            let tally = &tally;
-            let latency = &latency;
-            let addr = addr.to_string();
-            handles.push(scope.spawn(move || -> Result<(), String> {
-                run_connection(
-                    &addr,
-                    conn,
-                    pool,
-                    per_conn_interval,
-                    duration,
-                    tally,
-                    latency,
-                )
-            }));
-        }
-        for h in handles {
-            h.join().expect("connection thread")?;
-        }
-        stop_updates.store(true, Ordering::Relaxed);
-        if let Some(u) = updater {
-            let (sent, epoch) = u.join().expect("updater thread")?;
-            updates_sent = sent;
-            eprintln!("loadgen: update leg: {sent} updates applied, final epoch {epoch}");
-        }
-        Ok(())
-    })?;
-
-    let elapsed = started.elapsed().as_secs_f64();
-    let sent = tally.sent.load(Ordering::Relaxed);
-    let ok = tally.ok.load(Ordering::Relaxed);
-    let empty = tally.empty.load(Ordering::Relaxed);
-    let cancelled = tally.cancelled.load(Ordering::Relaxed);
-    let shed = tally.shed.load(Ordering::Relaxed);
-    let errors = tally.errors.load(Ordering::Relaxed);
-    let answered = ok + empty;
-    let hist = latency.lock().unwrap();
-    println!(
-        "offered {:.1} qps | achieved {:.1} qps | sent {sent} | ok {ok} | empty {empty} | \
-         cancelled {cancelled} | shed {shed} ({:.1}%) | errors {errors} | updates {updates_sent}",
-        rate,
-        answered as f64 / elapsed,
-        100.0 * shed as f64 / sent.max(1) as f64,
-    );
-    println!(
-        "latency (answered): p50 {}us | p90 {}us | p99 {}us | max {}us",
-        hist.p50_ns() / 1_000,
-        hist.p90_ns() / 1_000,
-        hist.p99_ns() / 1_000,
-        hist.max_ns() / 1_000,
-    );
-    drop(hist);
-
-    if send_shutdown {
-        let mut client = connect_with_retry(addr, Duration::from_secs(5))?;
-        client
-            .call(&Request {
-                id: None,
-                op: Op::Shutdown,
-            })
-            .map_err(|e| format!("shutdown: {e}"))?;
-    }
-    if errors > 0 {
-        return Err(format!("{errors} requests failed"));
-    }
-    Ok(())
-}
-
-/// One connection: a paced writer thread plus this (reader) thread
-/// matching responses back to send timestamps by id.
-fn run_connection(
-    addr: &str,
-    conn: usize,
-    pool: &QueryPool,
-    interval: Duration,
-    duration: Duration,
-    tally: &Tally,
-    latency: &Mutex<LatencyHistogram>,
-) -> Result<(), String> {
-    let client = connect_with_retry(addr, Duration::from_secs(20))?;
-    client
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| e.to_string())?;
-    let (mut rx, mut tx) = client.split();
-    let sent_at: Mutex<HashMap<String, Instant>> = Mutex::new(HashMap::new());
-    let writer_done = AtomicU64::new(0); // 0 = running, else final sent count + 1
-
-    std::thread::scope(|scope| -> Result<(), String> {
-        // Writer: one request per tick, never waiting for responses.
-        let sent_at_ref = &sent_at;
-        let writer_done_ref = &writer_done;
-        let writer = scope.spawn(move || -> Result<u64, String> {
-            let start = Instant::now();
-            let mut seq = 0u64;
-            loop {
-                let tick = interval.mul_f64(seq as f64);
-                if tick >= duration {
-                    break;
-                }
-                if let Some(sleep) = tick.checked_sub(start.elapsed()) {
-                    std::thread::sleep(sleep);
-                }
-                let id = format!("c{conn}-{seq}");
-                let spec = pool.spec(conn.wrapping_add(seq as usize)).clone();
-                sent_at_ref
-                    .lock()
-                    .unwrap()
-                    .insert(id.clone(), Instant::now());
-                tx.send(&Request {
-                    id: Some(id),
-                    op: Op::Query(spec),
-                })
-                .map_err(|e| format!("send: {e}"))?;
-                seq += 1;
-                tally.sent.fetch_add(1, Ordering::Relaxed);
-            }
-            writer_done_ref.store(seq + 1, Ordering::Release);
-            Ok(seq)
-        });
-
-        // Reader: this thread. Drain until every sent id is answered.
-        let mut received = 0u64;
-        let mut idle_timeouts = 0u32;
-        loop {
-            let done = writer_done.load(Ordering::Acquire);
-            if done != 0 && received >= done - 1 {
-                break;
-            }
-            let resp = match rx.recv() {
-                Ok(r) => {
-                    idle_timeouts = 0;
-                    r
-                }
-                // A read timeout with nothing outstanding just means the
-                // writer is still pacing (or the box is starved); keep
-                // waiting, but not forever.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) && sent_at.lock().unwrap().is_empty()
-                        && idle_timeouts < 4 =>
-                {
-                    idle_timeouts += 1;
-                    continue;
-                }
-                Err(e) => {
-                    // Count everything still outstanding as an error.
-                    let outstanding = sent_at.lock().unwrap().len() as u64;
-                    tally
-                        .errors
-                        .fetch_add(outstanding.max(1), Ordering::Relaxed);
-                    eprintln!(
-                        "loadgen: conn {conn}: read failed with {outstanding} outstanding: {e}"
-                    );
-                    break;
-                }
-            };
-            let when = resp
-                .id
-                .as_ref()
-                .and_then(|id| sent_at.lock().unwrap().remove(id));
-            match resp.body {
-                Body::Ok { .. } | Body::Empty => {
-                    if let Some(t0) = when {
-                        latency.lock().unwrap().record(t0.elapsed());
-                    }
-                    match resp.body {
-                        Body::Ok { .. } => tally.ok.fetch_add(1, Ordering::Relaxed),
-                        _ => tally.empty.fetch_add(1, Ordering::Relaxed),
-                    };
-                }
-                Body::Cancelled => {
-                    tally.cancelled.fetch_add(1, Ordering::Relaxed);
-                }
-                Body::Shed => {
-                    tally.shed.fetch_add(1, Ordering::Relaxed);
-                }
-                other => {
-                    tally.errors.fetch_add(1, Ordering::Relaxed);
-                    eprintln!("loadgen: conn {conn}: unexpected response {other:?}");
-                }
-            }
-            received += 1;
-        }
-
-        writer.join().expect("writer thread")?;
-        Ok(())
-    })
 }

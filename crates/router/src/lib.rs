@@ -608,15 +608,21 @@ fn handle_query(
             live.push(plan);
         }
     }
+    // The first live shard runs on this thread and the rest on scoped
+    // threads, so a wave of one spawns nothing. Results keep plan order.
     let wave: Vec<(u32, Dist, ShardOutcome)> = std::thread::scope(|scope| {
+        let call_shard = &call_shard;
         let handles: Vec<_> = live
             .iter()
-            .map(|plan| {
-                let call_shard = &call_shard;
-                scope.spawn(move || (plan.shard, plan.bound, call_shard(plan)))
-            })
+            .skip(1)
+            .map(|plan| scope.spawn(move || (plan.shard, plan.bound, call_shard(plan))))
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let here = live
+            .first()
+            .map(|plan| (plan.shard, plan.bound, call_shard(plan)));
+        here.into_iter()
+            .chain(handles.into_iter().map(|h| h.join().unwrap()))
+            .collect()
     });
     outcomes.extend(wave);
 

@@ -18,9 +18,10 @@ impl ClientWriter {
     }
 
     /// Write one raw line (for driving the server with malformed input).
+    /// Line and newline go out in one write: one segment, one wake-up of
+    /// the reader on the other end.
     pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        self.stream.write_all(format!("{line}\n").as_bytes())?;
         self.stream.flush()
     }
 }

@@ -20,17 +20,18 @@
 //!   when queries are being shed.
 //!
 //! The wire format is line-delimited JSON ([`protocol`]) with a hand-rolled
-//! parser/serializer ([`json`]) — no external dependencies anywhere in the
-//! crate. The same [`protocol::Response`] serializer backs
+//! streaming codec (`json.rs`) that reads and writes typed requests and
+//! replies directly — no value tree, no external dependencies anywhere in
+//! the crate. The same [`protocol::Response`] serializer backs
 //! `fannr query --json`, so CLI output and the wire protocol cannot drift.
 
 pub mod client;
-pub mod json;
+mod json;
 pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ClientReader, ClientWriter};
-pub use json::{Json, JsonError};
+pub use json::JsonError;
 pub use protocol::{
     Body, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response, StreamErrorKind,
     MAX_STREAM_SEGMENT, STREAM_WINDOW,

@@ -63,10 +63,14 @@
 //! The same serializer backs `fannr query --json`, so the CLI's output and
 //! the server's cannot drift.
 
-use crate::json::Json;
+use crate::json::{Ids, JsonError, Reader, Scalar, Writer};
 use fann_core::metrics::{LatencyHistogram, SearchStats};
 use fann_core::{Aggregate, FannAnswer};
 use roadnet::{Dist, NodeId, Weight, WeightUpdate};
+use std::borrow::Cow;
+
+#[cfg(test)]
+mod reference;
 
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,98 +118,174 @@ pub struct QuerySpec {
     pub deadline_ms: Option<u64>,
 }
 
-fn update_list(v: &Json) -> Result<Vec<WeightUpdate>, String> {
-    let arr = v
-        .get("updates")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "'updates' must be an array".to_string())?;
-    if arr.is_empty() {
-        return Err("'updates' must not be empty".to_string());
+/// An object's members read as [`Scalar`]s, in line order. A lookup
+/// takes the first occurrence of its key, so a later duplicate is
+/// validated but never read; a line carries few keys, so a linear scan
+/// is as fast as an index.
+#[derive(Default)]
+struct Fields<'a>(Vec<(Cow<'a, str>, Scalar<'a>)>);
+
+impl<'a> Fields<'a> {
+    /// Read the value of `key`, with the reader on it.
+    fn read(&mut self, r: &mut Reader<'a>, key: Cow<'a, str>) -> Result<(), JsonError> {
+        let value = r.scalar()?;
+        self.0.push((key, value));
+        Ok(())
     }
-    arr.iter()
-        .map(|e| {
-            let node = |key: &'static str| {
-                e.get(key)
-                    .and_then(Json::as_u64)
-                    .and_then(|n| NodeId::try_from(n).ok())
-                    .ok_or_else(|| format!("update '{key}' must be a node id"))
-            };
-            let w = e
-                .get("w")
-                .and_then(Json::as_u64)
-                .and_then(|n| Weight::try_from(n).ok())
-                .ok_or_else(|| "update 'w' must be a positive weight".to_string())?;
-            Ok(WeightUpdate {
-                u: node("u")?,
-                v: node("v")?,
-                w,
-            })
-        })
-        .collect()
+
+    /// An object's members into these fields; any other value adds none.
+    fn read_object(&mut self, r: &mut Reader<'a>) -> Result<(), JsonError> {
+        r.object(|r, key| self.read(r, key)).map(drop)
+    }
+
+    fn get(&self, key: &str) -> Option<&Scalar<'a>> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    fn u64(&self, key: &str) -> Option<u64> {
+        self.get(key).and_then(Scalar::as_u64)
+    }
+
+    fn str(&self, key: &str) -> Option<&str> {
+        self.get(key).and_then(Scalar::as_str)
+    }
+
+    fn bool(&self, key: &str) -> Option<bool> {
+        self.get(key).and_then(Scalar::as_bool)
+    }
+
+    /// A required non-negative integer.
+    fn required(&self, key: &'static str) -> Result<u64, String> {
+        self.u64(key)
+            .ok_or_else(|| format!("'{key}' must be a non-negative integer"))
+    }
+
+    /// The optional string `id`; `null` counts as absent.
+    fn id(&self) -> Result<Option<String>, String> {
+        match self.get("id") {
+            None | Some(Scalar::Null) => Ok(None),
+            Some(Scalar::Str(s)) => Ok(Some(s.to_string())),
+            Some(_) => Err("'id' must be a string".to_string()),
+        }
+    }
 }
 
-fn node_list(v: &Json, key: &'static str) -> Result<Vec<NodeId>, String> {
-    let arr = v
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("'{key}' must be an array of node ids"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_u64()
-                .and_then(|n| NodeId::try_from(n).ok())
-                .ok_or_else(|| format!("'{key}' contains a non-node-id value"))
-        })
-        .collect()
+/// Read a value only at its key's first occurrence; skip it after that.
+fn first<'a, T>(
+    slot: &mut Option<T>,
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<(), JsonError> {
+    if slot.is_some() {
+        r.skip()
+    } else {
+        *slot = Some(read(r)?);
+        Ok(())
+    }
+}
+
+/// An `updates` array, checked element by element in order; `Err` holds
+/// the first failure (the array is still read to its end).
+fn read_updates(r: &mut Reader) -> Result<Result<Vec<WeightUpdate>, String>, JsonError> {
+    let mut list = Ok(Vec::new());
+    let mut elements = 0usize;
+    let mut e = Fields::default();
+    let is_array = r.array(|r| {
+        elements += 1;
+        e.0.clear();
+        e.read_object(r)?;
+        if let Ok(items) = &mut list {
+            match update_from(&e) {
+                Ok(up) => items.push(up),
+                Err(error) => list = Err(error),
+            }
+        }
+        Ok(())
+    })?;
+    Ok(match (is_array, elements) {
+        (false, _) => Err("'updates' must be an array".to_string()),
+        (true, 0) => Err("'updates' must not be empty".to_string()),
+        _ => list,
+    })
+}
+
+fn update_from(e: &Fields) -> Result<WeightUpdate, String> {
+    let node = |key: &'static str| {
+        e.u64(key)
+            .and_then(|n| NodeId::try_from(n).ok())
+            .ok_or_else(|| format!("update '{key}' must be a node id"))
+    };
+    let w = e
+        .u64("w")
+        .and_then(|n| Weight::try_from(n).ok())
+        .ok_or_else(|| "update 'w' must be a positive weight".to_string())?;
+    Ok(WeightUpdate {
+        u: node("u")?,
+        v: node("v")?,
+        w,
+    })
+}
+
+fn node_list(ids: Option<Ids>, key: &'static str) -> Result<Vec<NodeId>, String> {
+    match ids {
+        Some(Ids::Valid(ids)) => Ok(ids),
+        Some(Ids::Invalid) => Err(format!("'{key}' contains a non-node-id value")),
+        Some(Ids::NotArray) | None => Err(format!("'{key}' must be an array of node ids")),
+    }
 }
 
 impl Request {
     /// Parse one request line. The error string is safe to echo back in an
     /// `error` response.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = Json::parse(line).map_err(|e| e.to_string())?;
-        let id = match v.get("id") {
-            None | Some(Json::Null) => None,
-            Some(j) => Some(
-                j.as_str()
-                    .ok_or_else(|| "'id' must be a string".to_string())?
-                    .to_string(),
-            ),
-        };
-        let op = match v.get("op").and_then(Json::as_str) {
+        let mut f = Fields::default();
+        let (mut p, mut q, mut updates) = (None, None, None);
+        let mut r = Reader::new(line);
+        r.object(|r, key| match &*key {
+            "p" => first(&mut p, r, Reader::node_ids),
+            "q" => first(&mut q, r, Reader::node_ids),
+            "updates" => first(&mut updates, r, read_updates),
+            _ => f.read(r, key),
+        })
+        .and_then(|_| r.finish())
+        .map_err(|e| e.to_string())?;
+        let id = f.id()?;
+        let update_list =
+            || updates.unwrap_or_else(|| Err("'updates' must be an array".to_string()));
+        let op = match f.str("op") {
             Some("query") => {
-                let phi = v
+                let phi = f
                     .get("phi")
-                    .and_then(Json::as_f64)
+                    .and_then(Scalar::as_f64)
                     .ok_or_else(|| "'phi' must be a number".to_string())?;
-                let agg = match v.get("agg").and_then(Json::as_str) {
+                let agg = match f.str("agg") {
                     Some("sum") => Aggregate::Sum,
                     Some("max") => Aggregate::Max,
                     _ => return Err("'agg' must be \"sum\" or \"max\"".to_string()),
                 };
-                let deadline_ms = match v.get("deadline_ms") {
-                    None | Some(Json::Null) => None,
-                    Some(j) => Some(j.as_u64().ok_or_else(|| {
+                let deadline_ms = match f.get("deadline_ms") {
+                    None | Some(Scalar::Null) => None,
+                    Some(v) => Some(v.as_u64().ok_or_else(|| {
                         "'deadline_ms' must be a non-negative integer".to_string()
                     })?),
                 };
                 Op::Query(QuerySpec {
-                    p: node_list(&v, "p")?,
-                    q: node_list(&v, "q")?,
+                    p: node_list(p, "p")?,
+                    q: node_list(q, "q")?,
                     phi,
                     agg,
                     deadline_ms,
                 })
             }
-            Some("update") => Op::Update(update_list(&v)?),
+            Some("update") => Op::Update(update_list()?),
             Some("update_stream") => {
-                let seq = v
-                    .get("seq")
-                    .and_then(Json::as_u64)
+                let seq = f
+                    .u64("seq")
                     .filter(|&s| s >= 1)
                     .ok_or_else(|| "'seq' must be a positive integer".to_string())?;
                 Op::UpdateStream {
                     seq,
-                    updates: update_list(&v)?,
+                    updates: update_list()?,
                 }
             }
             Some("health") => Op::Health,
@@ -219,7 +299,7 @@ impl Request {
 
     /// Serialize to one request line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut members: Vec<(String, Json)> = Vec::new();
+        let mut w = Writer::new();
         let op = match &self.op {
             Op::Query(_) => "query",
             Op::Update(_) => "update",
@@ -228,61 +308,54 @@ impl Request {
             Op::Metrics => "metrics",
             Op::Shutdown => "shutdown",
         };
-        members.push(("op".into(), Json::from(op)));
+        w.str("op", op);
         if let Op::Query(spec) = &self.op {
-            members.push(("p".into(), ids_json(&spec.p)));
-            members.push(("q".into(), ids_json(&spec.q)));
-            members.push(("phi".into(), Json::Num(spec.phi)));
-            members.push(("agg".into(), Json::from(spec.agg.to_string().as_str())));
+            w.ids("p", &spec.p);
+            w.ids("q", &spec.q);
+            w.f64("phi", spec.phi);
+            w.str(
+                "agg",
+                match spec.agg {
+                    Aggregate::Sum => "sum",
+                    Aggregate::Max => "max",
+                },
+            );
             if let Some(ms) = spec.deadline_ms {
-                members.push(("deadline_ms".into(), Json::from(ms)));
+                w.u64("deadline_ms", ms);
             }
         }
         if let Op::UpdateStream { seq, .. } = &self.op {
-            members.push(("seq".into(), Json::from(*seq)));
+            w.u64("seq", *seq);
         }
         if let Op::Update(updates) | Op::UpdateStream { updates, .. } = &self.op {
-            members.push((
-                "updates".into(),
-                Json::Arr(
-                    updates
-                        .iter()
-                        .map(|up| {
-                            Json::Obj(vec![
-                                ("u".into(), Json::from(up.u as u64)),
-                                ("v".into(), Json::from(up.v as u64)),
-                                ("w".into(), Json::from(up.w as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
+            w.objects("updates", updates, |w, up| {
+                w.u64("u", u64::from(up.u));
+                w.u64("v", u64::from(up.v));
+                w.u64("w", u64::from(up.w));
+            });
         }
         if let Some(id) = &self.id {
-            members.push(("id".into(), Json::from(id.as_str())));
+            w.str("id", id);
         }
-        Json::Obj(members).to_json()
+        w.finish()
     }
 }
 
-fn ids_json(ids: &[NodeId]) -> Json {
-    Json::Arr(ids.iter().map(|&v| Json::from(v as u64)).collect())
-}
-
-fn region_json(r: &[f64; 4]) -> Json {
-    Json::Arr(r.iter().map(|&x| Json::Num(x)).collect())
-}
-
-fn region_from(v: &Json) -> Option<[f64; 4]> {
-    let arr = v.get("region").and_then(Json::as_arr)?;
-    if arr.len() != 4 {
-        return None;
-    }
-    let mut r = [0.0f64; 4];
-    for (slot, x) in r.iter_mut().zip(arr) {
-        *slot = x.as_f64()?;
-    }
-    Some(r)
+/// A `region` array: exactly four numbers, else `None`.
+fn read_region(r: &mut Reader) -> Result<Option<[f64; 4]>, JsonError> {
+    let mut region = [0.0f64; 4];
+    let mut len = 0usize;
+    let mut numbers = true;
+    let is_array = r.array(|r| {
+        match (r.scalar()?.as_f64(), region.get_mut(len)) {
+            (Some(x), Some(slot)) => *slot = x,
+            (Some(_), None) => {}
+            (None, _) => numbers = false,
+        }
+        len += 1;
+        Ok(())
+    })?;
+    Ok((is_array && numbers && len == 4).then_some(region))
 }
 
 /// Point-in-time server health, served inline even under overload.
@@ -538,9 +611,10 @@ impl Response {
 
     /// Serialize to one response line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut members: Vec<(String, Json)> = vec![("status".into(), Json::from(self.status()))];
+        let mut w = Writer::new();
+        w.str("status", self.status());
         if let Some(id) = &self.id {
-            members.push(("id".into(), Json::from(id.as_str())));
+            w.str("id", id);
         }
         match &self.body {
             Body::Ok {
@@ -550,226 +624,209 @@ impl Response {
                 strategy,
                 micros,
             } => {
-                members.push(("p_star".into(), Json::from(*p_star as u64)));
-                members.push(("dist".into(), Json::from(*dist)));
-                members.push(("subset".into(), ids_json(subset)));
-                members.push(("strategy".into(), Json::from(strategy.as_str())));
-                members.push(("micros".into(), Json::from(*micros)));
+                w.u64("p_star", u64::from(*p_star));
+                w.u64("dist", *dist);
+                w.ids("subset", subset);
+                w.str("strategy", strategy);
+                w.u64("micros", *micros);
             }
             Body::Empty | Body::Cancelled | Body::Shed | Body::Bye => {}
             Body::Updated { epoch, applied } => {
-                members.push(("epoch".into(), Json::from(*epoch)));
-                members.push(("applied".into(), Json::from(*applied)));
+                w.u64("epoch", *epoch);
+                w.u64("applied", *applied);
             }
             Body::StreamAck {
                 seq,
                 epoch,
                 applied,
             } => {
-                members.push(("seq".into(), Json::from(*seq)));
-                members.push(("epoch".into(), Json::from(*epoch)));
-                members.push(("applied".into(), Json::from(*applied)));
+                w.u64("seq", *seq);
+                w.u64("epoch", *epoch);
+                w.u64("applied", *applied);
             }
             Body::StreamError {
                 kind,
                 expected,
                 got,
             } => {
-                members.push(("kind".into(), Json::from(kind.name())));
-                members.push(("expected".into(), Json::from(*expected)));
-                members.push(("got".into(), Json::from(*got)));
+                w.str("kind", kind.name());
+                w.u64("expected", *expected);
+                w.u64("got", *got);
             }
-            Body::Error { error } => {
-                members.push(("error".into(), Json::from(error.as_str())));
-            }
+            Body::Error { error } => w.str("error", error),
             Body::Upstream { shard, error } => {
-                members.push(("shard".into(), Json::from(*shard as u64)));
-                members.push(("error".into(), Json::from(error.as_str())));
+                w.u64("shard", u64::from(*shard));
+                w.str("error", error);
             }
             Body::Health(h) => {
-                members.push(("uptime_ms".into(), Json::from(h.uptime_ms)));
-                members.push(("inflight".into(), Json::from(h.inflight)));
-                members.push(("queued".into(), Json::from(h.queued)));
-                members.push(("workers".into(), Json::from(h.workers)));
-                members.push(("draining".into(), Json::Bool(h.draining)));
-                members.push(("epoch".into(), Json::from(h.epoch)));
-                members.push(("stale".into(), Json::Bool(h.stale)));
+                w.u64("uptime_ms", h.uptime_ms);
+                w.u64("inflight", h.inflight);
+                w.u64("queued", h.queued);
+                w.u64("workers", h.workers);
+                w.bool("draining", h.draining);
+                w.u64("epoch", h.epoch);
+                w.bool("stale", h.stale);
                 if let Some(s) = h.shard {
-                    members.push(("shard".into(), Json::from(s as u64)));
-                    members.push(("owned_nodes".into(), Json::from(h.owned_nodes)));
+                    w.u64("shard", u64::from(s));
+                    w.u64("owned_nodes", h.owned_nodes);
                 }
-                if let Some(r) = h.region {
-                    members.push(("region".into(), region_json(&r)));
+                if let Some(r) = &h.region {
+                    w.f64s("region", r);
                 }
-                members.push(("labels_repaired".into(), Json::from(h.labels_repaired)));
-                members.push(("labels_total".into(), Json::from(h.labels_total)));
+                w.u64("labels_repaired", h.labels_repaired);
+                w.u64("labels_total", h.labels_total);
                 if h.labels_dropped {
-                    members.push(("labels_dropped".into(), Json::Bool(true)));
+                    w.bool("labels_dropped", true);
                 }
-                members.push(("last_repair_ms".into(), Json::from(h.last_repair_ms)));
+                w.u64("last_repair_ms", h.last_repair_ms);
             }
             Body::Metrics(m) => {
-                members.push(("requests".into(), Json::from(m.requests)));
-                members.push(("ok".into(), Json::from(m.ok)));
-                members.push(("empty".into(), Json::from(m.empty)));
-                members.push(("cancelled".into(), Json::from(m.cancelled)));
-                members.push(("shed".into(), Json::from(m.shed)));
-                members.push(("errors".into(), Json::from(m.errors)));
-                members.push(("updates".into(), Json::from(m.updates)));
-                members.push(("epoch".into(), Json::from(m.epoch)));
-                members.push(("cache_hits".into(), Json::from(m.cache_hits)));
-                members.push(("cache_misses".into(), Json::from(m.cache_misses)));
-                members.push(("cache_insertions".into(), Json::from(m.cache_insertions)));
-                members.push(("cache_invalidated".into(), Json::from(m.cache_invalidated)));
-                members.push(("cache_retained".into(), Json::from(m.cache_retained)));
-                members.push(("cache_evicted".into(), Json::from(m.cache_evicted)));
-                members.push(("cache_rebuilds".into(), Json::from(m.cache_rebuilds)));
-                members.push(("batches".into(), Json::from(m.batches)));
-                members.push(("batch_queries".into(), Json::from(m.batch_queries)));
+                w.u64("requests", m.requests);
+                w.u64("ok", m.ok);
+                w.u64("empty", m.empty);
+                w.u64("cancelled", m.cancelled);
+                w.u64("shed", m.shed);
+                w.u64("errors", m.errors);
+                w.u64("updates", m.updates);
+                w.u64("epoch", m.epoch);
+                w.u64("cache_hits", m.cache_hits);
+                w.u64("cache_misses", m.cache_misses);
+                w.u64("cache_insertions", m.cache_insertions);
+                w.u64("cache_invalidated", m.cache_invalidated);
+                w.u64("cache_retained", m.cache_retained);
+                w.u64("cache_evicted", m.cache_evicted);
+                w.u64("cache_rebuilds", m.cache_rebuilds);
+                w.u64("batches", m.batches);
+                w.u64("batch_queries", m.batch_queries);
                 if let Some(s) = m.shard {
-                    members.push(("shard".into(), Json::from(s as u64)));
-                    members.push(("owned_nodes".into(), Json::from(m.owned_nodes)));
+                    w.u64("shard", u64::from(s));
+                    w.u64("owned_nodes", m.owned_nodes);
                 }
-                if let Some(r) = m.region {
-                    members.push(("region".into(), region_json(&r)));
+                if let Some(r) = &m.region {
+                    w.f64s("region", r);
                 }
-                members.push(("shards_pruned".into(), Json::from(m.shards_pruned)));
-                members.push(("shards_contacted".into(), Json::from(m.shards_contacted)));
-                members.push(("upstream_errors".into(), Json::from(m.upstream_errors)));
-                members.push(("stream_segments".into(), Json::from(m.stream_segments)));
-                members.push(("stream_updates".into(), Json::from(m.stream_updates)));
-                members.push(("labels_repaired".into(), Json::from(m.labels_repaired)));
-                members.push(("labels_total".into(), Json::from(m.labels_total)));
-                members.push(("last_repair_ms".into(), Json::from(m.last_repair_ms)));
-                members.push(("p50_us".into(), Json::from(m.latency.p50_ns() / 1_000)));
-                members.push(("p90_us".into(), Json::from(m.latency.p90_ns() / 1_000)));
-                members.push(("p99_us".into(), Json::from(m.latency.p99_ns() / 1_000)));
-                members.push(("max_us".into(), Json::from(m.latency.max_ns() / 1_000)));
+                w.u64("shards_pruned", m.shards_pruned);
+                w.u64("shards_contacted", m.shards_contacted);
+                w.u64("upstream_errors", m.upstream_errors);
+                w.u64("stream_segments", m.stream_segments);
+                w.u64("stream_updates", m.stream_updates);
+                w.u64("labels_repaired", m.labels_repaired);
+                w.u64("labels_total", m.labels_total);
+                w.u64("last_repair_ms", m.last_repair_ms);
+                w.u64("p50_us", m.latency.p50_ns() / 1_000);
+                w.u64("p90_us", m.latency.p90_ns() / 1_000);
+                w.u64("p99_us", m.latency.p99_ns() / 1_000);
+                w.u64("max_us", m.latency.max_ns() / 1_000);
                 let s = &m.search;
-                members.push((
-                    "search".into(),
-                    Json::Obj(vec![
-                        ("nodes_settled".into(), Json::from(s.nodes_settled)),
-                        ("heap_pushes".into(), Json::from(s.heap_pushes)),
-                        ("heap_pops".into(), Json::from(s.heap_pops)),
-                        ("edges_relaxed".into(), Json::from(s.edges_relaxed)),
-                        ("gphi_evals".into(), Json::from(s.gphi_evals)),
-                        ("oracle_calls".into(), Json::from(s.oracle_calls)),
-                        ("label_lookups".into(), Json::from(s.label_lookups)),
-                        ("rtree_nodes".into(), Json::from(s.rtree_nodes)),
-                        ("candidates_pruned".into(), Json::from(s.candidates_pruned)),
-                    ]),
-                ));
+                w.object("search", |w| {
+                    w.u64("nodes_settled", s.nodes_settled);
+                    w.u64("heap_pushes", s.heap_pushes);
+                    w.u64("heap_pops", s.heap_pops);
+                    w.u64("edges_relaxed", s.edges_relaxed);
+                    w.u64("gphi_evals", s.gphi_evals);
+                    w.u64("oracle_calls", s.oracle_calls);
+                    w.u64("label_lookups", s.label_lookups);
+                    w.u64("rtree_nodes", s.rtree_nodes);
+                    w.u64("candidates_pruned", s.candidates_pruned);
+                });
             }
         }
-        Json::Obj(members).to_json()
+        w.finish()
     }
 
     /// Parse one response line (the client side of the protocol).
     pub fn parse(line: &str) -> Result<Response, String> {
-        let v = Json::parse(line).map_err(|e| e.to_string())?;
-        let id = match v.get("id") {
-            None | Some(Json::Null) => None,
-            Some(j) => Some(
-                j.as_str()
-                    .ok_or_else(|| "'id' must be a string".to_string())?
-                    .to_string(),
-            ),
-        };
-        let u64_field = |key: &'static str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("'{key}' must be a non-negative integer"))
-        };
-        let body = match v.get("status").and_then(Json::as_str) {
+        let mut f = Fields::default();
+        let (mut subset, mut region, mut search) = (None, None, None);
+        let mut r = Reader::new(line);
+        r.object(|r, key| match &*key {
+            "subset" => first(&mut subset, r, Reader::node_ids),
+            "region" => first(&mut region, r, read_region),
+            "search" => first(&mut search, r, |r| {
+                let mut s = Fields::default();
+                s.read_object(r).map(|()| s)
+            }),
+            _ => f.read(r, key),
+        })
+        .and_then(|_| r.finish())
+        .map_err(|e| e.to_string())?;
+        let id = f.id()?;
+        let region = region.flatten();
+        let body = match f.str("status") {
             Some("ok") => Body::Ok {
-                p_star: u64_field("p_star")? as NodeId,
-                dist: u64_field("dist")?,
-                subset: node_list(&v, "subset")?,
-                strategy: v
-                    .get("strategy")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                micros: u64_field("micros")?,
+                p_star: f.required("p_star")? as NodeId,
+                dist: f.required("dist")?,
+                subset: node_list(subset, "subset")?,
+                strategy: f.str("strategy").unwrap_or_default().to_string(),
+                micros: f.required("micros")?,
             },
             Some("empty") => Body::Empty,
             Some("cancelled") => Body::Cancelled,
             Some("shed") => Body::Shed,
             Some("updated") => Body::Updated {
-                epoch: u64_field("epoch")?,
-                applied: u64_field("applied")?,
+                epoch: f.required("epoch")?,
+                applied: f.required("applied")?,
             },
             Some("stream_ack") => Body::StreamAck {
-                seq: u64_field("seq")?,
-                epoch: u64_field("epoch")?,
-                applied: u64_field("applied")?,
+                seq: f.required("seq")?,
+                epoch: f.required("epoch")?,
+                applied: f.required("applied")?,
             },
             Some("stream_error") => Body::StreamError {
-                kind: match v.get("kind").and_then(Json::as_str) {
+                kind: match f.str("kind") {
                     Some("gap") => StreamErrorKind::Gap,
                     Some("overflow") => StreamErrorKind::Overflow,
                     _ => return Err("'kind' must be \"gap\" or \"overflow\"".to_string()),
                 },
-                expected: u64_field("expected")?,
-                got: u64_field("got")?,
+                expected: f.required("expected")?,
+                got: f.required("got")?,
             },
             Some("error") => Body::Error {
-                error: v
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
+                error: f.str("error").unwrap_or_default().to_string(),
             },
             Some("upstream") => Body::Upstream {
-                shard: u64_field("shard")? as u32,
-                error: v
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
+                shard: f.required("shard")? as u32,
+                error: f.str("error").unwrap_or_default().to_string(),
             },
             Some("health") => Body::Health(HealthInfo {
-                uptime_ms: u64_field("uptime_ms")?,
-                inflight: u64_field("inflight")?,
-                queued: u64_field("queued")?,
-                workers: u64_field("workers")?,
-                draining: v
-                    .get("draining")
-                    .and_then(Json::as_bool)
+                uptime_ms: f.required("uptime_ms")?,
+                inflight: f.required("inflight")?,
+                queued: f.required("queued")?,
+                workers: f.required("workers")?,
+                draining: f
+                    .bool("draining")
                     .ok_or_else(|| "'draining' must be a bool".to_string())?,
-                epoch: u64_field("epoch")?,
-                stale: v
-                    .get("stale")
-                    .and_then(Json::as_bool)
+                epoch: f.required("epoch")?,
+                stale: f
+                    .bool("stale")
                     .ok_or_else(|| "'stale' must be a bool".to_string())?,
                 // Shard fields arrived with the partitioned serving tier;
                 // tolerate their absence for non-shard servers.
-                shard: v.get("shard").and_then(Json::as_u64).map(|s| s as u32),
-                owned_nodes: v.get("owned_nodes").and_then(Json::as_u64).unwrap_or(0),
-                region: region_from(&v),
+                shard: f.u64("shard").map(|s| s as u32),
+                owned_nodes: f.u64("owned_nodes").unwrap_or(0),
+                region,
                 // Repair-footprint fields arrived with incremental
                 // maintenance; tolerate their absence for older peers.
-                labels_repaired: v.get("labels_repaired").and_then(Json::as_u64).unwrap_or(0),
-                labels_total: v.get("labels_total").and_then(Json::as_u64).unwrap_or(0),
-                labels_dropped: v.get("labels_dropped").and_then(Json::as_bool) == Some(true),
-                last_repair_ms: v.get("last_repair_ms").and_then(Json::as_u64).unwrap_or(0),
+                labels_repaired: f.u64("labels_repaired").unwrap_or(0),
+                labels_total: f.u64("labels_total").unwrap_or(0),
+                labels_dropped: f.bool("labels_dropped") == Some(true),
+                last_repair_ms: f.u64("last_repair_ms").unwrap_or(0),
             }),
             Some("metrics") => {
                 let mut m = MetricsInfo {
-                    requests: u64_field("requests")?,
-                    ok: u64_field("ok")?,
-                    empty: u64_field("empty")?,
-                    cancelled: u64_field("cancelled")?,
-                    shed: u64_field("shed")?,
-                    errors: u64_field("errors")?,
-                    updates: u64_field("updates")?,
-                    epoch: u64_field("epoch")?,
+                    requests: f.required("requests")?,
+                    ok: f.required("ok")?,
+                    empty: f.required("empty")?,
+                    cancelled: f.required("cancelled")?,
+                    shed: f.required("shed")?,
+                    errors: f.required("errors")?,
+                    updates: f.required("updates")?,
+                    epoch: f.required("epoch")?,
                     ..Default::default()
                 };
                 // Cache/batch counters arrived with the query-locality
                 // layer; tolerate their absence for older peers.
-                let opt = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
+                let opt = |key: &str| f.u64(key).unwrap_or(0);
                 m.cache_hits = opt("cache_hits");
                 m.cache_misses = opt("cache_misses");
                 m.cache_insertions = opt("cache_insertions");
@@ -779,9 +836,9 @@ impl Response {
                 m.cache_rebuilds = opt("cache_rebuilds");
                 m.batches = opt("batches");
                 m.batch_queries = opt("batch_queries");
-                m.shard = v.get("shard").and_then(Json::as_u64).map(|s| s as u32);
+                m.shard = f.u64("shard").map(|s| s as u32);
                 m.owned_nodes = opt("owned_nodes");
-                m.region = region_from(&v);
+                m.region = region;
                 m.shards_pruned = opt("shards_pruned");
                 m.shards_contacted = opt("shards_contacted");
                 m.upstream_errors = opt("upstream_errors");
@@ -794,22 +851,22 @@ impl Response {
                 // quantiles through as single samples so the client can
                 // still display them.
                 for key in ["p50_us", "p90_us", "p99_us"] {
-                    if let Some(us) = v.get(key).and_then(Json::as_u64) {
+                    if let Some(us) = f.u64(key) {
                         m.latency.record_ns(us.saturating_mul(1_000));
                     }
                 }
-                if let Some(s) = v.get("search") {
-                    let f = |key: &str| s.get(key).and_then(Json::as_u64).unwrap_or(0);
+                if let Some(s) = search {
+                    let g = |key: &str| s.u64(key).unwrap_or(0);
                     m.search = SearchStats {
-                        nodes_settled: f("nodes_settled"),
-                        heap_pushes: f("heap_pushes"),
-                        heap_pops: f("heap_pops"),
-                        edges_relaxed: f("edges_relaxed"),
-                        gphi_evals: f("gphi_evals"),
-                        oracle_calls: f("oracle_calls"),
-                        label_lookups: f("label_lookups"),
-                        rtree_nodes: f("rtree_nodes"),
-                        candidates_pruned: f("candidates_pruned"),
+                        nodes_settled: g("nodes_settled"),
+                        heap_pushes: g("heap_pushes"),
+                        heap_pops: g("heap_pops"),
+                        edges_relaxed: g("edges_relaxed"),
+                        gphi_evals: g("gphi_evals"),
+                        oracle_calls: g("oracle_calls"),
+                        label_lookups: g("label_lookups"),
+                        rtree_nodes: g("rtree_nodes"),
+                        candidates_pruned: g("candidates_pruned"),
                     };
                 }
                 Body::Metrics(Box::new(m))
@@ -846,6 +903,9 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tree::Json;
+    use proptest::prelude::*;
+    use proptest::Rng64;
 
     #[test]
     fn query_request_roundtrips() {
@@ -1115,6 +1175,53 @@ mod tests {
             r#"{"op":"query","p":[1],"q":[2],"phi":0.5,"agg":"max","deadline_ms":-5}"#,
             r#"{"op":"health","id":7}"#,
             r#"{"phi":0.5}"#,
+            &"[".repeat(100_000),
+            &format!(
+                r#"{{"op":"query","p":[1],"q":[2],"phi":0.5,"agg":"max","x":{}1,]{}}}"#,
+                "[".repeat(100_000),
+                "]".repeat(99_999)
+            ),
+        ] {
+            assert!(Request::parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    /// An unknown key may hold a value of any depth: it is validated and
+    /// skipped without recursion, and the request still parses.
+    #[test]
+    fn deep_unknown_values_are_skipped() {
+        let depth = 100_000;
+        let line = format!(
+            r#"{{"x":{}{},"op":"query","p":[1],"q":[2],"phi":0.5,"agg":"max"}}"#,
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let req = Request::parse(&line).unwrap();
+        assert!(matches!(req.op, Op::Query(ref s) if s.p == [1] && s.q == [2]));
+        let line = format!(
+            r#"{{"status":"bye","x":{}0{}}}"#,
+            "{\"k\":".repeat(depth),
+            "}".repeat(depth)
+        );
+        assert_eq!(Response::parse(&line).unwrap().body, Body::Bye);
+    }
+
+    /// The number spellings the wire has always accepted, and the first
+    /// occurrence of a duplicated key winning.
+    #[test]
+    fn number_spellings_and_first_key_wins() {
+        let line = r#"{"op":"query","p":[5.0,5e0,05,-0],"q":[2],"phi":5e-1,"agg":"max","deadline_ms":7.0,"p":"x"}"#;
+        match Request::parse(line).unwrap().op {
+            Op::Query(s) => {
+                assert_eq!(s.p, [5, 5, 5, 0]);
+                assert_eq!((s.phi, s.deadline_ms), (0.5, Some(7)));
+            }
+            other => panic!("{other:?}"),
+        }
+        for bad in [
+            r#"{"op":"query","p":[1e400],"q":[2],"phi":0.5,"agg":"max"}"#,
+            r#"{"op":"query","p":[9007199254740993],"q":[2],"phi":0.5,"agg":"max"}"#,
+            r#"{"op":"query","p":"x","q":[2],"phi":0.5,"agg":"max","p":[1]}"#,
         ] {
             assert!(Request::parse(bad).is_err(), "accepted {bad}");
         }
@@ -1277,5 +1384,393 @@ mod tests {
         };
         let parsed = Response::parse(&resp.to_json()).unwrap();
         assert_eq!(parsed, resp);
+    }
+
+    // ---- Differential check of the codec against the reference tree ----
+
+    fn below(rng: &mut Rng64, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(rng: &mut Rng64, xs: &[T]) -> T {
+        xs[below(rng, xs.len())]
+    }
+
+    /// Strings with everything the escaper and the escape decoder handle.
+    fn gen_string(rng: &mut Rng64) -> String {
+        const PIECES: [&str; 10] = [
+            "q7",
+            "",
+            "quote\"d",
+            "back\\slash",
+            "line\nfeed\r\t",
+            "\u{1}\u{1f}",
+            "é",
+            "😀 pair",
+            "a/b",
+            "\u{7f}",
+        ];
+        (0..below(rng, 4)).map(|_| pick(rng, &PIECES)).collect()
+    }
+
+    fn gen_id(rng: &mut Rng64) -> Option<String> {
+        (below(rng, 4) != 0).then(|| gen_string(rng))
+    }
+
+    fn gen_u64(rng: &mut Rng64) -> u64 {
+        let random = rng.next_u64() % 1_000_000;
+        pick(
+            rng,
+            &[
+                0,
+                1,
+                7,
+                1234,
+                (1 << 53) - 1,
+                1 << 53,
+                (1 << 53) + 1,
+                u64::MAX,
+                random,
+            ],
+        )
+    }
+
+    fn gen_node(rng: &mut Rng64) -> NodeId {
+        let random = (rng.next_u64() % 5000) as NodeId;
+        pick(rng, &[0, 1, 42, 65_535, NodeId::MAX, random])
+    }
+
+    fn gen_nodes(rng: &mut Rng64) -> Vec<NodeId> {
+        (0..below(rng, 6)).map(|_| gen_node(rng)).collect()
+    }
+
+    fn gen_f64(rng: &mut Rng64) -> f64 {
+        let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        pick(
+            rng,
+            &[0.0, 0.5, 1.0, 1.0 / 3.0, -1.25, 37.5, 1e-9, 1e300, unit],
+        )
+    }
+
+    fn gen_updates(rng: &mut Rng64) -> Vec<WeightUpdate> {
+        (0..below(rng, 4))
+            .map(|_| WeightUpdate {
+                u: gen_node(rng),
+                v: gen_node(rng),
+                w: gen_node(rng),
+            })
+            .collect()
+    }
+
+    fn gen_request(rng: &mut Rng64) -> Request {
+        let op = match below(rng, 6) {
+            0 => Op::Query(QuerySpec {
+                p: gen_nodes(rng),
+                q: gen_nodes(rng),
+                phi: gen_f64(rng),
+                agg: pick(rng, &[Aggregate::Sum, Aggregate::Max]),
+                deadline_ms: (below(rng, 2) == 0).then(|| gen_u64(rng)),
+            }),
+            1 => Op::Update(gen_updates(rng)),
+            2 => Op::UpdateStream {
+                seq: gen_u64(rng),
+                updates: gen_updates(rng),
+            },
+            3 => Op::Health,
+            4 => Op::Metrics,
+            _ => Op::Shutdown,
+        };
+        Request {
+            id: gen_id(rng),
+            op,
+        }
+    }
+
+    fn gen_region(rng: &mut Rng64) -> Option<[f64; 4]> {
+        (below(rng, 2) == 0).then(|| std::array::from_fn(|_| gen_f64(rng)))
+    }
+
+    fn gen_response(rng: &mut Rng64) -> Response {
+        let body = match below(rng, 12) {
+            0 => Body::Ok {
+                p_star: gen_node(rng),
+                dist: gen_u64(rng),
+                subset: gen_nodes(rng),
+                strategy: gen_string(rng),
+                micros: gen_u64(rng),
+            },
+            1 => Body::Empty,
+            2 => Body::Cancelled,
+            3 => Body::Shed,
+            4 => Body::Updated {
+                epoch: gen_u64(rng),
+                applied: gen_u64(rng),
+            },
+            5 => Body::StreamAck {
+                seq: gen_u64(rng),
+                epoch: gen_u64(rng),
+                applied: gen_u64(rng),
+            },
+            6 => Body::StreamError {
+                kind: pick(rng, &[StreamErrorKind::Gap, StreamErrorKind::Overflow]),
+                expected: gen_u64(rng),
+                got: gen_u64(rng),
+            },
+            7 => Body::Error {
+                error: gen_string(rng),
+            },
+            8 => Body::Upstream {
+                shard: gen_node(rng),
+                error: gen_string(rng),
+            },
+            9 => Body::Health(HealthInfo {
+                uptime_ms: gen_u64(rng),
+                inflight: gen_u64(rng),
+                queued: gen_u64(rng),
+                workers: gen_u64(rng),
+                draining: below(rng, 2) == 0,
+                epoch: gen_u64(rng),
+                stale: below(rng, 2) == 0,
+                shard: (below(rng, 2) == 0).then(|| gen_node(rng)),
+                owned_nodes: gen_u64(rng),
+                region: gen_region(rng),
+                labels_repaired: gen_u64(rng),
+                labels_total: gen_u64(rng),
+                labels_dropped: below(rng, 2) == 0,
+                last_repair_ms: gen_u64(rng),
+            }),
+            10 => {
+                let mut m = MetricsInfo {
+                    requests: gen_u64(rng),
+                    ok: gen_u64(rng),
+                    empty: gen_u64(rng),
+                    cancelled: gen_u64(rng),
+                    shed: gen_u64(rng),
+                    errors: gen_u64(rng),
+                    updates: gen_u64(rng),
+                    epoch: gen_u64(rng),
+                    cache_hits: gen_u64(rng),
+                    cache_retained: gen_u64(rng),
+                    batches: gen_u64(rng),
+                    shard: (below(rng, 2) == 0).then(|| gen_node(rng)),
+                    owned_nodes: gen_u64(rng),
+                    region: gen_region(rng),
+                    shards_pruned: gen_u64(rng),
+                    stream_updates: gen_u64(rng),
+                    last_repair_ms: gen_u64(rng),
+                    ..Default::default()
+                };
+                for _ in 0..below(rng, 4) {
+                    m.latency.record_ns(rng.next_u64() % 5_000_000_000);
+                }
+                m.search.nodes_settled = gen_u64(rng);
+                m.search.gphi_evals = gen_u64(rng);
+                m.search.candidates_pruned = gen_u64(rng);
+                Body::Metrics(Box::new(m))
+            }
+            _ => Body::Bye,
+        };
+        Response {
+            id: gen_id(rng),
+            body,
+        }
+    }
+
+    /// Whitespace between tokens, sometimes.
+    fn ws(rng: &mut Rng64, out: &mut String) {
+        if below(rng, 4) == 0 {
+            out.push_str(pick(rng, &[" ", "\t", "\n", "\r", "  \r\n"]));
+        }
+    }
+
+    /// `text` as a JSON string with random escape spellings: `\uXXXX` in
+    /// either case (surrogate pairs above the BMP) and `\/`.
+    fn respell_str(text: &str, rng: &mut Rng64, out: &mut String) {
+        out.push('"');
+        for c in text.chars() {
+            match below(rng, 3) {
+                0 => {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        if below(rng, 2) == 0 {
+                            out.push_str(&format!("\\u{unit:04x}"));
+                        } else {
+                            out.push_str(&format!("\\u{unit:04X}"));
+                        }
+                    }
+                }
+                1 if c == '/' => out.push_str("\\/"),
+                _ => {
+                    let quoted = Json::Str(c.to_string()).to_json();
+                    out.push_str(&quoted[1..quoted.len() - 1]);
+                }
+            }
+        }
+        out.push('"');
+    }
+
+    /// Serialize like the tree, but with random whitespace, escape
+    /// spellings, and number spellings (`5.0`, `5e0`, `05`, `-0`, and
+    /// now and then a value swapped for `1e400`, 2^53 + 1 or `0.5`).
+    fn respell(v: &Json, rng: &mut Rng64, out: &mut String) {
+        ws(rng, out);
+        match v {
+            Json::Num(_) if below(rng, 12) == 0 => {
+                out.push_str(pick(rng, &["1e400", "9007199254740993", "0.5", "-1"]));
+            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 1e15 => {
+                let d = *n as u64;
+                let spelled = match below(rng, 7) {
+                    0 => format!("{d}.0"),
+                    1 => format!("{d}e0"),
+                    2 => format!("0{d}"),
+                    3 => format!("{d}.00E+0"),
+                    4 if d == 0 => "-0".to_string(),
+                    _ => d.to_string(),
+                };
+                out.push_str(&spelled);
+            }
+            Json::Str(text) => respell_str(text, rng, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    respell(item, rng, out);
+                }
+                ws(rng, out);
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (key, item)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    ws(rng, out);
+                    respell_str(key, rng, out);
+                    ws(rng, out);
+                    out.push(':');
+                    respell(item, rng, out);
+                }
+                ws(rng, out);
+                out.push('}');
+            }
+            other => out.push_str(&other.to_json()),
+        }
+        ws(rng, out);
+    }
+
+    /// A value of the wrong type for any protocol field.
+    fn wrong_value(rng: &mut Rng64) -> Json {
+        match below(rng, 7) {
+            0 => Json::Str("x".into()),
+            1 => Json::Num(-1.0),
+            2 => Json::Num(0.5),
+            3 => Json::Null,
+            4 => Json::Bool(true),
+            5 => Json::Arr(vec![Json::Num(1.5), Json::Arr(vec![])]),
+            _ => Json::Obj(vec![("u".into(), Json::Obj(vec![]))]),
+        }
+    }
+
+    /// `line` and mutants of it: reordered keys, a duplicated key with a
+    /// wrong-typed value, respelled numbers and strings, added whitespace,
+    /// truncations, flipped bytes and inserted tokens.
+    fn mutants(line: &str, rng: &mut Rng64) -> Vec<String> {
+        let mut out = vec![line.to_string()];
+        let Ok(Json::Obj(members)) = Json::parse(line) else {
+            return out;
+        };
+        for _ in 0..4 {
+            let mut members = members.clone();
+            for i in (1..members.len()).rev() {
+                members.swap(i, below(rng, i + 1));
+            }
+            if below(rng, 2) == 0 && !members.is_empty() {
+                let key = members[below(rng, members.len())].0.clone();
+                let at = below(rng, members.len() + 1);
+                members.insert(at, (key, wrong_value(rng)));
+            }
+            if below(rng, 4) == 0 {
+                let nested = (0..below(rng, 40)).fold(Json::Num(1.0), |v, _| Json::Arr(vec![v]));
+                members.insert(below(rng, members.len() + 1), ("zz".into(), nested));
+            }
+            let mut spelled = String::new();
+            respell(&Json::Obj(members), rng, &mut spelled);
+            out.push(spelled);
+        }
+        for i in 0..out.len() {
+            let base = out[i].clone();
+            let cuts: Vec<usize> = base.char_indices().map(|(at, _)| at).collect();
+            let cut = cuts[below(rng, cuts.len())];
+            out.push(base[..cut].to_string());
+            let mut bytes = base.clone().into_bytes();
+            let at = below(rng, bytes.len());
+            if bytes[at].is_ascii() {
+                bytes[at] = pick(rng, b"{}[],:\"\\ 019-.eEtrufalsnx\x01");
+                out.push(String::from_utf8(bytes).expect("ASCII for ASCII"));
+            }
+            let token = pick(
+                rng,
+                &[
+                    "[",
+                    "]",
+                    "{",
+                    "}",
+                    ",",
+                    ":",
+                    "\"",
+                    "\\u",
+                    "null",
+                    "-",
+                    "1e",
+                    "\\",
+                    "\\ud83d",
+                    "\\ud83d\\u0041",
+                    "\\ud83d\\n",
+                    "\\udc00",
+                    "\\u+04a",
+                ],
+            );
+            out.push(format!("{}{token}{}", &base[..cut], &base[cut..]));
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The codec against the tree it replaced: the same bytes out for
+        /// every generated request and reply, and for every line and
+        /// mutant, the same accept/reject decision, the same error text
+        /// and the same parsed value — and never a panic.
+        #[test]
+        fn codec_matches_the_reference_tree(seed in any::<u64>()) {
+            let mut rng = Rng64::new(seed);
+            let req = gen_request(&mut rng);
+            let resp = gen_response(&mut rng);
+            let req_line = req.to_json();
+            let resp_line = resp.to_json();
+            prop_assert_eq!(&req_line, &reference::request_to_json(&req));
+            prop_assert_eq!(&resp_line, &reference::response_to_json(&resp));
+            let mut lines = mutants(&req_line, &mut rng);
+            lines.extend(mutants(&resp_line, &mut rng));
+            for line in &lines {
+                prop_assert_eq!(
+                    Request::parse(line),
+                    reference::parse_request(line),
+                    "request {:?}",
+                    line
+                );
+                prop_assert_eq!(
+                    Response::parse(line),
+                    reference::parse_response(line),
+                    "response {:?}",
+                    line
+                );
+            }
+        }
     }
 }

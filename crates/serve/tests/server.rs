@@ -162,6 +162,30 @@ fn errors_are_reported_and_connection_survives() {
     });
 }
 
+/// Hostile wire bytes get a typed error, never a dead process: a line of
+/// 100 000 `[` is answered with `error` (the reader skips nesting with an
+/// explicit stack, not recursion), and the server still answers `health`
+/// on a new connection.
+#[test]
+fn deeply_nested_line_gets_an_error_and_the_server_keeps_serving() {
+    let graph = test_graph(9, 120);
+    with_server(free_port_config(), &graph, |addr| {
+        let mut client = Client::connect(addr).expect("connect");
+        client.send_raw(&"[".repeat(100_000)).expect("send");
+        let resp = client.recv().expect("recv");
+        assert!(matches!(resp.body, Body::Error { .. }), "{resp:?}");
+
+        let mut fresh = Client::connect(addr).expect("reconnect");
+        let resp = fresh
+            .call(&Request {
+                id: Some("h".into()),
+                op: Op::Health,
+            })
+            .expect("health");
+        assert!(matches!(resp.body, Body::Health(_)), "{resp:?}");
+    });
+}
+
 /// A pre-expired deadline yields `cancelled` — never a wrong answer — and
 /// the cancelled counter shows up in `metrics`.
 #[test]

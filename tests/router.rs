@@ -15,7 +15,7 @@ use std::thread;
 use fannr::fann::engine::Engine;
 use fannr::fann::{flex_k, Aggregate};
 use fannr::roadnet::dijkstra::dijkstra_all;
-use fannr::roadnet::{Graph, GraphBuilder, ShardMap, WeightUpdate, INF};
+use fannr::roadnet::{Graph, GraphBuilder, Point, ShardMap, WeightUpdate, INF};
 use fannr::router::{Router, RouterConfig};
 use fannr::serve::{Body, Client, Op, QuerySpec, Request, ServeConfig, Server, ShardRole};
 use proptest::prelude::*;
@@ -279,6 +279,67 @@ fn apx_sum_bit_identical_when_p_colocated() {
     });
 }
 
+/// Three shards and a Q whose bounding box is the whole network: every
+/// shard's bound is 0, so none is pruned and the second wave has two live
+/// shards, one called on the router's thread and one on a scoped thread.
+/// The merged answer is the single engine's, and the router counts all
+/// three shards contacted.
+#[test]
+fn three_shard_wave_contacts_every_shard() {
+    let g = test_graph(7, 300);
+    let parts = fannr::gtree::top_level_cut(&g, 3);
+    assert_eq!(parts.len(), 3);
+    // Q = the extreme node on each side, so b_Q is the network's box.
+    let extreme = |key: fn(Point) -> f64| {
+        let cmp = |a: &u32, b: &u32| key(g.coord(*a)).total_cmp(&key(g.coord(*b)));
+        let nodes = 0..g.num_nodes() as u32;
+        [
+            nodes.clone().min_by(cmp).unwrap(),
+            nodes.max_by(cmp).unwrap(),
+        ]
+    };
+    let mut q = [extreme(|c| c.x), extreme(|c| c.y)].concat();
+    q.sort_unstable();
+    q.dedup();
+    let p: Vec<u32> = parts
+        .iter()
+        .flat_map(|part| part.iter().take(4).copied())
+        .collect();
+    let single = Engine::new(&g);
+    with_deployment(
+        &g,
+        &parts,
+        || Engine::new(&g),
+        |router_addr, _| {
+            let mut client = Client::connect(router_addr).expect("connect");
+            for agg in [Aggregate::Max, Aggregate::Sum] {
+                let resp = client
+                    .call(&query_req("wave", &p, &q, 0.5, agg))
+                    .expect("query");
+                let got = wire_answer(&resp.body).map(|(ps, d, s, _)| (ps, d, s));
+                let want = single
+                    .query(&p, &q, 0.5, agg)
+                    .expect("valid query")
+                    .map(|a| (a.p_star, a.dist, a.subset));
+                assert_eq!(got, want, "divergence ({agg})");
+            }
+            let resp = client
+                .call(&Request {
+                    id: None,
+                    op: Op::Metrics,
+                })
+                .expect("metrics");
+            match resp.body {
+                Body::Metrics(m) => {
+                    assert_eq!(m.shards_contacted, 6, "{m:?}");
+                    assert_eq!(m.shards_pruned, 0, "{m:?}");
+                }
+                other => panic!("expected metrics, got {other:?}"),
+            }
+        },
+    );
+}
+
 /// Weight updates route only to the shard owning the edge; the ack carries
 /// that shard's new epoch, the other shard stays at its old epoch, and the
 /// router's health reports the deployment maximum. Shard health also
@@ -509,6 +570,35 @@ fn update_stream_spans_shards_with_merged_acks() {
                     .map(|a| (a.p_star, a.dist, a.subset));
                 assert_eq!(got, want, "post-stream divergence ({agg})");
             }
+        },
+    );
+}
+
+/// The router parses every line itself before any fan-out: a line of
+/// 100 000 `[` gets a typed `error` from the router, and the deployment
+/// still answers `health` on a new connection.
+#[test]
+fn deeply_nested_line_gets_an_error_from_the_router() {
+    let g = test_graph(7, 300);
+    let parts = fannr::gtree::top_level_cut(&g, 2);
+    with_deployment(
+        &g,
+        &parts,
+        || Engine::new(&g),
+        |router_addr, _| {
+            let mut client = Client::connect(router_addr).expect("connect");
+            client.send_raw(&"[".repeat(100_000)).expect("send");
+            let resp = client.recv().expect("recv");
+            assert!(matches!(resp.body, Body::Error { .. }), "{resp:?}");
+
+            let mut fresh = Client::connect(router_addr).expect("reconnect");
+            let resp = fresh
+                .call(&Request {
+                    id: Some("h".into()),
+                    op: Op::Health,
+                })
+                .expect("health");
+            assert!(matches!(resp.body, Body::Health(_)), "{resp:?}");
         },
     );
 }

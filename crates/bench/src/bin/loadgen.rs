@@ -38,24 +38,8 @@
 //!         --nodes 2000 --seed 7 --skew --smoke --queries 256 \
 //!         --min-speedup 5 --shutdown --bench-out results/BENCH_6.json
 //! ```
-//!
-//! `--update-stream` swaps queries for a sustained `update_stream` leg:
-//! one long-lived sequenced stream (segments of `--segment` edges paced
-//! to `--rate` updates/second, a bounded in-flight window), checkpointed
-//! reads cross-validated bit-for-bit against a local mirror engine, and a
-//! final single-edge probe that reads the server's scoped-repair counters
-//! (`--min-updates-per-s` and `--min-repair-ratio` turn both into
-//! pass/fail gates; `--converge-s` stretches the per-checkpoint repair
-//! deadline for continental graphs whose merged scopes repair for
-//! minutes):
-//!
-//! ```text
-//! loadgen --addr 127.0.0.1:7893 --update-stream --nodes 2000 --seed 7 \
-//!         --rate 2000 --duration-s 4 --segment 64 --min-updates-per-s 1000 \
-//!         --min-repair-ratio 10 --shutdown --bench-out results/BENCH_10.json
-//! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -63,7 +47,7 @@ use std::time::{Duration, Instant};
 use fann_core::engine::Engine;
 use fann_core::metrics::LatencyHistogram;
 use fann_core::Aggregate;
-use fannr_serve::{Body, Client, Op, QuerySpec, Request, MAX_STREAM_SEGMENT, STREAM_WINDOW};
+use fannr_serve::{Body, Client, Op, QuerySpec, Request};
 use roadnet::{Graph, WeightUpdate};
 
 fn parse_opts(args: impl Iterator<Item = String>) -> HashMap<String, String> {
@@ -267,24 +251,7 @@ fn main() -> ExitCode {
     let update_rate: f64 = get(&opts, "update-rate", 0.0);
     let bench_out = opts.get("bench-out").cloned();
 
-    let result = if opts.contains_key("update-stream") {
-        stream_leg(
-            &addr,
-            &graph,
-            &pool,
-            StreamOpts {
-                rate: get(&opts, "rate", 2_000.0),
-                seconds: get(&opts, "duration-s", 5.0),
-                segment: get(&opts, "segment", 64usize),
-                checkpoints: get(&opts, "checkpoints", 4usize),
-                min_updates_per_s: get(&opts, "min-updates-per-s", 0.0),
-                min_repair_ratio: get(&opts, "min-repair-ratio", 0.0),
-                converge_s: get(&opts, "converge-s", 60u64),
-                shutdown: opts.contains_key("shutdown"),
-            },
-            bench_out.as_deref(),
-        )
-    } else if let Some(cached_addr) = opts.get("compare-addr") {
+    let result = if let Some(cached_addr) = opts.get("compare-addr") {
         compare(
             &addr,
             cached_addr,
@@ -299,7 +266,7 @@ fn main() -> ExitCode {
     } else if opts.contains_key("smoke") {
         smoke(&addr, &graph, &pool, update_rate, bench_out.as_deref())
     } else {
-        Err("no mode: pass --smoke, --compare-addr ADDR2 or --update-stream".to_string())
+        Err("no mode: pass --smoke or --compare-addr ADDR2".to_string())
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -674,365 +641,6 @@ fn compare(
     }
     println!(
         "COMPARE PASS: {queries} queries, 0 mismatches, {speedup:.1}x client-observed speedup"
-    );
-    Ok(())
-}
-
-/// Knobs for the sustained update-stream leg (`--update-stream`).
-struct StreamOpts {
-    /// Target updates/second (segments are paced to hit this).
-    rate: f64,
-    /// How long the sustained phase streams for.
-    seconds: f64,
-    /// Edges per segment.
-    segment: usize,
-    /// How many times the stream pauses for a checkpointed read phase.
-    checkpoints: usize,
-    /// Fail below this achieved updates/second (0 = no gate).
-    min_updates_per_s: f64,
-    /// Fail unless the final single-edge repair touched at least this
-    /// many times fewer label roots than a full rebuild (0 = no gate).
-    min_repair_ratio: f64,
-    /// Per-checkpoint repair-convergence deadline, seconds. The default
-    /// (60) fits CI-sized graphs; continental runs merging many touched
-    /// edges into one scope legitimately repair for minutes.
-    converge_s: u64,
-    shutdown: bool,
-}
-
-/// The sustained update-stream leg (`--update-stream`): one long-lived
-/// `update_stream` over a single connection, segments of `--segment`
-/// edges paced to `--rate` updates/second with up to [`STREAM_WINDOW`]
-/// segments in flight. Every ack is applied to a local mirror engine;
-/// the stream periodically drains, waits for the server's background
-/// repair to converge, and cross-validates reads bit-for-bit against the
-/// mirror (the checkpoint pattern — mid-flight answers race the stream,
-/// checkpointed ones must be exact). A final single-edge segment probes
-/// the scoped-repair footprint: the server's last-repair counters then
-/// show how many label roots one edge actually costs versus a full
-/// rebuild. `--bench-out` records everything
-/// (`results/BENCH_10.json` in CI).
-fn stream_leg(
-    addr: &str,
-    graph: &Graph,
-    pool: &QueryPool,
-    opts: StreamOpts,
-    bench_out: Option<&str>,
-) -> Result<(), String> {
-    let mirror = Engine::new(graph);
-    let segment = opts.segment.clamp(1, MAX_STREAM_SEGMENT);
-    let window = STREAM_WINDOW.max(1);
-
-    // The mutated edge set: `segment` edges spread evenly over the
-    // network, each toggled between its seed weight and double it (always
-    // admissible — weights only move up from the Euclidean floor).
-    let all: Vec<(u32, u32, u32)> = graph.edges().collect();
-    if all.is_empty() {
-        return Err("graph has no edges to stream updates for".to_string());
-    }
-    let step = (all.len() / segment).max(1);
-    let edges: Vec<(u32, u32, u32)> = all.iter().copied().step_by(step).take(segment).collect();
-    let batch = |doubled: bool| -> Vec<WeightUpdate> {
-        edges
-            .iter()
-            .map(|&(u, v, w)| WeightUpdate {
-                u,
-                v,
-                w: if doubled { w.saturating_mul(2) } else { w },
-            })
-            .collect()
-    };
-
-    let mut client = connect_with_retry(addr, Duration::from_secs(20))?;
-    client
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| e.to_string())?;
-    let mut query_client = connect_with_retry(addr, Duration::from_secs(20))?;
-    query_client
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| e.to_string())?;
-
-    let mut next_seq: u64 = 1;
-    let mut last_epoch: u64 = 0;
-    let mut updates_acked: u64 = 0;
-    let mut ack_hist = LatencyHistogram::default();
-    let mut pending: VecDeque<(u64, Instant, Vec<WeightUpdate>)> = VecDeque::new();
-
-    // One ack off the wire: strictly ordered, applied to the mirror the
-    // moment the server confirms it.
-    let recv_ack = |client: &mut Client,
-                    pending: &mut VecDeque<(u64, Instant, Vec<WeightUpdate>)>,
-                    ack_hist: &mut LatencyHistogram,
-                    last_epoch: &mut u64,
-                    updates_acked: &mut u64|
-     -> Result<(), String> {
-        let (seq, sent_at, updates) = pending.pop_front().expect("recv with nothing in flight");
-        let resp = client.recv().map_err(|e| format!("ack {seq}: {e}"))?;
-        match resp.body {
-            Body::StreamAck {
-                seq: acked,
-                epoch,
-                applied,
-            } => {
-                if acked != seq {
-                    return Err(format!("ack out of order: expected {seq}, got {acked}"));
-                }
-                ack_hist.record(sent_at.elapsed());
-                *last_epoch = epoch;
-                *updates_acked += applied;
-                mirror
-                    .apply_updates(&updates)
-                    .map_err(|e| format!("mirror diverged on segment {seq}: {e}"))?;
-                Ok(())
-            }
-            other => Err(format!("segment {seq} rejected: {other:?}")),
-        }
-    };
-    let send_segment = |client: &mut Client,
-                        pending: &mut VecDeque<(u64, Instant, Vec<WeightUpdate>)>,
-                        next_seq: &mut u64,
-                        updates: Vec<WeightUpdate>|
-     -> Result<(), String> {
-        let seq = *next_seq;
-        client
-            .send(&Request {
-                id: Some(format!("seg{seq}")),
-                op: Op::UpdateStream {
-                    seq,
-                    updates: updates.clone(),
-                },
-            })
-            .map_err(|e| format!("send segment {seq}: {e}"))?;
-        pending.push_back((seq, Instant::now(), updates));
-        *next_seq = seq + 1;
-        Ok(())
-    };
-
-    // Wait for the server's background repair to converge on the acked
-    // epoch, returning how long it took (the staleness window a reader
-    // would have observed).
-    let converge = |client: &mut Client, epoch: u64| -> Result<Duration, String> {
-        let started = Instant::now();
-        let deadline = started + Duration::from_secs(opts.converge_s);
-        loop {
-            let resp = client
-                .call(&Request {
-                    id: Some("cvg".into()),
-                    op: Op::Health,
-                })
-                .map_err(|e| format!("health during convergence: {e}"))?;
-            match resp.body {
-                Body::Health(h) if h.epoch == epoch && !h.stale => return Ok(started.elapsed()),
-                Body::Health(_) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                other => return Err(format!("repair never converged: {other:?}")),
-            }
-        }
-    };
-
-    // Sustained phase: paced segments, a bounded in-flight window, and
-    // `checkpoints` pauses that each drain + converge + cross-validate.
-    let total_segments =
-        (((opts.rate * opts.seconds) / segment as f64).ceil() as usize).max(opts.checkpoints + 1);
-    let interval = Duration::from_secs_f64(segment as f64 / opts.rate.max(1.0));
-    let per_phase = total_segments.div_ceil(opts.checkpoints.max(1));
-    let mut staleness = LatencyHistogram::default();
-    let mut sent_segments = 0usize;
-    let mut checkpoint_queries = 0u64;
-    let mut streaming = Duration::ZERO;
-    while sent_segments < total_segments {
-        let phase_end = (sent_segments + per_phase).min(total_segments);
-        let t0 = Instant::now();
-        while sent_segments < phase_end {
-            let tick = interval.mul_f64((sent_segments % per_phase) as f64);
-            if let Some(sleep) = tick.checked_sub(t0.elapsed()) {
-                std::thread::sleep(sleep);
-            }
-            while pending.len() >= window as usize {
-                recv_ack(
-                    &mut client,
-                    &mut pending,
-                    &mut ack_hist,
-                    &mut last_epoch,
-                    &mut updates_acked,
-                )?;
-            }
-            // Odd seq doubles the weights, even seq restores them, so the
-            // stream always ends on seed weights after an even count.
-            let doubled = next_seq % 2 == 1;
-            send_segment(&mut client, &mut pending, &mut next_seq, batch(doubled))?;
-            sent_segments += 1;
-        }
-        while !pending.is_empty() {
-            recv_ack(
-                &mut client,
-                &mut pending,
-                &mut ack_hist,
-                &mut last_epoch,
-                &mut updates_acked,
-            )?;
-        }
-        streaming += t0.elapsed();
-        // Checkpoint: the stream is drained, so once the repair converges
-        // the mirror is authoritative and reads must match bit-for-bit.
-        staleness.record(converge(&mut query_client, last_epoch)?);
-        let (ok, empty) = cross_validate(&mut query_client, &mirror, pool, 4, "ck")?;
-        checkpoint_queries += ok + empty;
-    }
-
-    // Restore every toggled edge (a no-op segment if the count was even),
-    // so the network ends exactly where it started.
-    send_segment(&mut client, &mut pending, &mut next_seq, batch(false))?;
-    while !pending.is_empty() {
-        recv_ack(
-            &mut client,
-            &mut pending,
-            &mut ack_hist,
-            &mut last_epoch,
-            &mut updates_acked,
-        )?;
-    }
-    converge(&mut query_client, last_epoch)?;
-
-    let achieved = updates_acked as f64 / streaming.as_secs_f64().max(1e-9);
-    eprintln!(
-        "loadgen: stream: {sent_segments} segments ({updates_acked} updates) at {achieved:.0} \
-         updates/s, {checkpoint_queries} checkpointed reads exact, ack p99 {}us",
-        ack_hist.p99_ns() / 1_000
-    );
-
-    // Scoped-repair probe: single-edge segments spread across the
-    // network, so the last repair on *every* shard (through a router the
-    // health counters aggregate per-shard last repairs) is a single-edge
-    // batch — that is what the counters then measure. Probe edges are
-    // pendant (degree-1) edges where they exist: a leaf-local update whose
-    // shortest-path footprint is structurally tiny, which is exactly the
-    // "single-leaf batch" the scoped-repair machinery is built for —
-    // toggling a high-betweenness edge instead would honestly invalidate
-    // half the label roots and measure edge centrality, not repair
-    // scoping. Each probe toggles and restores, leaving the network
-    // untouched.
-    let mut probe_edges: Vec<(u32, u32, u32)> = (0..graph.num_nodes() as u32)
-        .filter(|&v| graph.degree(v) == 1)
-        .filter_map(|v| graph.neighbors(v).next().map(|(nbr, w)| (v, nbr, w)))
-        .collect();
-    if probe_edges.is_empty() {
-        probe_edges = edges.clone();
-    }
-    probe_edges.sort_by(|a, b| {
-        let (ca, cb) = (graph.coord(a.0), graph.coord(b.0));
-        (ca.x, ca.y)
-            .partial_cmp(&(cb.x, cb.y))
-            .expect("finite coords")
-    });
-    let probes = 8.min(probe_edges.len());
-    for i in 0..probes {
-        let (pu, pv, pw) = probe_edges[i * probe_edges.len() / probes];
-        for w in [pw.saturating_mul(2), pw] {
-            send_segment(
-                &mut client,
-                &mut pending,
-                &mut next_seq,
-                vec![WeightUpdate { u: pu, v: pv, w }],
-            )?;
-            while !pending.is_empty() {
-                recv_ack(
-                    &mut client,
-                    &mut pending,
-                    &mut ack_hist,
-                    &mut last_epoch,
-                    &mut updates_acked,
-                )?;
-            }
-            converge(&mut query_client, last_epoch)?;
-        }
-    }
-    let (ok, _) = cross_validate(&mut query_client, &mirror, pool, 8, "fin")?;
-    if ok == 0 {
-        return Err("no post-stream query succeeded".to_string());
-    }
-
-    // The repair footprint of that single-edge batch, via the server's
-    // (or router's aggregated) health counters.
-    let resp = query_client
-        .call(&Request {
-            id: Some("hf".into()),
-            op: Op::Health,
-        })
-        .map_err(|e| format!("final health: {e}"))?;
-    let h = match resp.body {
-        Body::Health(h) => h,
-        other => return Err(format!("expected health, got {other:?}")),
-    };
-    let repair_ratio = if h.labels_repaired > 0 {
-        h.labels_total as f64 / h.labels_repaired as f64
-    } else {
-        0.0
-    };
-    eprintln!(
-        "loadgen: single-edge repair: {}/{} label roots ({}x fewer), {}ms",
-        h.labels_repaired, h.labels_total, repair_ratio as u64, h.last_repair_ms
-    );
-
-    if let Some(path) = bench_out {
-        let json = format!(
-            "{{\n  \"bench\": \"update_stream\",\n  \"segments\": {sent_segments},\n  \
-             \"segment_edges\": {segment},\n  \"updates\": {updates_acked},\n  \
-             \"sustained_updates_per_s\": {achieved:.1},\n  \"ack_p50_us\": {},\n  \
-             \"ack_p99_us\": {},\n  \"staleness_p50_ms\": {},\n  \"staleness_p99_ms\": {},\n  \
-             \"checkpoint_reads\": {checkpoint_queries},\n  \"mismatches\": 0,\n  \
-             \"labels_repaired\": {},\n  \"labels_total\": {},\n  \
-             \"last_repair_ms\": {},\n  \
-             \"repair_ratio\": {repair_ratio:.1}\n}}\n",
-            ack_hist.p50_ns() / 1_000,
-            ack_hist.p99_ns() / 1_000,
-            staleness.p50_ns() / 1_000_000,
-            staleness.p99_ns() / 1_000_000,
-            h.labels_repaired,
-            h.labels_total,
-            h.last_repair_ms,
-        );
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(|e| format!("{path}: {e}"))?;
-            }
-        }
-        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("loadgen: wrote {path}");
-    }
-
-    if opts.shutdown {
-        query_client
-            .call(&Request {
-                id: None,
-                op: Op::Shutdown,
-            })
-            .map_err(|e| format!("shutdown: {e}"))?;
-    }
-
-    if achieved < opts.min_updates_per_s {
-        return Err(format!(
-            "sustained {achieved:.0} updates/s below required {:.0}",
-            opts.min_updates_per_s
-        ));
-    }
-    if opts.min_repair_ratio > 0.0 {
-        if h.labels_repaired == 0 {
-            return Err("no scoped repair was recorded (are labels enabled?)".to_string());
-        }
-        if repair_ratio < opts.min_repair_ratio {
-            return Err(format!(
-                "single-edge repair touched {}/{} label roots ({repair_ratio:.1}x), \
-                 required at least {:.1}x fewer than a full rebuild",
-                h.labels_repaired, h.labels_total, opts.min_repair_ratio
-            ));
-        }
-    }
-    println!(
-        "STREAM PASS: {updates_acked} updates at {achieved:.0}/s, {checkpoint_queries} \
-         checkpointed reads exact, single-edge repair {}/{} roots",
-        h.labels_repaired, h.labels_total
     );
     Ok(())
 }

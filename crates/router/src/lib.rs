@@ -29,16 +29,6 @@
 //! is the owner of its smaller endpoint); acks merge as `max(epoch)` /
 //! `sum(applied)`. Connection failures surface as a typed `upstream`
 //! error naming the shard, after one reconnect retry.
-//!
-//! `update_stream` segments are broadcast to *every* shard over dedicated
-//! per-client upstream connections (shard stream state is per-connection,
-//! so pooled connections cannot carry sequenced segments). Each shard
-//! filters to the edges it owns and advances its own per-connection
-//! sequence, so the router keeps one upstream counter per shard and merges
-//! acks as `max(epoch)` / `sum(applied)` under the client-facing sequence
-//! number. A broken upstream is re-dialed with a fresh sequence (updates
-//! carry absolute weights, so a re-send after an ack lost in flight is
-//! idempotent on graph state).
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,10 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fann_core::{flex_k, FannQuery};
-use fannr_serve::{
-    Body, Client, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response, StreamErrorKind,
-    MAX_STREAM_SEGMENT,
-};
+use fannr_serve::{Body, Client, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response};
 use roadnet::{Dist, Graph, NodeId, ShardMap};
 
 /// How the router behaves.
@@ -355,15 +342,13 @@ fn connection_loop(
     };
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    let mut streams = StreamState::new(pools.len());
     loop {
         match reader.read_line(&mut line) {
             Ok(0) => break,
             Ok(_) => {
                 let trimmed = line.trim();
                 if !trimmed.is_empty() {
-                    let resp =
-                        handle_line(trimmed, config, pools, shared, stop, started, &mut streams);
+                    let resp = handle_line(trimmed, config, pools, shared, stop, started);
                     let mut out = resp.to_json();
                     out.push('\n');
                     if writer.write_all(out.as_bytes()).is_err() {
@@ -387,7 +372,6 @@ fn connection_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn handle_line(
     trimmed: &str,
     config: &RouterConfig,
@@ -395,7 +379,6 @@ fn handle_line(
     shared: &Shared,
     stop: &AtomicBool,
     started: Instant,
-    streams: &mut StreamState,
 ) -> Response {
     let req = match Request::parse(trimmed) {
         Ok(r) => r,
@@ -415,9 +398,6 @@ fn handle_line(
             resp
         }
         Op::Update(updates) => handle_update(req.id, updates, config, pools, shared),
-        Op::UpdateStream { seq, updates } => {
-            handle_update_stream(req.id, seq, updates, config, pools, shared, streams)
-        }
         Op::Health => handle_health(req.id, config, pools, shared, stop, started),
         Op::Metrics => handle_metrics(req.id, config, pools, shared),
         Op::Shutdown => {
@@ -797,191 +777,6 @@ fn handle_update(
     }
 }
 
-/// Per-client update-stream state: the client-facing cumulative sequence,
-/// one dedicated upstream connection per shard (shard stream state lives
-/// on the connection, so these are never pooled), and the next sequence
-/// number each of those connections expects.
-struct StreamState {
-    /// Next client-facing sequence number this connection will accept.
-    next: u64,
-    /// Epoch of the last merged ack, replayed on duplicate re-acks.
-    epoch: u64,
-    conns: Vec<Option<Client>>,
-    shard_next: Vec<u64>,
-}
-
-impl StreamState {
-    fn new(shards: usize) -> StreamState {
-        StreamState {
-            next: 1,
-            epoch: 0,
-            conns: (0..shards).map(|_| None).collect(),
-            shard_next: vec![1; shards],
-        }
-    }
-}
-
-/// One upstream stream call on shard `s`'s dedicated connection, dialing
-/// (or re-dialing, with the sequence rewound to 1) as needed. A re-send
-/// after a lost ack re-applies absolute weights, which is idempotent on
-/// graph state.
-fn stream_shard_call(
-    s: usize,
-    updates: &[roadnet::WeightUpdate],
-    config: &RouterConfig,
-    pools: &[Pool],
-    streams: &mut StreamState,
-) -> Result<Response, io::Error> {
-    let mut last: Option<io::Error> = None;
-    for attempt in 0..2 {
-        if streams.conns[s].is_none() {
-            match Client::connect(&pools[s].addr) {
-                Ok(c) => {
-                    streams.conns[s] = Some(c);
-                    streams.shard_next[s] = 1;
-                }
-                Err(e) => {
-                    let retry = attempt == 0 && is_connection_error(&e);
-                    last = Some(e);
-                    if retry {
-                        continue;
-                    }
-                    break;
-                }
-            }
-        }
-        let conn = streams.conns[s].as_mut().expect("dialed above");
-        let _ = conn.set_read_timeout(Some(config.upstream_timeout));
-        let req = Request {
-            id: None,
-            op: Op::UpdateStream {
-                seq: streams.shard_next[s],
-                updates: updates.to_vec(),
-            },
-        };
-        match conn.call(&req) {
-            Ok(resp) => return Ok(resp),
-            Err(e) => {
-                streams.conns[s] = None;
-                let retry = attempt == 0 && is_connection_error(&e);
-                last = Some(e);
-                if !retry {
-                    break;
-                }
-            }
-        }
-    }
-    Err(last.unwrap_or_else(|| io::Error::other("upstream stream call failed")))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_update_stream(
-    id: Option<String>,
-    seq: u64,
-    updates: Vec<roadnet::WeightUpdate>,
-    config: &RouterConfig,
-    pools: &[Pool],
-    shared: &Shared,
-    streams: &mut StreamState,
-) -> Response {
-    if updates.len() > MAX_STREAM_SEGMENT {
-        shared.metrics.lock().unwrap().errors += 1;
-        return Response {
-            id,
-            body: Body::StreamError {
-                kind: StreamErrorKind::Overflow,
-                expected: MAX_STREAM_SEGMENT as u64,
-                got: updates.len() as u64,
-            },
-        };
-    }
-    if seq < streams.next {
-        // Already applied deployment-wide: cumulative re-ack.
-        return Response {
-            id,
-            body: Body::StreamAck {
-                seq: streams.next - 1,
-                epoch: streams.epoch,
-                applied: 0,
-            },
-        };
-    }
-    if seq > streams.next {
-        shared.metrics.lock().unwrap().errors += 1;
-        return Response {
-            id,
-            body: Body::StreamError {
-                kind: StreamErrorKind::Gap,
-                expected: streams.next,
-                got: seq,
-            },
-        };
-    }
-    // Broadcast to every shard: each applies the edges it owns and
-    // advances its own per-connection sequence, so acks stay cumulative
-    // across the deployment. The client sequence advances only when every
-    // shard has acked this segment.
-    let mut epoch = 0u64;
-    let mut applied = 0u64;
-    for s in 0..pools.len() {
-        match stream_shard_call(s, &updates, config, pools, streams) {
-            Ok(resp) => match resp.body {
-                Body::StreamAck {
-                    epoch: e,
-                    applied: a,
-                    ..
-                } => {
-                    streams.shard_next[s] += 1;
-                    epoch = epoch.max(e);
-                    applied += a;
-                }
-                Body::Error { error } => {
-                    // The shard rejected the batch without advancing its
-                    // sequence; neither do we, so the client may fix and
-                    // resend the same seq.
-                    shared.metrics.lock().unwrap().errors += 1;
-                    return Response {
-                        id,
-                        body: Body::Error { error },
-                    };
-                }
-                other => {
-                    streams.conns[s] = None;
-                    return upstream_failure(
-                        id,
-                        s as u32,
-                        format!(
-                            "unexpected '{}' response to an update_stream segment",
-                            Response {
-                                id: None,
-                                body: other
-                            }
-                            .status()
-                        ),
-                        shared,
-                    );
-                }
-            },
-            Err(e) => return upstream_failure(id, s as u32, e.to_string(), shared),
-        }
-    }
-    streams.next = seq + 1;
-    streams.epoch = epoch;
-    let mut m = shared.metrics.lock().unwrap();
-    m.updates += 1;
-    m.stream_segments += 1;
-    m.stream_updates += applied;
-    drop(m);
-    Response {
-        id,
-        body: Body::StreamAck {
-            seq,
-            epoch,
-            applied,
-        },
-    }
-}
-
 fn upstream_failure(id: Option<String>, shard: u32, error: String, shared: &Shared) -> Response {
     shared.upstream_errors.fetch_add(1, Ordering::Relaxed);
     shared.metrics.lock().unwrap().errors += 1;
@@ -1072,9 +867,7 @@ fn handle_metrics(
                 m.batches += sm.batches;
                 m.batch_queries += sm.batch_queries;
                 // Repair footprint sums across shards (each repairs its own
-                // indexes); wall time takes the slowest shard. Stream
-                // counters stay the router's own — each client segment fans
-                // out to every shard, so summing would multiply-count.
+                // indexes); wall time takes the slowest shard.
                 m.labels_repaired += sm.labels_repaired;
                 m.labels_total += sm.labels_total;
                 m.last_repair_ms = m.last_repair_ms.max(sm.last_repair_ms);

@@ -32,8 +32,5 @@ pub mod server;
 
 pub use client::{Client, ClientReader, ClientWriter};
 pub use json::JsonError;
-pub use protocol::{
-    Body, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response, StreamErrorKind,
-    MAX_STREAM_SEGMENT, STREAM_WINDOW,
-};
+pub use protocol::{Body, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response};
 pub use server::{ServeConfig, ServeSummary, Server, ShardRole, ShutdownHandle};

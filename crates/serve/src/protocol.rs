@@ -5,14 +5,11 @@
 //! responses can be matched). Grammar:
 //!
 //! ```text
-//! request  = query | update | update_stream | health | metrics | shutdown
+//! request  = query | update | health | metrics | shutdown
 //! query    = {"op":"query", "p":[nodeid...], "q":[nodeid...],
 //!             "phi":number, "agg":"sum"|"max",
 //!             "deadline_ms":number?, "id":string?}
 //! update   = {"op":"update",
-//!             "updates":[{"u":nodeid,"v":nodeid,"w":weight}...],
-//!             "id":string?}
-//! update_stream = {"op":"update_stream", "seq":number,
 //!             "updates":[{"u":nodeid,"v":nodeid,"w":weight}...],
 //!             "id":string?}
 //! health   = {"op":"health", "id":string?}
@@ -25,10 +22,6 @@
 //!          | {"status":"cancelled", "id"?}      ; deadline exceeded
 //!          | {"status":"shed", "id"?}           ; queue full, retry later
 //!          | {"status":"updated", "id"?, "epoch":number, "applied":number}
-//!          | {"status":"stream_ack", "id"?, "seq":number,
-//!             "epoch":number, "applied":number} ; cumulative ack
-//!          | {"status":"stream_error", "id"?, "kind":"gap"|"overflow",
-//!             "expected":number, "got":number}
 //!          | {"status":"error", "id"?, "error":string}
 //!          | {"status":"upstream", "id"?, "shard":number, "error":string}
 //!          | {"status":"health", "id"?, ...}
@@ -42,23 +35,6 @@
 //! the new weights. Validation (edge exists, weight at or above the
 //! Euclidean admissibility floor) is all-or-nothing — on error nothing is
 //! published.
-//!
-//! # The update stream
-//!
-//! `update_stream` is the long-lived counterpart of `update`: a
-//! connection carries numbered segments (`seq` starts at 1, strictly
-//! sequential per connection) and each accepted segment is answered with
-//! a *cumulative* `stream_ack` whose `seq` is the highest contiguous
-//! segment applied on this connection. A duplicate segment (`seq` at or
-//! below the acked high-water mark) is re-acked idempotently with
-//! `applied:0`; a segment arriving past the expected number gets a typed
-//! `stream_error` with `kind:"gap"` (nothing is applied, the expected
-//! number is returned so the client can rewind); a segment larger than
-//! [`MAX_STREAM_SEGMENT`] edges gets `kind:"overflow"`. Senders keep at
-//! most [`STREAM_WINDOW`] segments in flight (pipelined past the last
-//! ack) so a stall never buffers unboundedly. A failed apply
-//! (validation) answers `error` *without* advancing the stream, so the
-//! client may repair and resend the same `seq`.
 //!
 //! The same serializer backs `fannr query --json`, so the CLI's output and
 //! the server's cannot drift.
@@ -80,27 +56,12 @@ pub struct Request {
     pub op: Op,
 }
 
-/// Most edges one `update_stream` segment may carry; larger segments are
-/// rejected with a typed `stream_error` of kind `overflow`.
-pub const MAX_STREAM_SEGMENT: usize = 4096;
-
-/// Most unacked segments an `update_stream` sender keeps in flight
-/// (client-side flow control; the per-connection reader processes
-/// segments in order, so acks come back in sequence).
-pub const STREAM_WINDOW: u64 = 32;
-
 /// The request operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     Query(QuerySpec),
     /// Set the weights of the listed edges, publishing the next epoch.
     Update(Vec<WeightUpdate>),
-    /// One numbered segment of a long-lived update stream (see the
-    /// [module docs](self) for the sequencing/ack contract).
-    UpdateStream {
-        seq: u64,
-        updates: Vec<WeightUpdate>,
-    },
     Health,
     Metrics,
     Shutdown,
@@ -250,8 +211,6 @@ impl Request {
         .and_then(|_| r.finish())
         .map_err(|e| e.to_string())?;
         let id = f.id()?;
-        let update_list =
-            || updates.unwrap_or_else(|| Err("'updates' must be an array".to_string()));
         let op = match f.str("op") {
             Some("query") => {
                 let phi = f
@@ -277,17 +236,9 @@ impl Request {
                     deadline_ms,
                 })
             }
-            Some("update") => Op::Update(update_list()?),
-            Some("update_stream") => {
-                let seq = f
-                    .u64("seq")
-                    .filter(|&s| s >= 1)
-                    .ok_or_else(|| "'seq' must be a positive integer".to_string())?;
-                Op::UpdateStream {
-                    seq,
-                    updates: update_list()?,
-                }
-            }
+            Some("update") => Op::Update(
+                updates.unwrap_or_else(|| Err("'updates' must be an array".to_string()))?,
+            ),
             Some("health") => Op::Health,
             Some("metrics") => Op::Metrics,
             Some("shutdown") => Op::Shutdown,
@@ -303,7 +254,6 @@ impl Request {
         let op = match &self.op {
             Op::Query(_) => "query",
             Op::Update(_) => "update",
-            Op::UpdateStream { .. } => "update_stream",
             Op::Health => "health",
             Op::Metrics => "metrics",
             Op::Shutdown => "shutdown",
@@ -324,10 +274,7 @@ impl Request {
                 w.u64("deadline_ms", ms);
             }
         }
-        if let Op::UpdateStream { seq, .. } = &self.op {
-            w.u64("seq", *seq);
-        }
-        if let Op::Update(updates) | Op::UpdateStream { updates, .. } = &self.op {
+        if let Op::Update(updates) = &self.op {
             w.objects("updates", updates, |w, up| {
                 w.u64("u", u64::from(up.u));
                 w.u64("v", u64::from(up.v));
@@ -452,10 +399,6 @@ pub struct MetricsInfo {
     pub shards_contacted: u64,
     /// Router only: requests failed with a typed `upstream` error.
     pub upstream_errors: u64,
-    /// `update_stream` segments accepted (acked with their own seq).
-    pub stream_segments: u64,
-    /// Edges applied through accepted stream segments.
-    pub stream_updates: u64,
     /// Hub roots replayed by the last scoped repair (router: summed over
     /// shards).
     pub labels_repaired: u64,
@@ -495,8 +438,6 @@ impl PartialEq for MetricsInfo {
             && self.shards_pruned == other.shards_pruned
             && self.shards_contacted == other.shards_contacted
             && self.upstream_errors == other.upstream_errors
-            && self.stream_segments == other.stream_segments
-            && self.stream_updates == other.stream_updates
             && self.labels_repaired == other.labels_repaired
             && self.labels_total == other.labels_total
             && self.last_repair_ms == other.last_repair_ms
@@ -506,24 +447,6 @@ impl PartialEq for MetricsInfo {
             && self.latency.p90_ns() == other.latency.p90_ns()
             && self.latency.p99_ns() == other.latency.p99_ns()
             && self.latency.max_ns() == other.latency.max_ns()
-    }
-}
-
-/// Why an `update_stream` segment was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamErrorKind {
-    /// The segment number skipped ahead of the next expected one.
-    Gap,
-    /// The segment carried more than [`MAX_STREAM_SEGMENT`] edges.
-    Overflow,
-}
-
-impl StreamErrorKind {
-    pub fn name(&self) -> &'static str {
-        match self {
-            StreamErrorKind::Gap => "gap",
-            StreamErrorKind::Overflow => "overflow",
-        }
     }
 }
 
@@ -557,23 +480,6 @@ pub enum Body {
         epoch: u64,
         applied: u64,
     },
-    /// Cumulative stream acknowledgement: `seq` is the highest contiguous
-    /// segment applied on this connection, `epoch` the published epoch
-    /// after it, `applied` the edges applied by the segment that
-    /// triggered this ack (0 on an idempotent duplicate re-ack).
-    StreamAck {
-        seq: u64,
-        epoch: u64,
-        applied: u64,
-    },
-    /// Typed stream-sequencing failure; nothing was applied. For `Gap`,
-    /// `expected`/`got` are segment numbers; for `Overflow`, the segment
-    /// cap and the offered segment size.
-    StreamError {
-        kind: StreamErrorKind,
-        expected: u64,
-        got: u64,
-    },
     Error {
         error: String,
     },
@@ -599,8 +505,6 @@ impl Response {
             Body::Cancelled => "cancelled",
             Body::Shed => "shed",
             Body::Updated { .. } => "updated",
-            Body::StreamAck { .. } => "stream_ack",
-            Body::StreamError { .. } => "stream_error",
             Body::Error { .. } => "error",
             Body::Upstream { .. } => "upstream",
             Body::Health(_) => "health",
@@ -634,24 +538,6 @@ impl Response {
             Body::Updated { epoch, applied } => {
                 w.u64("epoch", *epoch);
                 w.u64("applied", *applied);
-            }
-            Body::StreamAck {
-                seq,
-                epoch,
-                applied,
-            } => {
-                w.u64("seq", *seq);
-                w.u64("epoch", *epoch);
-                w.u64("applied", *applied);
-            }
-            Body::StreamError {
-                kind,
-                expected,
-                got,
-            } => {
-                w.str("kind", kind.name());
-                w.u64("expected", *expected);
-                w.u64("got", *got);
             }
             Body::Error { error } => w.str("error", error),
             Body::Upstream { shard, error } => {
@@ -708,8 +594,6 @@ impl Response {
                 w.u64("shards_pruned", m.shards_pruned);
                 w.u64("shards_contacted", m.shards_contacted);
                 w.u64("upstream_errors", m.upstream_errors);
-                w.u64("stream_segments", m.stream_segments);
-                w.u64("stream_updates", m.stream_updates);
                 w.u64("labels_repaired", m.labels_repaired);
                 w.u64("labels_total", m.labels_total);
                 w.u64("last_repair_ms", m.last_repair_ms);
@@ -766,20 +650,6 @@ impl Response {
             Some("updated") => Body::Updated {
                 epoch: f.required("epoch")?,
                 applied: f.required("applied")?,
-            },
-            Some("stream_ack") => Body::StreamAck {
-                seq: f.required("seq")?,
-                epoch: f.required("epoch")?,
-                applied: f.required("applied")?,
-            },
-            Some("stream_error") => Body::StreamError {
-                kind: match f.str("kind") {
-                    Some("gap") => StreamErrorKind::Gap,
-                    Some("overflow") => StreamErrorKind::Overflow,
-                    _ => return Err("'kind' must be \"gap\" or \"overflow\"".to_string()),
-                },
-                expected: f.required("expected")?,
-                got: f.required("got")?,
             },
             Some("error") => Body::Error {
                 error: f.str("error").unwrap_or_default().to_string(),
@@ -842,8 +712,6 @@ impl Response {
                 m.shards_pruned = opt("shards_pruned");
                 m.shards_contacted = opt("shards_contacted");
                 m.upstream_errors = opt("upstream_errors");
-                m.stream_segments = opt("stream_segments");
-                m.stream_updates = opt("stream_updates");
                 m.labels_repaired = opt("labels_repaired");
                 m.labels_total = opt("labels_total");
                 m.last_repair_ms = opt("last_repair_ms");
@@ -960,58 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn update_stream_request_roundtrips() {
-        let req = Request {
-            id: Some("s-4".into()),
-            op: Op::UpdateStream {
-                seq: 17,
-                updates: vec![WeightUpdate { u: 3, v: 9, w: 41 }],
-            },
-        };
-        let line = req.to_json();
-        assert_eq!(Request::parse(&line).unwrap(), req);
-    }
-
-    #[test]
-    fn update_stream_request_rejects_bad_seq() {
-        for bad in [
-            r#"{"op":"update_stream","updates":[{"u":1,"v":2,"w":3}]}"#,
-            r#"{"op":"update_stream","seq":0,"updates":[{"u":1,"v":2,"w":3}]}"#,
-            r#"{"op":"update_stream","seq":-1,"updates":[{"u":1,"v":2,"w":3}]}"#,
-            r#"{"op":"update_stream","seq":"x","updates":[{"u":1,"v":2,"w":3}]}"#,
-            r#"{"op":"update_stream","seq":1,"updates":[]}"#,
-        ] {
-            assert!(Request::parse(bad).is_err(), "accepted {bad}");
-        }
-    }
-
-    #[test]
-    fn stream_ack_and_error_roundtrip() {
-        let ack = Response {
-            id: Some("s-4".into()),
-            body: Body::StreamAck {
-                seq: 17,
-                epoch: 9,
-                applied: 3,
-            },
-        };
-        let line = ack.to_json();
-        assert!(line.starts_with(r#"{"status":"stream_ack""#), "{line}");
-        assert_eq!(Response::parse(&line).unwrap(), ack);
-        for kind in [StreamErrorKind::Gap, StreamErrorKind::Overflow] {
-            let err = Response {
-                id: None,
-                body: Body::StreamError {
-                    kind,
-                    expected: 5,
-                    got: 9,
-                },
-            };
-            assert_eq!(Response::parse(&err.to_json()).unwrap(), err);
-        }
-    }
-
-    #[test]
     fn health_and_metrics_carry_repair_footprint() {
         let resp = Response {
             id: None,
@@ -1025,8 +841,6 @@ mod tests {
         };
         assert_eq!(Response::parse(&resp.to_json()).unwrap(), resp);
         let m = MetricsInfo {
-            stream_segments: 40,
-            stream_updates: 160,
             labels_repaired: 12,
             labels_total: 50_000,
             last_repair_ms: 7,
@@ -1038,8 +852,6 @@ mod tests {
         };
         match Response::parse(&resp.to_json()).unwrap().body {
             Body::Metrics(parsed) => {
-                assert_eq!(parsed.stream_segments, 40);
-                assert_eq!(parsed.stream_updates, 160);
                 assert_eq!(parsed.labels_repaired, 12);
                 assert_eq!(parsed.labels_total, 50_000);
                 assert_eq!(parsed.last_repair_ms, 7);
@@ -1091,10 +903,12 @@ mod tests {
         );
         assert_eq!(parse_health(&line), want);
 
+        // Older servers also counted the retired `update_stream` op.
         let old_metrics = concat!(
             r#"{"status":"metrics","requests":9,"ok":8,"empty":1,"cancelled":0,"#,
             r#""shed":0,"errors":0,"updates":2,"epoch":3,"labels_repaired":12,"#,
-            r#""labels_total":50000,"repair_scoped_leaves":2,"last_repair_ms":7}"#
+            r#""labels_total":50000,"repair_scoped_leaves":2,"stream_segments":40,"#,
+            r#""stream_updates":160,"last_repair_ms":7}"#
         );
         match Response::parse(old_metrics).unwrap().body {
             Body::Metrics(m) => {
@@ -1106,7 +920,10 @@ mod tests {
                     body: Body::Metrics(m),
                 }
                 .to_json();
-                assert!(!line.contains("scoped_leaves"), "{line}");
+                assert!(
+                    !line.contains("scoped_leaves") && !line.contains("\"stream_"),
+                    "{line}"
+                );
             }
             other => panic!("expected metrics, got {other:?}"),
         }
@@ -1463,7 +1280,7 @@ mod tests {
     }
 
     fn gen_request(rng: &mut Rng64) -> Request {
-        let op = match below(rng, 6) {
+        let op = match below(rng, 5) {
             0 => Op::Query(QuerySpec {
                 p: gen_nodes(rng),
                 q: gen_nodes(rng),
@@ -1472,12 +1289,8 @@ mod tests {
                 deadline_ms: (below(rng, 2) == 0).then(|| gen_u64(rng)),
             }),
             1 => Op::Update(gen_updates(rng)),
-            2 => Op::UpdateStream {
-                seq: gen_u64(rng),
-                updates: gen_updates(rng),
-            },
-            3 => Op::Health,
-            4 => Op::Metrics,
+            2 => Op::Health,
+            3 => Op::Metrics,
             _ => Op::Shutdown,
         };
         Request {
@@ -1491,7 +1304,7 @@ mod tests {
     }
 
     fn gen_response(rng: &mut Rng64) -> Response {
-        let body = match below(rng, 12) {
+        let body = match below(rng, 10) {
             0 => Body::Ok {
                 p_star: gen_node(rng),
                 dist: gen_u64(rng),
@@ -1506,24 +1319,14 @@ mod tests {
                 epoch: gen_u64(rng),
                 applied: gen_u64(rng),
             },
-            5 => Body::StreamAck {
-                seq: gen_u64(rng),
-                epoch: gen_u64(rng),
-                applied: gen_u64(rng),
-            },
-            6 => Body::StreamError {
-                kind: pick(rng, &[StreamErrorKind::Gap, StreamErrorKind::Overflow]),
-                expected: gen_u64(rng),
-                got: gen_u64(rng),
-            },
-            7 => Body::Error {
+            5 => Body::Error {
                 error: gen_string(rng),
             },
-            8 => Body::Upstream {
+            6 => Body::Upstream {
                 shard: gen_node(rng),
                 error: gen_string(rng),
             },
-            9 => Body::Health(HealthInfo {
+            7 => Body::Health(HealthInfo {
                 uptime_ms: gen_u64(rng),
                 inflight: gen_u64(rng),
                 queued: gen_u64(rng),
@@ -1539,7 +1342,7 @@ mod tests {
                 labels_dropped: below(rng, 2) == 0,
                 last_repair_ms: gen_u64(rng),
             }),
-            10 => {
+            8 => {
                 let mut m = MetricsInfo {
                     requests: gen_u64(rng),
                     ok: gen_u64(rng),
@@ -1556,7 +1359,6 @@ mod tests {
                     owned_nodes: gen_u64(rng),
                     region: gen_region(rng),
                     shards_pruned: gen_u64(rng),
-                    stream_updates: gen_u64(rng),
                     last_repair_ms: gen_u64(rng),
                     ..Default::default()
                 };

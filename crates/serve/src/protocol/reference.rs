@@ -3,7 +3,7 @@
 //! tree, then serialize it. Test-only, the oracle the codec is checked
 //! against byte for byte and value for value.
 
-use super::{Body, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response, StreamErrorKind};
+use super::{Body, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response};
 use crate::json::tree::Json;
 use fann_core::metrics::SearchStats;
 use fann_core::Aggregate;
@@ -110,17 +110,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })
         }
         Some("update") => Op::Update(update_list(&v)?),
-        Some("update_stream") => {
-            let seq = v
-                .get("seq")
-                .and_then(Json::as_u64)
-                .filter(|&s| s >= 1)
-                .ok_or_else(|| "'seq' must be a positive integer".to_string())?;
-            Op::UpdateStream {
-                seq,
-                updates: update_list(&v)?,
-            }
-        }
         Some("health") => Op::Health,
         Some("metrics") => Op::Metrics,
         Some("shutdown") => Op::Shutdown,
@@ -135,7 +124,6 @@ pub fn request_to_json(req: &Request) -> String {
     let op = match &req.op {
         Op::Query(_) => "query",
         Op::Update(_) => "update",
-        Op::UpdateStream { .. } => "update_stream",
         Op::Health => "health",
         Op::Metrics => "metrics",
         Op::Shutdown => "shutdown",
@@ -150,10 +138,7 @@ pub fn request_to_json(req: &Request) -> String {
             members.push(("deadline_ms".into(), Json::from(ms)));
         }
     }
-    if let Op::UpdateStream { seq, .. } = &req.op {
-        members.push(("seq".into(), Json::from(*seq)));
-    }
-    if let Op::Update(updates) | Op::UpdateStream { updates, .. } = &req.op {
+    if let Op::Update(updates) = &req.op {
         members.push((
             "updates".into(),
             Json::Arr(
@@ -199,24 +184,6 @@ pub fn response_to_json(resp: &Response) -> String {
         Body::Updated { epoch, applied } => {
             members.push(("epoch".into(), Json::from(*epoch)));
             members.push(("applied".into(), Json::from(*applied)));
-        }
-        Body::StreamAck {
-            seq,
-            epoch,
-            applied,
-        } => {
-            members.push(("seq".into(), Json::from(*seq)));
-            members.push(("epoch".into(), Json::from(*epoch)));
-            members.push(("applied".into(), Json::from(*applied)));
-        }
-        Body::StreamError {
-            kind,
-            expected,
-            got,
-        } => {
-            members.push(("kind".into(), Json::from(kind.name())));
-            members.push(("expected".into(), Json::from(*expected)));
-            members.push(("got".into(), Json::from(*got)));
         }
         Body::Error { error } => {
             members.push(("error".into(), Json::from(error.as_str())));
@@ -275,8 +242,6 @@ pub fn response_to_json(resp: &Response) -> String {
             members.push(("shards_pruned".into(), Json::from(m.shards_pruned)));
             members.push(("shards_contacted".into(), Json::from(m.shards_contacted)));
             members.push(("upstream_errors".into(), Json::from(m.upstream_errors)));
-            members.push(("stream_segments".into(), Json::from(m.stream_segments)));
-            members.push(("stream_updates".into(), Json::from(m.stream_updates)));
             members.push(("labels_repaired".into(), Json::from(m.labels_repaired)));
             members.push(("labels_total".into(), Json::from(m.labels_total)));
             members.push(("last_repair_ms".into(), Json::from(m.last_repair_ms)));
@@ -337,20 +302,6 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         Some("updated") => Body::Updated {
             epoch: u64_field("epoch")?,
             applied: u64_field("applied")?,
-        },
-        Some("stream_ack") => Body::StreamAck {
-            seq: u64_field("seq")?,
-            epoch: u64_field("epoch")?,
-            applied: u64_field("applied")?,
-        },
-        Some("stream_error") => Body::StreamError {
-            kind: match v.get("kind").and_then(Json::as_str) {
-                Some("gap") => StreamErrorKind::Gap,
-                Some("overflow") => StreamErrorKind::Overflow,
-                _ => return Err("'kind' must be \"gap\" or \"overflow\"".to_string()),
-            },
-            expected: u64_field("expected")?,
-            got: u64_field("got")?,
         },
         Some("error") => Body::Error {
             error: v
@@ -423,8 +374,6 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
             m.shards_pruned = opt("shards_pruned");
             m.shards_contacted = opt("shards_contacted");
             m.upstream_errors = opt("upstream_errors");
-            m.stream_segments = opt("stream_segments");
-            m.stream_updates = opt("stream_updates");
             m.labels_repaired = opt("labels_repaired");
             m.labels_total = opt("labels_total");
             m.last_repair_ms = opt("last_repair_ms");

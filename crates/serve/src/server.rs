@@ -31,10 +31,7 @@ use fann_core::engine::{BatchQuery, Engine, QuerySession};
 use fann_core::QueryError;
 use roadnet::{CancelToken, ShardMap};
 
-use crate::protocol::{
-    Body, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response, StreamErrorKind,
-    MAX_STREAM_SEGMENT,
-};
+use crate::protocol::{Body, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response};
 
 /// Shard-mode role: this server owns the nodes `v` with
 /// `map.owner(v) == id`. Queries keep only owned candidates, update
@@ -323,26 +320,13 @@ fn connection_loop(
     };
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    // Next expected `update_stream` segment on this connection (streams
-    // are per-connection; a reconnect starts over at 1).
-    let mut stream_next: u64 = 1;
     loop {
         match reader.read_line(&mut line) {
             Ok(0) => break, // EOF: client closed.
             Ok(_) => {
                 let trimmed = line.trim();
                 if !trimmed.is_empty() {
-                    handle_line(
-                        trimmed,
-                        &tx,
-                        &writer,
-                        engine,
-                        shared,
-                        stop,
-                        config,
-                        started,
-                        &mut stream_next,
-                    );
+                    handle_line(trimmed, &tx, &writer, engine, shared, stop, config, started);
                 }
                 line.clear();
             }
@@ -391,7 +375,6 @@ fn handle_line(
     stop: &AtomicBool,
     config: &ServeConfig,
     started: Instant,
-    stream_next: &mut u64,
 ) {
     let req = match Request::parse(trimmed) {
         Ok(r) => r,
@@ -493,113 +476,6 @@ fn handle_line(
                     );
                 }
                 Err(e) => {
-                    shared.metrics.lock().unwrap().errors += 1;
-                    write_response(
-                        writer,
-                        &Response {
-                            id: req.id,
-                            body: Body::Error {
-                                error: e.to_string(),
-                            },
-                        },
-                    );
-                }
-            }
-        }
-        Op::UpdateStream { seq, updates } => {
-            // Per-connection ordered stream: segments carry consecutive
-            // sequence numbers starting at 1. Duplicates (seq already
-            // applied) are re-acked idempotently; a gap rejects the segment
-            // without applying so the client can rewind and resend.
-            if updates.len() > MAX_STREAM_SEGMENT {
-                shared.metrics.lock().unwrap().errors += 1;
-                write_response(
-                    writer,
-                    &Response {
-                        id: req.id,
-                        body: Body::StreamError {
-                            kind: StreamErrorKind::Overflow,
-                            expected: MAX_STREAM_SEGMENT as u64,
-                            got: updates.len() as u64,
-                        },
-                    },
-                );
-                return;
-            }
-            if seq < *stream_next {
-                // Already applied: cumulative re-ack, nothing re-applied.
-                write_response(
-                    writer,
-                    &Response {
-                        id: req.id,
-                        body: Body::StreamAck {
-                            seq: *stream_next - 1,
-                            epoch: engine.epoch(),
-                            applied: 0,
-                        },
-                    },
-                );
-                return;
-            }
-            if seq > *stream_next {
-                shared.metrics.lock().unwrap().errors += 1;
-                write_response(
-                    writer,
-                    &Response {
-                        id: req.id,
-                        body: Body::StreamError {
-                            kind: StreamErrorKind::Gap,
-                            expected: *stream_next,
-                            got: seq,
-                        },
-                    },
-                );
-                return;
-            }
-            let updates = owned_updates(updates, config);
-            if updates.is_empty() {
-                // Nothing owned here: the segment still advances the stream
-                // so acks stay cumulative across shards.
-                *stream_next = seq + 1;
-                shared.metrics.lock().unwrap().stream_segments += 1;
-                write_response(
-                    writer,
-                    &Response {
-                        id: req.id,
-                        body: Body::StreamAck {
-                            seq,
-                            epoch: engine.epoch(),
-                            applied: 0,
-                        },
-                    },
-                );
-                return;
-            }
-            let applied = updates.len() as u64;
-            match engine.apply_updates(&updates) {
-                Ok(epoch) => {
-                    engine.repair_in_background();
-                    *stream_next = seq + 1;
-                    let mut m = shared.metrics.lock().unwrap();
-                    m.updates += 1;
-                    m.stream_segments += 1;
-                    m.stream_updates += applied;
-                    drop(m);
-                    write_response(
-                        writer,
-                        &Response {
-                            id: req.id,
-                            body: Body::StreamAck {
-                                seq,
-                                epoch,
-                                applied,
-                            },
-                        },
-                    );
-                }
-                Err(e) => {
-                    // Sequence NOT advanced: the client may fix and resend
-                    // the same seq.
                     shared.metrics.lock().unwrap().errors += 1;
                     write_response(
                         writer,

@@ -141,9 +141,16 @@ fn errors_are_reported_and_connection_survives() {
     with_server(free_port_config(), &graph, |addr| {
         let mut client = Client::connect(addr).expect("connect");
 
-        client.send_raw("this is not json").expect("send");
-        let resp = client.recv().expect("recv");
-        assert!(matches!(resp.body, Body::Error { .. }), "{resp:?}");
+        // Garbage, and the retired `update_stream` op an older client may
+        // still send.
+        for line in [
+            "this is not json",
+            r#"{"op":"update_stream","seq":1,"updates":[{"u":0,"v":1,"w":5}]}"#,
+        ] {
+            client.send_raw(line).expect("send");
+            let resp = client.recv().expect("recv");
+            assert!(matches!(resp.body, Body::Error { .. }), "{line}: {resp:?}");
+        }
 
         // Invalid phi (0 is out of range) — a protocol-level valid request
         // that the engine rejects.
@@ -565,139 +572,71 @@ fn health_is_inline_while_a_batch_window_is_open() {
     assert_eq!(summary.metrics.batch_queries, 1);
 }
 
-/// The update stream applies strictly ordered segments, re-acks duplicates
-/// without re-applying, rejects gaps and oversized segments without side
-/// effects, and leaves answers bit-identical to a local engine fed the
-/// same updates.
+/// Update lines pipelined on one connection apply in line order: the
+/// acks come back in order with consecutive epochs, and answers are
+/// bit-identical to a local engine fed the same batches.
 #[test]
-fn update_stream_orders_acks_and_stays_exact() {
+fn pipelined_updates_ack_in_order_and_stay_exact() {
     let graph = test_graph(31, 200);
     let (p, q) = pq(&graph, 32);
     let mirror = Engine::new(&graph);
 
-    // Two disjoint single-edge segments, each tripling an edge weight.
+    // Two disjoint single-edge batches, each tripling an edge weight.
     let mut edges = graph.edges();
     let (u1, v1, w1) = edges.next().expect("edge");
     let (u2, v2, w2) = edges
         .find(|&(a, b, _)| a != u1 && a != v1 && b != u1 && b != v1)
         .expect("second edge");
-    let seg1 = vec![roadnet::WeightUpdate {
-        u: u1,
-        v: v1,
-        w: w1.saturating_mul(3),
-    }];
-    let seg2 = vec![roadnet::WeightUpdate {
-        u: u2,
-        v: v2,
-        w: w2.saturating_mul(3),
-    }];
-
-    let stream_req = |id: &str, seq: u64, updates: &[roadnet::WeightUpdate]| Request {
-        id: Some(id.to_string()),
-        op: Op::UpdateStream {
-            seq,
-            updates: updates.to_vec(),
-        },
-    };
+    let batches = [(u1, v1, w1), (u2, v2, w2)].map(|(u, v, w)| {
+        vec![roadnet::WeightUpdate {
+            u,
+            v,
+            w: w.saturating_mul(3),
+        }]
+    });
 
     let ((), _summary) = with_server(free_port_config(), &graph, |addr| {
         let mut client = Client::connect(addr).expect("connect");
-
-        // Out-of-order first segment: rejected as a gap, nothing applied.
-        let resp = client.call(&stream_req("gap", 2, &seg1)).expect("call");
-        match resp.body {
-            Body::StreamError {
-                kind: fannr_serve::StreamErrorKind::Gap,
-                expected,
-                got,
-            } => {
-                assert_eq!(expected, 1);
-                assert_eq!(got, 2);
-            }
-            other => panic!("expected gap error, got {other:?}"),
+        for (i, batch) in batches.iter().enumerate() {
+            client
+                .send(&Request {
+                    id: Some(format!("u{i}")),
+                    op: Op::Update(batch.clone()),
+                })
+                .expect("send");
         }
-
-        // Oversized segment: rejected, sequence unmoved.
-        let fat = vec![seg1[0]; fannr_serve::MAX_STREAM_SEGMENT + 1];
-        let resp = client.call(&stream_req("fat", 1, &fat)).expect("call");
-        assert!(
-            matches!(
-                resp.body,
-                Body::StreamError {
-                    kind: fannr_serve::StreamErrorKind::Overflow,
-                    ..
+        for (i, want_epoch) in [(0, 1), (1, 2)] {
+            let resp = client.recv().expect("recv");
+            assert_eq!(resp.id, Some(format!("u{i}")), "acks in line order");
+            match resp.body {
+                Body::Updated { epoch, applied } => {
+                    assert_eq!((epoch, applied), (want_epoch, 1), "u{i}");
                 }
-            ),
-            "{resp:?}"
-        );
-
-        // In-order segments apply and ack their own seq.
-        let resp = client.call(&stream_req("s1", 1, &seg1)).expect("call");
-        match resp.body {
-            Body::StreamAck { seq, applied, .. } => {
-                assert_eq!(seq, 1);
-                assert_eq!(applied, 1);
+                other => panic!("expected an update ack, got {other:?}"),
             }
-            other => panic!("expected ack, got {other:?}"),
-        }
-        let resp = client.call(&stream_req("s2", 2, &seg2)).expect("call");
-        match resp.body {
-            Body::StreamAck {
-                seq,
-                applied,
-                epoch,
-            } => {
-                assert_eq!(seq, 2);
-                assert_eq!(applied, 1);
-                assert_eq!(epoch, 2);
-            }
-            other => panic!("expected ack, got {other:?}"),
         }
 
-        // A duplicate re-acks cumulatively with nothing re-applied.
-        let resp = client.call(&stream_req("dup", 1, &seg1)).expect("call");
-        match resp.body {
-            Body::StreamAck {
-                seq,
-                applied,
-                epoch,
-            } => {
-                assert_eq!(seq, 2, "cumulative ack");
-                assert_eq!(applied, 0, "duplicate must not re-apply");
-                assert_eq!(epoch, 2, "duplicate must not bump the epoch");
-            }
-            other => panic!("expected ack, got {other:?}"),
+        for batch in &batches {
+            mirror.apply_updates(batch).expect("mirror");
         }
-
-        // Stream metrics account for the two applied segments only.
-        let resp = client
-            .call(&Request {
-                id: Some("m".into()),
-                op: Op::Metrics,
-            })
-            .expect("metrics");
-        match resp.body {
-            Body::Metrics(m) => {
-                assert_eq!(m.stream_segments, 2, "{m:?}");
-                assert_eq!(m.stream_updates, 2, "{m:?}");
-                assert_eq!(m.epoch, 2, "{m:?}");
-            }
-            other => panic!("expected metrics, got {other:?}"),
-        }
-
-        // Answers after the stream match a local engine fed the same
-        // updates in the same order.
-        mirror.apply_updates(&seg1).expect("mirror seg1");
-        mirror.apply_updates(&seg2).expect("mirror seg2");
         for (id, agg) in [("q-sum", Aggregate::Sum), ("q-max", Aggregate::Max)] {
             let resp = client
                 .call(&query_req(id, &p, &q, 0.5, agg))
                 .expect("query");
             let expected = mirror.query(&p, &q, 0.5, agg).expect("valid query");
             match (&resp.body, expected) {
-                (Body::Ok { p_star, dist, .. }, Some(ans)) => {
+                (
+                    Body::Ok {
+                        p_star,
+                        dist,
+                        subset,
+                        ..
+                    },
+                    Some(ans),
+                ) => {
                     assert_eq!(*p_star, ans.p_star, "{id}");
                     assert_eq!(*dist, ans.dist, "{id}");
+                    assert_eq!(*subset, ans.subset, "{id}");
                 }
                 (Body::Empty, None) => {}
                 (body, expected) => panic!("{id}: got {body:?}, expected {expected:?}"),

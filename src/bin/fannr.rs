@@ -102,9 +102,8 @@ commands:
                                                   --shard-addrs a:p,b:p[,...],
                                                   --addr, --deadline-ms,
                                                   --upstream-timeout-ms)
-  update     push live weight updates to a       (--addr, --edges u:v:w[,...],
-             running server without a restart     --stream for an
-                                                  update_stream segment)
+  update     push live weight updates to a       (--addr, --edges u:v:w[,...])
+             running server without a restart
   build-index  build the flat v2 index directory (--graph | --nodes --seed,
              --out DIR, --workers); writes graph.v2 +
              labels.v2 for `serve --index`
@@ -744,18 +743,10 @@ fn cmd_update(opts: &HashMap<String, String>) -> Result<(), String> {
             .map_err(|e| format!("{addr}: {e}"))?,
     )
     .map_err(|e| format!("{addr}: {e}"))?;
-    // `--stream` sends the batch as the first segment of an update
-    // stream (seq 1) instead of a one-shot update: same edges, but the
-    // server acks with the stream's cumulative sequence.
-    let op = if opts.contains_key("stream") {
-        Op::UpdateStream { seq: 1, updates }
-    } else {
-        Op::Update(updates)
-    };
     let resp = client
         .call(&Request {
             id: Some("update".to_string()),
-            op,
+            op: Op::Update(updates),
         })
         .map_err(|e| e.to_string())?;
     match resp.body {
@@ -763,24 +754,6 @@ fn cmd_update(opts: &HashMap<String, String>) -> Result<(), String> {
             println!("applied {applied}/{sent} updates; server now at epoch {epoch}");
             Ok(())
         }
-        Body::StreamAck {
-            seq,
-            epoch,
-            applied,
-        } => {
-            println!(
-                "stream ack seq {seq}: applied {applied}/{sent} updates; server now at epoch {epoch}"
-            );
-            Ok(())
-        }
-        Body::StreamError {
-            kind,
-            expected,
-            got,
-        } => Err(format!(
-            "stream rejected: {} (expected {expected}, got {got})",
-            kind.name()
-        )),
         Body::Error { error } => Err(format!("server rejected the batch: {error}")),
         other => Err(format!("unexpected response {other:?}")),
     }

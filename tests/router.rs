@@ -342,37 +342,57 @@ fn three_shard_wave_contacts_every_shard() {
 
 /// Weight updates route only to the shard owning the edge; the ack carries
 /// that shard's new epoch, the other shard stays at its old epoch, and the
-/// router's health reports the deployment maximum. Shard health also
-/// carries the shard observability fields.
+/// router's health reports the deployment maximum. A second batch spanning
+/// both shards is applied once by each owner under one merged ack
+/// (`applied` summed, `epoch` the maximum). Shard health also carries the
+/// shard observability fields, and answers afterwards match a local engine
+/// fed the same batches.
 #[test]
 fn update_routes_to_owning_shard_only() {
     let g = test_graph(7, 300);
     let parts = fannr::gtree::top_level_cut(&g, 2);
     let map = ShardMap::build(&g, &parts);
-    // An edge owned by shard 1, with an always-admissible doubled weight.
-    let (u, v, w) = (0..g.num_nodes() as u32)
-        .flat_map(|a| g.neighbors(a).map(move |(b, w)| (a, b, w)))
-        .find(|&(a, b, _)| map.edge_owner(a, b) == 1)
-        .expect("an edge owned by shard 1");
+    // An edge owned by each shard, disjoint endpoints; weights only move
+    // up, so every update is admissible.
+    let edge_owned_by = |s: u32, skip: Option<(u32, u32)>| {
+        (0..g.num_nodes() as u32)
+            .flat_map(|a| g.neighbors(a).map(move |(b, w)| (a, b, w)))
+            .find(|&(a, b, _)| {
+                map.edge_owner(a, b) == s
+                    && skip.is_none_or(|(x, y)| a != x && a != y && b != x && b != y)
+            })
+            .unwrap_or_else(|| panic!("an edge owned by shard {s}"))
+    };
+    let (u, v, w) = edge_owned_by(1, None);
+    let (u0, v0, w0) = edge_owned_by(0, Some((u, v)));
+    let first = vec![WeightUpdate { u, v, w: w * 2 }];
+    let spanning = vec![
+        WeightUpdate {
+            u: u0,
+            v: v0,
+            w: w0 * 2,
+        },
+        WeightUpdate { u, v, w: w * 3 },
+    ];
     with_deployment(
         &g,
         &parts,
         || Engine::new(&g),
         |router_addr, shard_addrs| {
             let mut client = Client::connect(router_addr).expect("connect");
-            let resp = client
-                .call(&Request {
-                    id: Some("up".into()),
-                    op: Op::Update(vec![WeightUpdate { u, v, w: w * 2 }]),
-                })
-                .expect("update");
-            match resp.body {
-                Body::Updated { epoch, applied } => {
-                    assert_eq!(applied, 1);
-                    assert_eq!(epoch, 1);
+            let mut update = |id: &str, batch: &[WeightUpdate]| -> (u64, u64) {
+                let resp = client
+                    .call(&Request {
+                        id: Some(id.into()),
+                        op: Op::Update(batch.to_vec()),
+                    })
+                    .expect("update");
+                match resp.body {
+                    Body::Updated { epoch, applied } => (epoch, applied),
+                    other => panic!("expected updated ack, got {other:?}"),
                 }
-                other => panic!("expected updated ack, got {other:?}"),
-            }
+            };
+            assert_eq!(update("up", &first), (1, 1));
             let health = |addr: SocketAddr| -> fannr::serve::HealthInfo {
                 let mut c = Client::connect(addr).expect("connect");
                 match c
@@ -398,13 +418,21 @@ fn update_routes_to_owning_shard_only() {
             assert!(h0.region.is_some() && h1.region.is_some());
             // The router's deployment view is the maximum shard epoch.
             assert_eq!(health(router_addr).epoch, 1);
-            // Queries after the update still match a local engine that applied
-            // the same update.
+
+            // The spanning batch: each owner applies its one edge, the
+            // merged ack sums them and carries the newest shard epoch.
+            assert_eq!(update("span", &spanning), (2, 2));
+            assert_eq!(health(shard_addrs[0]).epoch, 1, "shard 0 applied once");
+            assert_eq!(health(shard_addrs[1]).epoch, 2, "shard 1 applied twice");
+            assert_eq!(health(router_addr).epoch, 2);
+
+            // Queries afterwards still match a local engine that applied
+            // the same batches in the same order.
             let engine = Engine::new(&g);
-            engine
-                .apply_updates(&[WeightUpdate { u, v, w: w * 2 }])
-                .expect("local update");
             let (p, q) = pq(&g, 21);
+            for batch in [&first, &spanning] {
+                engine.apply_updates(batch).expect("local update");
+            }
             for agg in [Aggregate::Max, Aggregate::Sum] {
                 let resp = client
                     .call(&query_req("post", &p, &q, 0.5, agg))
@@ -420,163 +448,10 @@ fn update_routes_to_owning_shard_only() {
     );
 }
 
-/// An update stream through the router: one segment spanning both shards
-/// is applied exactly once per owning shard with a merged ack, a duplicate
-/// re-acks cumulatively without re-applying, a gap is rejected, and
-/// post-stream answers match a local engine fed the same updates.
-#[test]
-fn update_stream_spans_shards_with_merged_acks() {
-    let g = test_graph(7, 300);
-    let parts = fannr::gtree::top_level_cut(&g, 2);
-    let map = ShardMap::build(&g, &parts);
-    // One edge owned by each shard, disjoint endpoints, doubled weights.
-    let edge_owned_by = |s: u32, skip: Option<(u32, u32)>| {
-        (0..g.num_nodes() as u32)
-            .flat_map(|a| g.neighbors(a).map(move |(b, w)| (a, b, w)))
-            .find(|&(a, b, _)| {
-                map.edge_owner(a, b) == s
-                    && skip.is_none_or(|(x, y)| a != x && a != y && b != x && b != y)
-            })
-            .unwrap_or_else(|| panic!("an edge owned by shard {s}"))
-    };
-    let (u0, v0, w0) = edge_owned_by(0, None);
-    let (u1, v1, w1) = edge_owned_by(1, Some((u0, v0)));
-    let seg1 = vec![
-        WeightUpdate {
-            u: u0,
-            v: v0,
-            w: w0 * 2,
-        },
-        WeightUpdate {
-            u: u1,
-            v: v1,
-            w: w1 * 2,
-        },
-    ];
-    let seg2 = vec![WeightUpdate {
-        u: u0,
-        v: v0,
-        w: w0 * 3,
-    }];
-    let stream_req = |id: &str, seq: u64, updates: &[WeightUpdate]| Request {
-        id: Some(id.to_string()),
-        op: Op::UpdateStream {
-            seq,
-            updates: updates.to_vec(),
-        },
-    };
-    with_deployment(
-        &g,
-        &parts,
-        || Engine::new(&g),
-        |router_addr, shard_addrs| {
-            let mut client = Client::connect(router_addr).expect("connect");
-
-            // A gap before anything was sent is rejected without applying.
-            let resp = client.call(&stream_req("gap", 3, &seg1)).expect("call");
-            assert!(
-                matches!(
-                    resp.body,
-                    Body::StreamError {
-                        expected: 1,
-                        got: 3,
-                        ..
-                    }
-                ),
-                "{resp:?}"
-            );
-
-            // Segment 1 spans both shards: each applies its edge, the
-            // merged ack sums them.
-            let resp = client.call(&stream_req("s1", 1, &seg1)).expect("call");
-            match resp.body {
-                Body::StreamAck { seq, applied, .. } => {
-                    assert_eq!(seq, 1);
-                    assert_eq!(applied, 2, "one edge per shard");
-                }
-                other => panic!("expected ack, got {other:?}"),
-            }
-
-            // Segment 2 touches only shard 0; shard 1 still advances (it
-            // acks the foreign segment with applied=0), keeping acks
-            // cumulative.
-            let resp = client.call(&stream_req("s2", 2, &seg2)).expect("call");
-            match resp.body {
-                Body::StreamAck { seq, applied, .. } => {
-                    assert_eq!(seq, 2);
-                    assert_eq!(applied, 1);
-                }
-                other => panic!("expected ack, got {other:?}"),
-            }
-
-            // Duplicate: cumulative re-ack, nothing re-applied anywhere.
-            let resp = client.call(&stream_req("dup", 1, &seg1)).expect("call");
-            match resp.body {
-                Body::StreamAck { seq, applied, .. } => {
-                    assert_eq!(seq, 2, "cumulative ack");
-                    assert_eq!(applied, 0);
-                }
-                other => panic!("expected ack, got {other:?}"),
-            }
-
-            // Each shard applied exactly the segments carrying its edges:
-            // epochs count applied batches, and the duplicate added none.
-            let epoch_of = |addr: SocketAddr| -> u64 {
-                let mut c = Client::connect(addr).expect("connect");
-                match c
-                    .call(&Request {
-                        id: None,
-                        op: Op::Health,
-                    })
-                    .expect("health")
-                    .body
-                {
-                    Body::Health(h) => h.epoch,
-                    other => panic!("expected health, got {other:?}"),
-                }
-            };
-            assert_eq!(epoch_of(shard_addrs[0]), 2, "shard 0 applied both");
-            assert_eq!(epoch_of(shard_addrs[1]), 1, "shard 1 applied seg1 only");
-
-            // Router metrics count client-facing segments, not fan-out.
-            let resp = client
-                .call(&Request {
-                    id: Some("m".into()),
-                    op: Op::Metrics,
-                })
-                .expect("metrics");
-            match resp.body {
-                Body::Metrics(m) => {
-                    assert_eq!(m.stream_segments, 2, "{m:?}");
-                    assert_eq!(m.stream_updates, 3, "{m:?}");
-                }
-                other => panic!("expected metrics, got {other:?}"),
-            }
-
-            // Post-stream answers match a local engine fed the same
-            // updates in the same order.
-            let engine = Engine::new(&g);
-            engine.apply_updates(&seg1).expect("local seg1");
-            engine.apply_updates(&seg2).expect("local seg2");
-            let (p, q) = pq(&g, 33);
-            for agg in [Aggregate::Max, Aggregate::Sum] {
-                let resp = client
-                    .call(&query_req("post", &p, &q, 0.5, agg))
-                    .expect("query");
-                let got = wire_answer(&resp.body).map(|(ps, d, s, _)| (ps, d, s));
-                let want = engine
-                    .query(&p, &q, 0.5, agg)
-                    .expect("valid")
-                    .map(|a| (a.p_star, a.dist, a.subset));
-                assert_eq!(got, want, "post-stream divergence ({agg})");
-            }
-        },
-    );
-}
-
 /// The router parses every line itself before any fan-out: a line of
-/// 100 000 `[` gets a typed `error` from the router, and the deployment
-/// still answers `health` on a new connection.
+/// 100 000 `[`, or the retired `update_stream` op an older client may
+/// still send, gets a typed `error` from the router, and the deployment
+/// still answers `health` on the same connection and on a new one.
 #[test]
 fn deeply_nested_line_gets_an_error_from_the_router() {
     let g = test_graph(7, 300);
@@ -587,17 +462,23 @@ fn deeply_nested_line_gets_an_error_from_the_router() {
         || Engine::new(&g),
         |router_addr, _| {
             let mut client = Client::connect(router_addr).expect("connect");
-            client.send_raw(&"[".repeat(100_000)).expect("send");
-            let resp = client.recv().expect("recv");
-            assert!(matches!(resp.body, Body::Error { .. }), "{resp:?}");
+            for line in [
+                "[".repeat(100_000),
+                r#"{"op":"update_stream","seq":1,"updates":[{"u":0,"v":1,"w":5}]}"#.to_string(),
+            ] {
+                client.send_raw(&line).expect("send");
+                let resp = client.recv().expect("recv");
+                assert!(matches!(resp.body, Body::Error { .. }), "{resp:?}");
+            }
+            let health = Request {
+                id: Some("h".into()),
+                op: Op::Health,
+            };
+            let resp = client.call(&health).expect("health");
+            assert!(matches!(resp.body, Body::Health(_)), "{resp:?}");
 
             let mut fresh = Client::connect(router_addr).expect("reconnect");
-            let resp = fresh
-                .call(&Request {
-                    id: Some("h".into()),
-                    op: Op::Health,
-                })
-                .expect("health");
+            let resp = fresh.call(&health).expect("health");
             assert!(matches!(resp.body, Body::Health(_)), "{resp:?}");
         },
     );

@@ -420,3 +420,47 @@ fn stress_swaps_are_atomic_under_concurrent_readers() {
     let snap = engine.snapshot();
     assert!(snap.epoch() > 0, "writers never published an epoch");
 }
+
+/// Scoped repair stays scoped: on the 2 000-node seed-7 network, a
+/// single pendant-edge update replays at least 10× fewer hub roots than a
+/// full rebuild. The probes are eight degree-1 edges spread west to east
+/// (sorted by the leaf's coordinates, picked at even strides); each is
+/// toggled to twice its weight and back, with a repair after every step.
+/// A pendant edge's shortest-path footprint is structurally tiny, so the
+/// ratio measures repair scoping, not edge centrality.
+#[test]
+fn single_edge_repair_replays_a_tenth_of_the_hub_roots_or_fewer() {
+    let g = fannr::workload::synth::road_network(2000, &mut fannr::workload::rng(7));
+    let mut pendant: Vec<(u32, u32, u32)> = (0..g.num_nodes() as u32)
+        .filter(|&v| g.degree(v) == 1)
+        .filter_map(|v| g.neighbors(v).next().map(|(nbr, w)| (v, nbr, w)))
+        .collect();
+    pendant.sort_by(|a, b| {
+        let (ca, cb) = (g.coord(a.0), g.coord(b.0));
+        (ca.x, ca.y)
+            .partial_cmp(&(cb.x, cb.y))
+            .expect("finite coords")
+    });
+    assert!(pendant.len() >= 8, "only {} pendant edges", pendant.len());
+
+    let engine = Engine::new(&g).with_labels();
+    assert!(engine.has_labels());
+    for i in 0..8 {
+        let (u, v, w) = pendant[i * pendant.len() / 8];
+        for w in [w * 2, w] {
+            engine
+                .apply_updates(&[WeightUpdate { u, v, w }])
+                .expect("admissible");
+            engine.repair_indexes();
+            let report = engine.last_repair_report().expect("a repair ran");
+            assert!(engine.has_labels() && !engine.is_stale());
+            assert!(report.labels_repaired > 0, "({u},{v}) w={w}: {report:?}");
+            assert!(
+                report.labels_total >= 10 * report.labels_repaired,
+                "({u},{v}) w={w}: repaired {} of {} hub roots",
+                report.labels_repaired,
+                report.labels_total
+            );
+        }
+    }
+}

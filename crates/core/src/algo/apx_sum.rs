@@ -7,26 +7,23 @@
 //! `2 d*` when `Q ⊆ P`. Both bounds are enforced by property tests; in
 //! practice the ratio stays below 1.2 (Fig. 11).
 
-use crate::algo::gd::gd_cancellable;
+use crate::algo::gd::gd;
 use crate::gphi::GPhi;
 use crate::metrics::Recorder;
 use crate::{Aggregate, FannAnswer, FannQuery};
-use roadnet::cancel::{CancelCheck, Cancelled};
 use roadnet::multisource::membership;
 use roadnet::{DijkstraIter, Graph, NodeId, QueryScratch};
 
 /// Nearest member of `P` (given as a mask) to `q`, by network expansion
-/// over the recycled `scratch`. A cancelled expansion yields `None`;
-/// callers re-check the token.
-fn nearest_data_point<R: Recorder, C: CancelCheck>(
+/// over the recycled `scratch`.
+fn nearest_data_point<R: Recorder>(
     g: &Graph,
     is_data: &[bool],
     q: NodeId,
     scratch: &mut QueryScratch,
     rec: R,
-    cancel: C,
 ) -> Option<NodeId> {
-    let mut it = DijkstraIter::cancellable(g, q, std::mem::take(scratch), rec, cancel);
+    let mut it = DijkstraIter::recorded(g, q, std::mem::take(scratch), rec);
     let nearest = it.find(|&(v, _)| is_data[v as usize]).map(|(v, _)| v);
     *scratch = it.into_scratch();
     nearest
@@ -34,18 +31,13 @@ fn nearest_data_point<R: Recorder, C: CancelCheck>(
 
 /// The candidate set of Algorithm 3 (deduplicated, sorted). The `|Q|`
 /// searches run one after another, so they share one scratch.
-fn candidates_cancellable<R: Recorder, C: CancelCheck>(
-    g: &Graph,
-    query: &FannQuery,
-    scratch: &mut QueryScratch,
-    rec: R,
-    cancel: C,
-) -> Vec<NodeId> {
+fn candidates<R: Recorder>(g: &Graph, query: &FannQuery, rec: R) -> Vec<NodeId> {
     let is_data = membership(g.num_nodes(), query.p);
+    let mut scratch = QueryScratch::new();
     let mut cand: Vec<NodeId> = query
         .q
         .iter()
-        .filter_map(|&q| nearest_data_point(g, &is_data, q, scratch, rec, cancel))
+        .filter_map(|&q| nearest_data_point(g, &is_data, q, &mut scratch, rec))
         .collect();
     cand.sort_unstable();
     cand.dedup();
@@ -77,43 +69,17 @@ pub fn apx_sum_traced<R: Recorder>(
     gphi: &dyn GPhi,
     rec: R,
 ) -> Option<FannAnswer> {
-    match apx_sum_cancellable(g, query, gphi, &mut QueryScratch::new(), rec, ()) {
-        Ok(a) => a,
-        Err(Cancelled) => unreachable!("the unit CancelCheck never cancels"),
-    }
-}
-
-/// [`apx_sum_traced`] with a live [`CancelCheck`] polled by the candidate
-/// expansions and the reduced GD scan, which run over the caller's
-/// recycled `scratch`. The `()` check makes this identical to the
-/// uncancellable path.
-///
-/// # Panics
-/// If the query aggregate is not [`Aggregate::Sum`].
-pub fn apx_sum_cancellable<R: Recorder, C: CancelCheck>(
-    g: &Graph,
-    query: &FannQuery,
-    gphi: &dyn GPhi,
-    scratch: &mut QueryScratch,
-    rec: R,
-    cancel: C,
-) -> Result<Option<FannAnswer>, Cancelled> {
     assert_eq!(
         query.agg,
         Aggregate::Sum,
         "APX-sum answers sum-FANN_R only (Theorem 1)"
     );
-    let cand = candidates_cancellable(g, query, scratch, rec, cancel);
-    // A cancelled expansion above silently shrinks the candidate set;
-    // re-check exactly before trusting it.
-    if cancel.cancelled_now() {
-        return Err(Cancelled);
-    }
+    let cand = candidates(g, query, rec);
     // Candidate reduction is the whole point of Algorithm 3: everything
     // outside the candidate set is pruned (duplicate-free P).
     rec.pruned(query.p.len().saturating_sub(cand.len()) as u64);
     if cand.is_empty() {
-        return Ok(None);
+        return None;
     }
     let reduced = FannQuery {
         p: &cand,
@@ -121,7 +87,7 @@ pub fn apx_sum_cancellable<R: Recorder, C: CancelCheck>(
         phi: query.phi,
         agg: Aggregate::Sum,
     };
-    gd_cancellable(&reduced, gphi, cancel)
+    gd(&reduced, gphi)
 }
 
 #[cfg(test)]
@@ -197,7 +163,7 @@ mod tests {
         // optimum p3 is among them, so APX-sum returns the exact answer.
         let (g, p, q) = crate::algo::brute::tests::figure1();
         let query = FannQuery::new(&p, &q, 0.5, Aggregate::Sum);
-        let cand = candidates_cancellable(&g, &query, &mut QueryScratch::new(), (), ());
+        let cand = candidates(&g, &query, ());
         assert_eq!(cand, vec![2, 3, 4]); // p3, p4, p5
         let ine = InePhi::new(&g, &q);
         let a = apx_sum(&g, &query, &ine).unwrap();
@@ -210,7 +176,7 @@ mod tests {
         let p: Vec<u32> = (0..36).step_by(2).collect();
         let q: Vec<u32> = vec![0, 1, 2, 3]; // clustered: NNs likely shared
         let query = FannQuery::new(&p, &q, 0.5, Aggregate::Sum);
-        let cand = candidates_cancellable(&g, &query, &mut QueryScratch::new(), (), ());
+        let cand = candidates(&g, &query, ());
         assert!(!cand.is_empty());
         assert!(cand.len() <= q.len());
         for c in &cand {

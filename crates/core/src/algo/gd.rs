@@ -9,7 +9,6 @@
 
 use crate::gphi::GPhi;
 use crate::{FannAnswer, FannQuery};
-use roadnet::cancel::{CancelCheck, Cancelled};
 
 /// Exact FANN_R by enumerating `P`. `None` when no data point reaches
 /// `ceil(phi |Q|)` query points.
@@ -17,28 +16,9 @@ use roadnet::cancel::{CancelCheck, Cancelled};
 /// Ties on `d*` resolve to the smallest node id, so the reported `p*` is
 /// deterministic regardless of the order of `P`.
 pub fn gd(query: &FannQuery, gphi: &dyn GPhi) -> Option<FannAnswer> {
-    match gd_cancellable(query, gphi, ()) {
-        Ok(a) => a,
-        Err(Cancelled) => unreachable!("the unit CancelCheck never cancels"),
-    }
-}
-
-/// [`gd`] with a live [`CancelCheck`] polled once per candidate; pair with
-/// a `g_phi` backend built over the same token so the inner expansions are
-/// cancellable too. A cancelled run reports [`Cancelled`] — never a best
-/// answer derived from truncated evaluations. The `()` check makes this
-/// identical to the uncancellable path.
-pub fn gd_cancellable<C: CancelCheck>(
-    query: &FannQuery,
-    gphi: &dyn GPhi,
-    cancel: C,
-) -> Result<Option<FannAnswer>, Cancelled> {
     let k = query.subset_size();
     let mut best: Option<FannAnswer> = None;
     for &p in query.p {
-        if cancel.poll_cancelled() {
-            return Err(Cancelled);
-        }
         let Some(r) = gphi.eval(p, k, query.agg) else {
             continue;
         };
@@ -53,13 +33,7 @@ pub fn gd_cancellable<C: CancelCheck>(
             });
         }
     }
-    // A cancelled backend truncates evals into `None`s, which the loop
-    // above cannot distinguish from unreachability — re-check exactly
-    // before trusting `best`.
-    if cancel.cancelled_now() {
-        return Err(Cancelled);
-    }
-    Ok(best)
+    best
 }
 
 #[cfg(test)]

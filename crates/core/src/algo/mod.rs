@@ -22,12 +22,12 @@ pub mod omp;
 pub mod rlist;
 pub mod topk;
 
-pub use apx_sum::{apx_sum, apx_sum_cancellable, apx_sum_traced};
+pub use apx_sum::{apx_sum, apx_sum_traced};
 pub use brute::brute_force;
 pub use exact_max::{
     exact_max, exact_max_cancellable, exact_max_on_streams, exact_max_traced, exact_max_with_gphi,
 };
-pub use gd::{gd, gd_cancellable};
+pub use gd::gd;
 pub use ier::{ier_knn, ier_knn_cancellable, ier_knn_traced, ier_knn_with_bound, IerBound};
 pub use omp::{flexible_omp, omp};
 pub use rlist::{r_list, r_list_cancellable, r_list_on_streams, r_list_traced};

@@ -2,7 +2,7 @@
 //!
 //! The paper's conclusion (§VII) is a decision rule: use the universal
 //! indexed methods (IER-kNN over PHL-class oracles) when indexes exist,
-//! and the specific index-free methods (`Exact-max`, `APX-sum`) when they
+//! and the specific index-free methods (`Exact-max`, `R-List`) when they
 //! don't. [`Engine`] packages that rule behind a single `query` call so
 //! downstream users don't need to know the taxonomy:
 //!
@@ -39,27 +39,26 @@
 //! to every worker thread and another to an updater.
 
 use crate::algo::ier::build_p_rtree;
-use crate::algo::topk::{exact_max_topk, ier_topk, rlist_topk};
 use crate::algo::{
-    apx_sum_cancellable, exact_max_cancellable, exact_max_on_streams, ier_knn_cancellable,
-    r_list_cancellable, r_list_on_streams, IerBound,
+    exact_max_cancellable, exact_max_on_streams, ier_knn_cancellable, r_list_cancellable,
+    r_list_on_streams, IerBound,
 };
 use crate::gphi::ier2::IerPhi;
-use crate::gphi::ine::{IneBuffers, InePhi};
+use crate::gphi::ine::IneBuffers;
 use crate::gphi::oracle::GuardedLabelOracle;
 use crate::locality::{AnswerCache, CacheKey, CacheStats, NO_REACH};
-use crate::metrics::{LatencyHistogram, Recorder, SearchStats, StatsSink};
-use crate::{flex_k, Aggregate, FannAnswer, FannQuery, KFannAnswer, QueryError};
+use crate::metrics::{Recorder, SearchStats, StatsSink};
+use crate::{flex_k, Aggregate, FannAnswer, FannQuery, QueryError};
 use hublabel::{HubLabels, SourceTable};
 use roadnet::cancel::{CancelCheck, CancelToken, Cancelled};
 use roadnet::{
-    AppliedUpdate, Dist, Graph, NetworkSnapshot, NodeId, RepairScope, ScratchPool, SharedExpansion,
-    SnapshotCell, UpdateError, WeightUpdate,
+    Dist, Graph, NetworkSnapshot, NodeId, RepairScope, ScratchPool, SharedExpansion, SnapshotCell,
+    UpdateError, WeightUpdate,
 };
 use spatial_rtree::{Mbr, Pt};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -73,36 +72,24 @@ pub enum Strategy {
     ExactMax,
     /// Index-free exact sum: `R-List` with INE.
     RListIne,
-    /// Index-free approximate sum: `APX-sum` with INE.
-    ApxSumIne,
 }
 
 impl Strategy {
-    /// All strategies, in [`Strategy::index`] order.
-    pub const ALL: [Strategy; 4] = [
-        Strategy::IerKnnLabels,
-        Strategy::ExactMax,
-        Strategy::RListIne,
-        Strategy::ApxSumIne,
-    ];
-
     /// Name as used in reports and figure legends.
     pub fn name(&self) -> &'static str {
         match self {
             Strategy::IerKnnLabels => "IER-kNN/PHL",
             Strategy::ExactMax => "Exact-max",
             Strategy::RListIne => "R-List/INE",
-            Strategy::ApxSumIne => "APX-sum/INE",
         }
     }
 
-    /// Dense index into [`Strategy::ALL`] (for per-strategy accumulators).
+    /// Dense index of the strategy: the answer cache key's strategy byte.
     pub fn index(&self) -> usize {
         match self {
             Strategy::IerKnnLabels => 0,
             Strategy::ExactMax => 1,
             Strategy::RListIne => 2,
-            Strategy::ApxSumIne => 3,
         }
     }
 }
@@ -215,62 +202,15 @@ fn cache_store(
             };
             // Dependence radius: how far from Q the answering run could
             // have looked. Exact-max and IER-kNN are bounded by d*;
-            // R-List's random-access evals reach up to 2·d*; APX-sum's
-            // candidate probes are unbounded, so it is never promoted.
+            // R-List's random-access evals reach up to 2·d*.
             let reach = match prep.strategy {
                 Strategy::ExactMax | Strategy::IerKnnLabels => a.dist,
                 Strategy::RListIne => a.dist.saturating_mul(2),
-                Strategy::ApxSumIne => NO_REACH,
             };
             (bound, reach)
         }
     };
     cache.insert(&prep.key(), snap.epoch(), answer, bound, mbr, reach);
-}
-
-/// Weight updates applied since the current hub labels were built, merged
-/// per edge: the labels' staleness ledger. Empty ⇔ the labels are exact
-/// for the current graph.
-#[derive(Debug, Clone)]
-pub struct StaleSet {
-    scope: RepairScope,
-}
-
-impl StaleSet {
-    fn fresh() -> Self {
-        StaleSet {
-            scope: RepairScope::new(),
-        }
-    }
-
-    /// No pending updates: the labels match the current graph exactly.
-    pub fn is_fresh(&self) -> bool {
-        self.scope.is_empty()
-    }
-
-    /// Net per-edge changes: `w_old` is the weight the labels were built
-    /// with, `w_new` the current weight.
-    pub fn updates(&self) -> &[AppliedUpdate] {
-        self.scope.edges()
-    }
-
-    /// Every net change is an increase — the per-pair certificate in
-    /// [`GuardedLabelOracle`] applies. Decrease certificates do not
-    /// compose across edges, so any net decrease disables them all.
-    pub fn increase_only(&self) -> bool {
-        self.scope.increase_only()
-    }
-
-    /// The ledger as a [`RepairScope`]: exactly the touched edges a
-    /// scoped repair must cover to bring the labels back to the current
-    /// graph.
-    pub fn scope(&self) -> &RepairScope {
-        &self.scope
-    }
-
-    fn absorb(&mut self, applied: &[AppliedUpdate]) {
-        self.scope.absorb(applied);
-    }
 }
 
 /// One pinned, immutable view of the engine: a [`NetworkSnapshot`] plus
@@ -280,7 +220,11 @@ impl StaleSet {
 pub struct EngineSnapshot {
     net: NetworkSnapshot,
     labels: Option<Arc<HubLabels>>,
-    stale: StaleSet,
+    /// Weight updates applied since the labels were built, merged per
+    /// edge: the labels' staleness ledger, and exactly the touched edges a
+    /// scoped repair must cover. Empty ⇔ the labels are exact for the
+    /// current graph.
+    stale: RepairScope,
 }
 
 impl EngineSnapshot {
@@ -302,13 +246,13 @@ impl EngineSnapshot {
 
     /// The labels' staleness ledger (empty when no labels are attached or
     /// they are fresh).
-    pub fn stale(&self) -> &StaleSet {
+    pub fn stale(&self) -> &RepairScope {
         &self.stale
     }
 
     /// Labels exist but have not absorbed every published update.
     pub fn is_stale(&self) -> bool {
-        self.labels.is_some() && !self.stale.is_fresh()
+        self.labels.is_some() && !self.stale.is_empty()
     }
 
     /// The attached hub labels, if any (e.g. for persisting a repaired
@@ -325,7 +269,7 @@ impl EngineSnapshot {
         Some(GuardedLabelOracle::guarded(
             labels,
             self.net.graph(),
-            self.stale.updates(),
+            self.stale.edges(),
             self.stale.increase_only(),
             self.net.lower_bound(),
         ))
@@ -381,15 +325,10 @@ pub struct IndexDirOptions {
     pub load_mode: roadnet::LoadMode,
     /// When `labels.v2` is missing, build hub labels on a background
     /// thread and publish them through the snapshot swap; until then
-    /// queries answer exactly via the index-free strategies. Off by
-    /// default.
+    /// queries answer exactly via the index-free strategies. The build
+    /// uses every core and writes `labels.v2` back into the directory, so
+    /// the next cold start finds a complete index. Off by default.
     pub background_build: bool,
-    /// Worker threads for the background label build (0 = all cores).
-    pub workers: usize,
-    /// Write background-built artifacts back into the directory
-    /// (atomically, via temp + rename) so the next cold start finds a
-    /// complete index. On by default.
-    pub persist: bool,
 }
 
 impl Default for IndexDirOptions {
@@ -397,8 +336,6 @@ impl Default for IndexDirOptions {
         IndexDirOptions {
             load_mode: roadnet::LoadMode::Auto,
             background_build: false,
-            workers: 0,
-            persist: true,
         }
     }
 }
@@ -422,9 +359,6 @@ fn persist_atomic(
 #[derive(Clone)]
 pub struct Engine {
     shared: Arc<EngineShared>,
-    /// Accept approximate sum answers when no index is available
-    /// (3-approximation; off by default).
-    allow_approx_sum: bool,
 }
 
 impl Engine {
@@ -432,18 +366,12 @@ impl Engine {
     /// scenario of §IV). Cheap: the graph handle is cloned, not the CSR
     /// arrays.
     pub fn new(graph: &Graph) -> Self {
-        Engine::from_snapshot(NetworkSnapshot::new(graph.clone()))
-    }
-
-    /// An index-free engine over an existing snapshot (preserving its
-    /// epoch and admissibility scale).
-    pub fn from_snapshot(net: NetworkSnapshot) -> Self {
         Engine {
             shared: Arc::new(EngineShared {
                 cell: SnapshotCell::new(Arc::new(EngineSnapshot {
-                    net,
+                    net: NetworkSnapshot::new(graph.clone()),
                     labels: None,
-                    stale: StaleSet::fresh(),
+                    stale: RepairScope::new(),
                 })),
                 writer: Mutex::new(()),
                 repairing: AtomicBool::new(false),
@@ -451,7 +379,6 @@ impl Engine {
                 report: Mutex::new(None),
                 cache: OnceLock::new(),
             }),
-            allow_approx_sum: false,
         }
     }
 
@@ -471,7 +398,7 @@ impl Engine {
             self.shared.cell.store(Arc::new(EngineSnapshot {
                 net: cur.net.clone(),
                 labels: Some(Arc::new(labels)),
-                stale: StaleSet::fresh(),
+                stale: RepairScope::new(),
             }));
         }
         self
@@ -510,7 +437,7 @@ impl Engine {
             engine = engine.with_prebuilt_labels(labels);
         }
         if opts.background_build && !have_labels {
-            engine.complete_index_in_background(dir, opts);
+            engine.complete_index_in_background(dir);
         }
         Ok(engine)
     }
@@ -519,22 +446,17 @@ impl Engine {
     /// background thread with the parallel builder, and publish them
     /// through the same snapshot swap as [`Engine::repair_indexes`] —
     /// queries keep answering exactly via the index-free strategies until
-    /// the swap lands. Labels are built against the snapshot pinned at
-    /// call time (for a freshly cold-started engine, exactly the
-    /// `graph.v2` on disk) and written atomically via temp + rename, so a
-    /// concurrent cold start never sees a torn file. Returns `false` when
-    /// a build or repair thread is already running.
-    pub fn complete_index_in_background(
-        &self,
-        dir: &std::path::Path,
-        opts: &IndexDirOptions,
-    ) -> bool {
+    /// the swap lands. Labels are built on every core against the snapshot
+    /// pinned at call time (for a freshly cold-started engine, exactly the
+    /// `graph.v2` on disk) and written back atomically via temp + rename,
+    /// so a concurrent cold start never sees a torn file. Returns `false`
+    /// when a build or repair thread is already running.
+    pub fn complete_index_in_background(&self, dir: &std::path::Path) -> bool {
         if self.shared.repairing.swap(true, Ordering::SeqCst) {
             return false;
         }
         let engine = self.clone();
         let dir = dir.to_path_buf();
-        let opts = opts.clone();
         let disk = self.snapshot();
         std::thread::spawn(move || {
             // A build that fails (a distance past the label width) skips
@@ -542,12 +464,10 @@ impl Engine {
             let built = if disk.has_labels() {
                 None
             } else {
-                HubLabels::build_parallel(disk.graph(), opts.workers).ok()
+                HubLabels::build_parallel(disk.graph(), 0).ok()
             };
             if let Some(labels) = built.map(Arc::new) {
-                if opts.persist {
-                    let _ = persist_atomic(&dir, "labels.v2", |p| labels.write_flat(p));
-                }
+                let _ = persist_atomic(&dir, "labels.v2", |p| labels.write_flat(p));
                 // Publish only while the live epoch still matches the
                 // build snapshot: after an update batch these labels no
                 // longer describe the live weights (the persisted copy
@@ -558,7 +478,7 @@ impl Engine {
                     engine.shared.cell.store(Arc::new(EngineSnapshot {
                         net: cur.net.clone(),
                         labels: Some(labels),
-                        stale: StaleSet::fresh(),
+                        stale: RepairScope::new(),
                     }));
                 }
                 drop(guard);
@@ -578,13 +498,6 @@ impl Engine {
         true
     }
 
-    /// Allow `APX-sum` (guaranteed 3-approximation) for index-free sum
-    /// queries instead of the exact-but-slower `R-List`.
-    pub fn allow_approx_sum(mut self, yes: bool) -> Self {
-        self.allow_approx_sum = yes;
-        self
-    }
-
     /// Attach an epoch-keyed answer cache holding up to `capacity`
     /// answers (see [`crate::locality`] for the coherence contract).
     /// Cached answers are bit-identical to recomputation by construction;
@@ -594,11 +507,6 @@ impl Engine {
     pub fn with_answer_cache(self, capacity: usize) -> Self {
         let _ = self.shared.cache.set(Arc::new(AnswerCache::new(capacity)));
         self
-    }
-
-    /// Whether an answer cache is attached.
-    pub fn has_answer_cache(&self) -> bool {
-        self.shared.cache.get().is_some()
     }
 
     /// Counter snapshot of the attached answer cache, if any.
@@ -740,9 +648,8 @@ impl Engine {
             let t0 = Instant::now();
             let total = pinned.graph().num_nodes() as u64;
             let built = match &pinned.labels {
-                Some(old) if !pinned.stale.is_fresh() => {
-                    let touched: Vec<(NodeId, NodeId)> =
-                        pinned.stale.scope().touched_pairs().collect();
+                Some(old) if !pinned.stale.is_empty() => {
+                    let touched: Vec<(NodeId, NodeId)> = pinned.stale.touched_pairs().collect();
                     old.repair_scoped(pinned.graph(), &touched)
                         .map(|(next, stats)| (next, stats.roots_searched as u64))
                 }
@@ -758,7 +665,7 @@ impl Engine {
                 self.shared.cell.store(Arc::new(EngineSnapshot {
                     net: cur.net.clone(),
                     labels,
-                    stale: StaleSet::fresh(),
+                    stale: RepairScope::new(),
                 }));
                 drop(guard);
                 let mut report = self.shared.report.lock().unwrap();
@@ -777,18 +684,14 @@ impl Engine {
     /// The strategy `query` would use for this aggregate (on the current
     /// snapshot).
     pub fn strategy_for(&self, agg: Aggregate) -> Strategy {
-        self.strategy_on(&self.snapshot(), agg)
+        Self::strategy_on(&self.snapshot(), agg)
     }
 
-    fn strategy_on(&self, snap: &EngineSnapshot, agg: Aggregate) -> Strategy {
-        if snap.has_labels() {
-            Strategy::IerKnnLabels
-        } else {
-            match agg {
-                Aggregate::Max => Strategy::ExactMax,
-                Aggregate::Sum if self.allow_approx_sum => Strategy::ApxSumIne,
-                Aggregate::Sum => Strategy::RListIne,
-            }
+    fn strategy_on(snap: &EngineSnapshot, agg: Aggregate) -> Strategy {
+        match (snap.has_labels(), agg) {
+            (true, _) => Strategy::IerKnnLabels,
+            (false, Aggregate::Max) => Strategy::ExactMax,
+            (false, Aggregate::Sum) => Strategy::RListIne,
         }
     }
 
@@ -811,7 +714,7 @@ impl Engine {
             q,
             phi,
             agg,
-            strategy: self.strategy_on(snap, agg),
+            strategy: Self::strategy_on(snap, agg),
         })
     }
 
@@ -856,12 +759,6 @@ impl Engine {
             Strategy::RListIne => state.ine.with(graph, query.q, rec, cancel, |gphi| {
                 r_list_cancellable(graph, &query, gphi, &mut state.pool, rec, cancel)
             }),
-            Strategy::ApxSumIne => state.ine.with(graph, query.q, rec, cancel, |gphi| {
-                let mut scratch = state.pool.take();
-                let answer = apx_sum_cancellable(graph, &query, gphi, &mut scratch, rec, cancel);
-                state.pool.put(scratch);
-                answer
-            }),
         };
         answer.map_err(|Cancelled| QueryError::Cancelled)
     }
@@ -905,128 +802,15 @@ impl Engine {
         Ok((answer, sink.snapshot()))
     }
 
-    /// Answer a `k`-FANN_R query (§V). Always exact; `APX-sum` has no
-    /// top-k adaptation (per the paper), so index-free sum uses `R-List`.
-    pub fn query_topk(
-        &self,
-        p: &[NodeId],
-        q: &[NodeId],
-        phi: f64,
-        agg: Aggregate,
-        k: usize,
-    ) -> Result<KFannAnswer, QueryError> {
-        let snap = self.snapshot();
-        let graph = snap.graph();
-        let prep = self.prepare(&snap, p, q, phi, agg)?;
-        let query = prep.query();
-        let answer = match (snap.oracle(), agg) {
-            (Some(oracle), _) => {
-                let rtree = build_p_rtree(graph, query.p);
-                let gphi = IerPhi::new(graph, oracle, query.q);
-                ier_topk(graph, &query, &rtree, &gphi, k)
-            }
-            (None, Aggregate::Max) => exact_max_topk(graph, &query, k),
-            (None, Aggregate::Sum) => {
-                let gphi = InePhi::new(graph, query.q);
-                rlist_topk(graph, &query, &gphi, k)
-            }
-        };
-        Ok(answer)
-    }
-
-    /// Answer a stream of queries over a fixed worker pool, recycling
-    /// per-worker search state across the stream. Results come back in
-    /// input order, each bit-identical to what [`Engine::query`] returns
-    /// for the same query. The whole batch pins one snapshot, so every
-    /// answer reflects the same epoch even under concurrent updates.
-    ///
-    /// `workers = 0` means "use the machine's available parallelism".
-    pub fn query_batch(&self, queries: &[BatchQuery], workers: usize) -> BatchResults {
-        self.drive_batch(queries, workers, |snap, bq, state| {
-            let prep = self.prepare(snap, &bq.p, &bq.q, bq.phi, bq.agg)?;
-            Self::answer(snap, &prep, state, (), ())
-        })
-    }
-
-    /// [`Engine::query_batch`] with instrumentation: identical answers plus
-    /// a per-strategy [`BatchReport`] (work counters and a latency
-    /// histogram per strategy).
-    pub fn query_batch_traced(
-        &self,
-        queries: &[BatchQuery],
-        workers: usize,
-    ) -> (BatchResults, BatchReport) {
-        let traced = self.drive_batch(queries, workers, |snap, bq, state| {
-            let t0 = Instant::now();
-            let prep = self.prepare(snap, &bq.p, &bq.q, bq.phi, bq.agg)?;
-            let sink = StatsSink::new();
-            let answer = Self::answer(snap, &prep, state, &sink, ())?;
-            Ok((answer, prep.strategy, sink.snapshot(), t0.elapsed()))
-        });
-        let mut report = BatchReport::default();
-        let results = traced
-            .into_iter()
-            .map(|r: Result<_, QueryError>| {
-                r.map(|(answer, strategy, stats, elapsed)| {
-                    report.record(strategy, &stats, elapsed);
-                    answer
-                })
-            })
-            .collect();
-        (results, report)
-    }
-
-    /// The one batch worker loop: pin a snapshot, give each worker a
-    /// [`SearchState`], and let them claim queries off a shared atomic
-    /// cursor (self-balancing on skewed workloads). Returns what `one`
-    /// made of each query, in input order.
-    fn drive_batch<T: Send>(
-        &self,
-        queries: &[BatchQuery],
-        workers: usize,
-        one: impl Fn(&EngineSnapshot, &BatchQuery, &mut SearchState) -> T + Sync,
-    ) -> Vec<T> {
-        let workers = match workers {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            w => w,
-        };
-        let pinned = self.snapshot();
-        let cursor = AtomicUsize::new(0);
-        let work = || {
-            let mut state = SearchState::default();
-            let mut out = Vec::new();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(bq) = queries.get(i) else { break };
-                out.push((i, one(&pinned, bq, &mut state)));
-            }
-            out
-        };
-        let mut out = match workers.min(queries.len()) {
-            // Nothing to do, or a single worker: run inline, no thread
-            // overhead.
-            0 | 1 => work(),
-            workers => std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("batch worker panicked"))
-                    .collect()
-            }),
-        };
-        out.sort_unstable_by_key(|&(i, _)| i);
-        out.into_iter().map(|(_, t)| t).collect()
-    }
-
     /// Answer a batch of (typically co-located) queries on **one** pinned
     /// snapshot, computing every cache miss that shares a canonical `Q`
     /// from one [`SharedExpansion`]: the `|Q|` Dijkstra frontiers are
     /// expanded at most once per distinct `Q` and each query replays them
     /// through its own filtered object view. Answers are bit-identical to
     /// per-query [`Engine::query`] because the per-strategy drivers are
-    /// the same code over provably identical settle sequences; strategies
-    /// that are not stream-driven (IER-kNN, APX-sum) fall back to the
-    /// per-query dispatch within the same pinned snapshot. With a cache
+    /// the same code over provably identical settle sequences; IER-kNN,
+    /// which is not stream-driven, falls back to the per-query dispatch
+    /// within the same pinned snapshot. With a cache
     /// attached, hits are served first and misses are inserted. Each
     /// answer comes with the strategy that produced it.
     pub fn query_colocated(&self, queries: &[BatchQuery]) -> Vec<ColocatedResult> {
@@ -1110,8 +894,8 @@ impl Engine {
     }
 }
 
-/// One query of a batch stream: an owned `(P, Q, phi, g)` quadruple
-/// (the graph is the engine's).
+/// One query of a [`Engine::query_colocated`] batch: an owned
+/// `(P, Q, phi, g)` quadruple (the graph is the engine's).
 #[derive(Debug, Clone)]
 pub struct BatchQuery {
     pub p: Vec<NodeId>,
@@ -1126,74 +910,12 @@ impl BatchQuery {
     }
 }
 
-/// One result per query of a batch, in input order.
-pub type BatchResults = Vec<Result<Option<FannAnswer>, QueryError>>;
-
 /// One [`Engine::query_colocated`] result: the answer and the strategy
 /// that produced it.
 pub type ColocatedResult = Result<(Option<FannAnswer>, Strategy), QueryError>;
 
-/// Aggregated observability for one strategy across a traced batch:
-/// how many queries it answered, their summed work counters, and their
-/// latency distribution.
-#[derive(Debug, Clone, Default)]
-pub struct StrategyReport {
-    /// Queries answered by this strategy (errors excluded).
-    pub queries: u64,
-    /// Work counters summed over those queries.
-    pub stats: SearchStats,
-    /// Per-query latency distribution (p50/p90/p99 via
-    /// [`LatencyHistogram::quantile_ns`]).
-    pub latency: LatencyHistogram,
-}
-
-/// Per-strategy breakdown of a traced batch, returned by
-/// [`Engine::query_batch_traced`]. Indexed by [`Strategy::index`].
-#[derive(Debug, Clone, Default)]
-pub struct BatchReport {
-    per_strategy: [StrategyReport; 4],
-}
-
-impl BatchReport {
-    /// The report slot for one strategy.
-    pub fn strategy(&self, s: Strategy) -> &StrategyReport {
-        &self.per_strategy[s.index()]
-    }
-
-    /// Strategies that answered at least one query, with their reports.
-    pub fn active(&self) -> impl Iterator<Item = (Strategy, &StrategyReport)> {
-        Strategy::ALL
-            .iter()
-            .copied()
-            .zip(self.per_strategy.iter())
-            .filter(|(_, r)| r.queries > 0)
-    }
-
-    /// Work counters summed over every strategy.
-    pub fn total_stats(&self) -> SearchStats {
-        let mut total = SearchStats::default();
-        for r in &self.per_strategy {
-            total.add(&r.stats);
-        }
-        total
-    }
-
-    /// Queries answered across all strategies (errors excluded).
-    pub fn total_queries(&self) -> u64 {
-        self.per_strategy.iter().map(|r| r.queries).sum()
-    }
-
-    fn record(&mut self, s: Strategy, stats: &SearchStats, elapsed: std::time::Duration) {
-        let slot = &mut self.per_strategy[s.index()];
-        slot.queries += 1;
-        slot.stats.add(stats);
-        slot.latency.record(elapsed);
-    }
-}
-
 /// The one recycled per-worker search container: a scratch pool for the
-/// `|Q|`-expansion algorithms and APX-sum's candidate searches, the
-/// graph-free buffers of the INE `g_phi` backend, and the label oracle's
+/// `|Q|`-expansion algorithms, the graph-free buffers of the INE `g_phi` backend, and the label oracle's
 /// [`SourceTable`]. It holds no graph and no `(R, C)` instantiation, so
 /// one state serves every strategy, traced or not, across epoch swaps (the
 /// table knows which labels it holds); a throw-away one
@@ -1213,7 +935,8 @@ struct SearchState {
 pub type Answered = (Option<FannAnswer>, SearchStats, CacheOutcome, u64, Strategy);
 
 /// The per-worker query handle (obtained from [`Engine::session`]): one
-/// recycled [`SearchState`] plus a borrowed [`CancelToken`]. This is how
+/// recycled search state (a scratch pool, the INE buffers and the label
+/// oracle's source table) plus a borrowed [`CancelToken`]. This is how
 /// `fannr serve` answers the wire: each worker thread opens one session
 /// for its lifetime, re-arms the token per request ([`CancelToken::arm`])
 /// and sends every query through [`QuerySession::query`], so search
@@ -1320,119 +1043,9 @@ mod tests {
         let bare = Engine::new(&g);
         assert_eq!(bare.strategy_for(Aggregate::Max), Strategy::ExactMax);
         assert_eq!(bare.strategy_for(Aggregate::Sum), Strategy::RListIne);
-        let approx = Engine::new(&g).allow_approx_sum(true);
-        assert_eq!(approx.strategy_for(Aggregate::Sum), Strategy::ApxSumIne);
         let indexed = Engine::new(&g).with_labels();
         assert!(indexed.has_labels());
         assert_eq!(indexed.strategy_for(Aggregate::Max), Strategy::IerKnnLabels);
-    }
-
-    #[test]
-    fn approx_sum_within_bound() {
-        let g = grid(8, 8);
-        let p: Vec<u32> = (0..64).step_by(2).collect();
-        let q: Vec<u32> = vec![0, 9, 27, 45, 63];
-        let engine = Engine::new(&g).allow_approx_sum(true);
-        let query = FannQuery::new(&p, &q, 0.6, Aggregate::Sum);
-        let truth = brute_force(&g, &query).unwrap();
-        let a = engine.query(&p, &q, 0.6, Aggregate::Sum).unwrap().unwrap();
-        assert!(a.dist >= truth.dist);
-        assert!(a.dist <= 3 * truth.dist);
-    }
-
-    #[test]
-    fn topk_consistent_between_modes() {
-        let g = grid(6, 6);
-        let p: Vec<u32> = (0..36).collect();
-        let q: Vec<u32> = vec![0, 20, 35];
-        let bare = Engine::new(&g);
-        let indexed = Engine::new(&g).with_labels();
-        for agg in [Aggregate::Sum, Aggregate::Max] {
-            let a = bare.query_topk(&p, &q, 0.67, agg, 4).unwrap();
-            let b = indexed.query_topk(&p, &q, 0.67, agg, 4).unwrap();
-            let da: Vec<u64> = a.iter().map(|&(_, d)| d).collect();
-            let db: Vec<u64> = b.iter().map(|&(_, d)| d).collect();
-            assert_eq!(da, db, "{agg}");
-        }
-    }
-
-    fn mixed_batch(n: usize) -> Vec<BatchQuery> {
-        // Deterministic workload mixing aggregates, phi, and query sets.
-        (0..n)
-            .map(|i| {
-                let p: Vec<u32> = (0..49).step_by(2 + i % 3).collect();
-                let q: Vec<u32> = vec![
-                    (i % 49) as u32,
-                    ((i * 7 + 11) % 49) as u32,
-                    ((i * 13 + 23) % 49) as u32,
-                ];
-                let agg = if i % 2 == 0 {
-                    Aggregate::Max
-                } else {
-                    Aggregate::Sum
-                };
-                BatchQuery::new(p, q, 0.34 + 0.33 * (i % 3) as f64, agg)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn batch_matches_sequential_queries() {
-        let g = grid(7, 7);
-        let batch = mixed_batch(12);
-        for engine in [Engine::new(&g), Engine::new(&g).with_labels()] {
-            let sequential: Vec<_> = batch
-                .iter()
-                .map(|b| engine.query(&b.p, &b.q, b.phi, b.agg).unwrap().unwrap())
-                .collect();
-            for workers in [1usize, 3] {
-                let got = engine.query_batch(&batch, workers);
-                for (i, (got, want)) in got.iter().zip(&sequential).enumerate() {
-                    let got = got.as_ref().unwrap().as_ref().unwrap();
-                    assert_eq!(got.dist, want.dist, "query {i}, workers={workers}");
-                    assert_eq!(got.p_star, want.p_star, "query {i}, workers={workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_handles_empty_and_singleton_streams() {
-        let g = grid(4, 4);
-        let engine = Engine::new(&g);
-        for workers in [0usize, 1, 2, 8] {
-            assert!(engine.query_batch(&[], workers).is_empty());
-            let one = vec![BatchQuery::new(
-                vec![0, 5, 15],
-                vec![10],
-                1.0,
-                Aggregate::Max,
-            )];
-            let got = engine.query_batch(&one, workers);
-            assert_eq!(got.len(), 1);
-            let want = engine
-                .query(&[0, 5, 15], &[10], 1.0, Aggregate::Max)
-                .unwrap();
-            assert_eq!(
-                got[0].as_ref().unwrap().as_ref().map(|a| a.dist),
-                want.as_ref().map(|a| a.dist)
-            );
-        }
-    }
-
-    #[test]
-    fn batch_propagates_per_query_errors() {
-        let g = grid(3, 3);
-        let engine = Engine::new(&g);
-        let batch = vec![
-            BatchQuery::new(vec![0, 4], vec![8], 1.0, Aggregate::Max),
-            BatchQuery::new(vec![99], vec![0], 0.5, Aggregate::Max),
-            BatchQuery::new(vec![2], vec![6], 2.0, Aggregate::Sum),
-        ];
-        let got = engine.query_batch(&batch, 2);
-        assert!(got[0].is_ok());
-        assert!(matches!(got[1], Err(QueryError::NodeOutOfRange(99))));
-        assert!(matches!(got[2], Err(QueryError::PhiOutOfRange)));
     }
 
     #[test]
@@ -1456,10 +1069,6 @@ mod tests {
         for phi in [0.0, -0.5, f64::NAN, 1.5] {
             assert!(matches!(
                 engine.query(&[0, 4], &[8], phi, Aggregate::Max),
-                Err(QueryError::PhiOutOfRange)
-            ));
-            assert!(matches!(
-                engine.query_topk(&[0, 4], &[8], phi, Aggregate::Max, 2),
                 Err(QueryError::PhiOutOfRange)
             ));
         }
@@ -1545,11 +1154,7 @@ mod tests {
         let g = grid(7, 7);
         let p: Vec<u32> = (0..49).step_by(3).collect();
         let q: Vec<u32> = vec![4, 18, 30, 44];
-        let engines = [
-            Engine::new(&g),
-            Engine::new(&g).allow_approx_sum(true),
-            Engine::new(&g).with_labels(),
-        ];
+        let engines = [Engine::new(&g), Engine::new(&g).with_labels()];
         for engine in &engines {
             for agg in [Aggregate::Sum, Aggregate::Max] {
                 let want = engine.query(&p, &q, 0.5, agg).unwrap().unwrap();
@@ -1563,34 +1168,6 @@ mod tests {
                     engine.strategy_for(agg)
                 );
             }
-        }
-    }
-
-    #[test]
-    fn traced_batch_matches_untraced_batch_and_reports_per_strategy() {
-        let g = grid(7, 7);
-        let batch = mixed_batch(10);
-        let engine = Engine::new(&g);
-        for workers in [1usize, 3] {
-            let plain = engine.query_batch(&batch, workers);
-            let (traced, report) = engine.query_batch_traced(&batch, workers);
-            assert_eq!(plain.len(), traced.len());
-            for (a, b) in plain.iter().zip(traced.iter()) {
-                let a = a.as_ref().unwrap().as_ref().unwrap();
-                let b = b.as_ref().unwrap().as_ref().unwrap();
-                assert_eq!(a.dist, b.dist);
-                assert_eq!(a.p_star, b.p_star);
-            }
-            // The mixed workload alternates max/sum, so both index-free
-            // strategies must show up with work and latency samples.
-            assert_eq!(report.total_queries(), batch.len() as u64);
-            let active: Vec<Strategy> = report.active().map(|(s, _)| s).collect();
-            assert_eq!(active, vec![Strategy::ExactMax, Strategy::RListIne]);
-            for (s, r) in report.active() {
-                assert!(!r.stats.is_empty(), "{s} recorded no work");
-                assert_eq!(r.latency.count(), r.queries);
-            }
-            assert!(!report.total_stats().is_empty());
         }
     }
 
@@ -1692,7 +1269,7 @@ mod tests {
             .apply_updates(&[WeightUpdate { u: 1, v: 0, w: 70 }])
             .unwrap();
         let snap = engine.snapshot();
-        let ups = snap.stale().updates();
+        let ups = snap.stale().edges();
         assert_eq!(ups.len(), 1, "same edge merged, not appended");
         // First w_old (the labels' weight) is kept; latest w_new wins.
         assert_eq!((ups[0].w_old, ups[0].w_new), (10, 70));
@@ -1702,7 +1279,7 @@ mod tests {
         bare.apply_updates(&[WeightUpdate { u: 0, v: 1, w: 50 }])
             .unwrap();
         assert!(!bare.is_stale());
-        assert!(bare.snapshot().stale().is_fresh());
+        assert!(bare.snapshot().stale().is_empty());
     }
 
     #[test]

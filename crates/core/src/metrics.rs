@@ -16,7 +16,7 @@
 //!   is a no-op for every hook, so untraced paths monomorphize to exactly
 //!   the uninstrumented code.
 //! * [`LatencyHistogram`] — fixed log2-bucket latency histogram with
-//!   approximate p50/p90/p99, mergeable across batch workers.
+//!   approximate p50/p90/p99, mergeable across serving workers.
 
 use roadnet::SearchRecorder;
 use std::cell::Cell;

@@ -3,15 +3,17 @@
 //! ```text
 //! fannr datasets
 //! fannr gen   --nodes 10000 --seed 7 --out network.txt
-//! fannr index --graph network.txt --out labels.v2
-//! fannr query --graph network.txt [--labels labels.v2] \
+//! fannr query --graph network.txt \
 //!             --algo ier-knn --agg max --phi 0.5 \
 //!             --p-density 0.01 --q-size 32 --coverage 0.2 [--k 5] [--routes]
+//! fannr build-index --graph network.txt --out idx
+//! fannr serve --index idx
 //! ```
 //!
 //! `query` generates `P`/`Q` with the §VI-A generators (deterministic per
 //! `--seed`) and prints the answer; `--routes` additionally materializes
-//! the winning shortest paths.
+//! the winning shortest paths. Hub labels persist only inside an index
+//! directory (`build-index`), which `serve --index` loads.
 
 use fannr::fann::algo::ier::build_p_rtree;
 use fannr::fann::algo::topk::{exact_max_topk, gd_topk, ier_topk, rlist_topk};
@@ -45,10 +47,16 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let opts = parse_opts(args);
+    if cmd == "index" || opts.contains_key("labels") {
+        eprintln!(
+            "error: `fannr index` and `--labels FILE` are gone: build an index directory \
+             with `fannr build-index --out DIR` and serve it with `fannr serve --index DIR`"
+        );
+        return ExitCode::FAILURE;
+    }
     let result = match cmd.as_str() {
         "datasets" => cmd_datasets(),
         "gen" => cmd_gen(&opts),
-        "index" => cmd_index(&opts),
         "query" => cmd_query(&opts),
         "explain" => cmd_explain(&opts),
         "render" => cmd_render(&opts),
@@ -77,19 +85,17 @@ const USAGE: &str = "usage: fannr <command> [--key value ...]
 commands:
   datasets   list the Table III dataset registry
   gen        generate a synthetic road network   (--nodes, --seed, --out)
-  index      build + persist hub labels as a     (--graph, --out)
-             flat labels.v2 container
   query      run an FANN_R query                 (--graph, --algo, --agg,
              --phi, --p-density, --q-size, --coverage, --clusters, --seed,
-             --labels, --k, --routes, --json)
+             --k, --routes, --json)
   explain    run one query through every applicable strategy and print a
              per-strategy work breakdown         (query options; builds
-             hub labels in-process unless --labels is given)
+             hub labels in-process)
   render     draw a query answer as SVG          (query options + --out)
   stats      describe a network                  (--graph)
   serve      serve queries over TCP              (--index DIR | --graph |
              --nodes --seed, --addr, --workers, --queue-depth,
-             --deadline-ms, --labels, --cache-capacity,
+             --deadline-ms, --cache-capacity,
              --batch-window-ms, --batch-max, --no-mmap,
              --shard-id N --shard-map FILE for one shard of a
              partitioned deployment);
@@ -172,30 +178,6 @@ fn load_graph(opts: &HashMap<String, String>) -> Result<Graph, String> {
     read_compact(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// A persisted label index (`fannr index` / `build-index` output).
-fn load_labels(path: &str) -> Result<HubLabels, String> {
-    HubLabels::read_flat(Path::new(path)).map_err(|e| format!("{path}: {e}"))
-}
-
-fn cmd_index(opts: &HashMap<String, String>) -> Result<(), String> {
-    let g = load_graph(opts)?;
-    let out = require(opts, "out")?;
-    let t0 = std::time::Instant::now();
-    let labels = HubLabels::build(&g).map_err(|e| e.to_string())?;
-    labels
-        .write_flat(Path::new(&out))
-        .map_err(|e| format!("{out}: {e}"))?;
-    println!(
-        "built hub labels in {:.1}s: {} entries (avg {:.1}/node), {} bytes -> {}",
-        t0.elapsed().as_secs_f64(),
-        labels.total_label_entries(),
-        labels.avg_label_size(),
-        file_kib(Path::new(&out)),
-        out
-    );
-    Ok(())
-}
-
 fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     let g = load_graph(opts)?;
     let algo = opts.get("algo").map(String::as_str).unwrap_or("ier-knn");
@@ -239,12 +221,8 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
         println!("{info}");
     }
 
-    // Backend: persisted labels if provided, else index-free INE.
-    let labels = opts.get("labels").map(|p| load_labels(p)).transpose()?;
-    let gphi: Box<dyn GPhi> = match &labels {
-        Some(l) => Box::new(IerPhi::new(&g, GuardedLabelOracle::new(l), &q)),
-        None => Box::new(InePhi::new(&g, &q)),
-    };
+    // Backend: index-free INE.
+    let gphi = InePhi::new(&g, &q);
     if json {
         eprintln!("backend: {}", gphi.name());
     } else {
@@ -255,9 +233,9 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     if k > 1 {
         let rtree = build_p_rtree(&g, &p);
         let answers = match algo {
-            "gd" => gd_topk(&query, gphi.as_ref(), k),
-            "r-list" => rlist_topk(&g, &query, gphi.as_ref(), k),
-            "ier-knn" => ier_topk(&g, &query, &rtree, gphi.as_ref(), k),
+            "gd" => gd_topk(&query, &gphi, k),
+            "r-list" => rlist_topk(&g, &query, &gphi, k),
+            "ier-knn" => ier_topk(&g, &query, &rtree, &gphi, k),
             "exact-max" => exact_max_topk(&g, &query, k),
             other => return Err(format!("'{other}' has no k-FANN variant")),
         };
@@ -268,14 +246,14 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
     let answer: Option<FannAnswer> = match algo {
-        "gd" => gd(&query, gphi.as_ref()),
-        "r-list" => r_list(&g, &query, gphi.as_ref()),
+        "gd" => gd(&query, &gphi),
+        "r-list" => r_list(&g, &query, &gphi),
         "ier-knn" => {
             let rtree = build_p_rtree(&g, &p);
-            ier_knn(&g, &query, &rtree, gphi.as_ref())
+            ier_knn(&g, &query, &rtree, &gphi)
         }
         "exact-max" => exact_max(&g, &query),
-        "apx-sum" => apx_sum(&g, &query, gphi.as_ref()),
+        "apx-sum" => apx_sum(&g, &query, &gphi),
         other => return Err(format!("unknown algorithm '{other}'\n{USAGE}")),
     };
     let elapsed = t0.elapsed();
@@ -334,19 +312,10 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
         query.subset_size()
     );
 
-    // The indexed strategy needs labels; load them if given, else build.
-    let labels = match opts.get("labels") {
-        Some(path) => load_labels(path)?,
-        None => {
-            let t0 = std::time::Instant::now();
-            let l = HubLabels::build(&g).map_err(|e| e.to_string())?;
-            println!(
-                "(built hub labels in {:.1}s; pass --labels to reuse a persisted index)",
-                t0.elapsed().as_secs_f64()
-            );
-            l
-        }
-    };
+    // The indexed strategy needs labels: build them in-process.
+    let t0 = std::time::Instant::now();
+    let labels = HubLabels::build(&g).map_err(|e| e.to_string())?;
+    println!("(built hub labels in {:.1}s)", t0.elapsed().as_secs_f64());
     let rtree = build_p_rtree(&g, &p);
 
     let strategies: &[&str] = match agg {
@@ -475,8 +444,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     // missing labels build on a background thread with the parallel
     // builder and publish through the snapshot swap, while
     // queries answer exactly via the index-free strategies. Otherwise the
-    // graph comes from `--graph`/`--nodes` and labels optionally from a
-    // `--labels` file (`fannr index` output).
+    // graph comes from `--graph`/`--nodes` and the engine is index-free.
     let (g, engine) = if let Some(dir) = opts.get("index") {
         let index_opts = IndexDirOptions {
             load_mode: if opts.contains_key("no-mmap") {
@@ -484,10 +452,9 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
             } else {
                 LoadMode::Auto
             },
-            background_build: true,
             // `--workers` sizes the serve pool; the background index
-            // build always uses every core (workers: 0).
-            ..IndexDirOptions::default()
+            // build always uses every core.
+            background_build: true,
         };
         let engine = Engine::from_index_dir_with(Path::new(dir), &index_opts)
             .map_err(|e| format!("{dir}: {e}"))?;
@@ -504,10 +471,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
             let seed: u64 = get(opts, "seed", 7);
             fannr::workload::synth::road_network(nodes, &mut fannr::workload::rng(seed))
         };
-        let mut engine = Engine::new(&g);
-        if let Some(path) = opts.get("labels") {
-            engine = engine.with_prebuilt_labels(load_labels(path)?);
-        }
+        let engine = Engine::new(&g);
         (g, engine)
     };
     // `--shard-id N --shard-map FILE` makes this server one shard of a

@@ -1,22 +1,23 @@
-//! Batch-layer integration tests: the recycled-scratch query path must be
-//! observationally identical to the per-query path.
+//! Recycled-state integration tests: answering a stream through
+//! long-lived per-thread state must be observationally identical to the
+//! per-query path.
 //!
 //! Three angles:
-//! * cross-validation — [`Engine::query_batch`] returns bit-identical
-//!   answers to a sequential [`Engine::query`] loop for every strategy,
-//!   aggregate, and phi;
+//! * cross-validation — one [`Engine::session`] per thread, on 1, 2 and 8
+//!   threads, answers a mixed stream bit-identically to a sequential
+//!   [`Engine::query`] loop for every strategy, aggregate, and phi, and a
+//!   bad query mid-stream errors on its own;
 //! * scratch-reuse soundness (property) — one long-lived backend answering
 //!   `q_1..q_n` sequentially equals `n` fresh backends;
-//! * concurrency — worker counts 1/2/8 agree, and degenerate streams
-//!   (empty, singleton) neither deadlock nor misbehave.
+//! * set semantics — duplicate ids answer like the deduplicated stream.
 
-use fannr::fann::engine::{BatchQuery, Engine};
+use fannr::fann::engine::{BatchQuery, Engine, Strategy as EngineStrategy};
 use fannr::fann::gphi::ine::InePhi;
 use fannr::fann::gphi::oracle::{AStarOracle, DijkstraOracle, DistanceOracle};
 use fannr::fann::gphi::{GPhi, ReusableGPhi};
-use fannr::fann::Aggregate;
+use fannr::fann::{Aggregate, FannAnswer, QueryError};
 use fannr::roadnet::dijkstra::dijkstra_pair;
-use fannr::roadnet::{Graph, NodeId};
+use fannr::roadnet::{CancelToken, Graph, NodeId};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -45,91 +46,138 @@ fn workload(seed: u64, nodes: usize, queries: usize) -> (Graph, Vec<BatchQuery>)
     (g, stream)
 }
 
-/// `query_batch` must be indistinguishable from a `query` loop — same
-/// `d*`, same `p*`, same subset — under every strategy the engine selects
-/// (Exact-max, R-List/INE, APX-sum/INE, IER-kNN/labels).
+/// One answered query: the result and, when it answered, the strategy.
+type Served = (
+    Result<Option<FannAnswer>, QueryError>,
+    Option<EngineStrategy>,
+);
+
+/// Answer `stream` on `threads` threads, each through one session of its
+/// own dealt every `threads`-th query, so every session runs on state left
+/// behind by queries with another `|Q|`, aggregate, and phi. Results come
+/// back in stream order.
+fn on_sessions(engine: &Engine, stream: &[BatchQuery], threads: usize) -> Vec<Served> {
+    let mut out: Vec<(usize, Served)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                scope.spawn(move || {
+                    let token = CancelToken::new();
+                    let mut session = engine.session(&token);
+                    (t..stream.len())
+                        .step_by(threads)
+                        .map(|i| {
+                            let b = &stream[i];
+                            let r = session.query(&b.p, &b.q, b.phi, b.agg);
+                            let strategy = r.as_ref().ok().map(|a| a.4);
+                            (i, (r.map(|a| a.0), strategy))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("session thread panicked"))
+            .collect()
+    });
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, served)| served).collect()
+}
+
+/// Sessions must be indistinguishable from a `query` loop — same `d*`,
+/// same `p*`, same subset — under every strategy the engine selects
+/// (Exact-max and R-List/INE without labels, IER-kNN/labels with them).
 #[test]
 fn batch_cross_validates_sequential_for_every_strategy() {
     let (g, stream) = workload(11, 500, 24);
-    let engines = [
-        Engine::new(&g),
-        Engine::new(&g).allow_approx_sum(true),
-        Engine::new(&g).with_labels(),
+    let cases = [
+        (
+            Engine::new(&g),
+            vec![EngineStrategy::ExactMax, EngineStrategy::RListIne],
+        ),
+        (
+            Engine::new(&g).with_labels(),
+            vec![EngineStrategy::IerKnnLabels],
+        ),
     ];
-    for engine in &engines {
+    for (engine, strategies) in &cases {
         let sequential: Vec<_> = stream
             .iter()
             .map(|b| engine.query(&b.p, &b.q, b.phi, b.agg).unwrap())
             .collect();
-        for workers in [1usize, 2, 8] {
-            let batch = engine.query_batch(&stream, workers);
-            assert_eq!(batch.len(), sequential.len());
-            for (i, (got, want)) in batch.iter().zip(&sequential).enumerate() {
-                let got = got.as_ref().unwrap();
+        for threads in [1usize, 2, 8] {
+            let served = on_sessions(engine, &stream, threads);
+            assert_eq!(served.len(), sequential.len());
+            let mut seen = Vec::new();
+            for (i, ((got, strategy), want)) in served.iter().zip(&sequential).enumerate() {
                 assert_eq!(
-                    got,
+                    got.as_ref().unwrap(),
                     want,
-                    "query {i} diverged (workers={workers}, labels={}, agg={})",
+                    "query {i} diverged (threads={threads}, labels={}, agg={})",
                     engine.has_labels(),
                     stream[i].agg,
                 );
+                let strategy = strategy.expect("answered");
+                if !seen.contains(&strategy) {
+                    seen.push(strategy);
+                }
             }
+            assert_eq!(&seen, strategies, "threads={threads}");
         }
     }
 }
 
-/// Worker counts must not change answers, only wall-clock: all of 1, 2,
-/// and 8 workers produce the same result vector.
+/// Thread counts must not change answers, only wall-clock: 1, 2 and 8
+/// threads of sessions produce the same result vector, with and without
+/// labels.
 #[test]
 fn worker_counts_agree() {
     let (g, stream) = workload(12, 400, 30);
-    let engine = Engine::new(&g);
-    let baseline = engine.query_batch(&stream, 1);
-    for workers in [2usize, 8] {
-        assert_eq!(
-            engine.query_batch(&stream, workers),
-            baseline,
-            "workers={workers}"
-        );
-    }
-}
-
-/// Degenerate streams: empty input returns an empty vector and a
-/// single-query stream works for every worker count (more workers than
-/// queries must clamp, not hang).
-#[test]
-fn degenerate_streams_terminate() {
-    let (g, stream) = workload(13, 300, 1);
-    let engine = Engine::new(&g);
-    for workers in [0usize, 1, 2, 8] {
-        assert!(engine.query_batch(&[], workers).is_empty());
-        let got = engine.query_batch(&stream, workers);
-        assert_eq!(got.len(), 1);
-        let want = engine
-            .query(&stream[0].p, &stream[0].q, stream[0].phi, stream[0].agg)
-            .unwrap();
-        assert_eq!(got[0].as_ref().unwrap(), &want, "workers={workers}");
+    for engine in [Engine::new(&g), Engine::new(&g).with_labels()] {
+        let baseline = on_sessions(&engine, &stream, 1);
+        for threads in [2usize, 8] {
+            assert_eq!(
+                on_sessions(&engine, &stream, threads),
+                baseline,
+                "threads={threads}, labels={}",
+                engine.has_labels()
+            );
+        }
     }
 }
 
 /// Invalid queries fail individually without poisoning the rest of the
-/// stream or the worker's recycled state.
+/// stream or the session's recycled state: every session that met a bad
+/// query goes on answering like [`Engine::query`].
 #[test]
 fn per_query_errors_leave_state_clean() {
-    let (g, mut stream) = workload(14, 300, 8);
-    let bad = BatchQuery::new(vec![u32::MAX], vec![0], 0.5, Aggregate::Max);
-    stream.insert(3, bad);
-    let engine = Engine::new(&g);
-    for workers in [1usize, 4] {
-        let got = engine.query_batch(&stream, workers);
-        for (i, r) in got.iter().enumerate() {
-            if i == 3 {
-                assert!(r.is_err(), "bad query must error");
-            } else {
-                let want = engine
-                    .query(&stream[i].p, &stream[i].q, stream[i].phi, stream[i].agg)
-                    .unwrap();
-                assert_eq!(r.as_ref().unwrap(), &want, "query {i} after error");
+    let (g, mut stream) = workload(14, 300, 12);
+    stream.insert(
+        3,
+        BatchQuery::new(vec![u32::MAX], vec![0], 0.5, Aggregate::Max),
+    );
+    stream.insert(4, BatchQuery::new(vec![0], vec![1], 2.0, Aggregate::Sum));
+    for engine in [Engine::new(&g), Engine::new(&g).with_labels()] {
+        for threads in [1usize, 2, 8] {
+            let served = on_sessions(&engine, &stream, threads);
+            assert!(matches!(
+                served[3].0,
+                Err(QueryError::NodeOutOfRange(u32::MAX))
+            ));
+            assert!(matches!(served[4].0, Err(QueryError::PhiOutOfRange)));
+            for (i, (got, _)) in served
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| !(3..=4).contains(&i))
+            {
+                let b = &stream[i];
+                let want = engine.query(&b.p, &b.q, b.phi, b.agg).unwrap();
+                assert_eq!(
+                    got.as_ref().unwrap(),
+                    &want,
+                    "query {i} of a stream with errors (threads={threads}, labels={})",
+                    engine.has_labels()
+                );
             }
         }
     }
@@ -137,9 +185,9 @@ fn per_query_errors_leave_state_clean() {
 
 /// Duplicate ids in `P`/`Q` are set semantics everywhere: a dup-laden
 /// stream answers exactly like its deduplicated twin (first occurrence
-/// kept), sequentially and batched, with and without labels. This pins
-/// the contract documented on [`fannr::fann::FannQuery`] — `phi` applies
-/// to the *set* cardinality of `Q`, never the multiset length.
+/// kept), with and without labels. This pins the contract documented on
+/// [`fannr::fann::FannQuery`] — `phi` applies to the *set* cardinality of
+/// `Q`, never the multiset length.
 #[test]
 fn duplicate_ids_cross_validate_against_deduped_stream() {
     let (g, stream) = workload(15, 400, 12);
@@ -163,16 +211,6 @@ fn duplicate_ids_cross_validate_against_deduped_stream() {
                 .query(&clean.p, &clean.q, clean.phi, clean.agg)
                 .unwrap();
             assert_eq!(got, want, "query {i}, labels={}", engine.has_labels());
-        }
-        for workers in [1usize, 4] {
-            let got = engine.query_batch(&dup_stream, workers);
-            let want = engine.query_batch(&stream, workers);
-            assert_eq!(
-                got,
-                want,
-                "workers={workers}, labels={}",
-                engine.has_labels()
-            );
         }
     }
 }

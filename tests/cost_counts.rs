@@ -3,9 +3,9 @@
 //! Wall clock on a shared box drifts by tens of percent; the work counters
 //! of [`SearchStats`] are exact and seed-deterministic. This file replays a
 //! fixed, seeded slice of queries — both aggregates, three `phi`, `|Q|`
-//! from 2 to 12 — on an index-free, an `APX-sum` and a hub-labelled engine
-//! over one synthetic road network, and asserts every counter of every
-//! query equals the committed [`BASELINE`].
+//! from 2 to 12 — on an index-free engine, through `APX-sum` directly and
+//! on a hub-labelled engine over one synthetic road network, and asserts
+//! every counter of every query equals the committed [`BASELINE`].
 //!
 //! The baseline was generated by running [`traced_rows`] — the body of
 //! [`query_traced_reproduces_the_baseline`] — at the commit *before* the
@@ -16,13 +16,14 @@
 //!
 //! Every way of running a query must do that same work: the throw-away
 //! state of `Engine::query_traced`, a `QuerySession` on its 2nd+ query
-//! (recycled state), and `Engine::query_batch_traced` (per-strategy totals,
-//! recycled per-worker state).
+//! (recycled state), and two sessions on two threads sharing one engine.
 
-use fannr::fann::engine::{BatchQuery, Engine, Strategy};
-use fannr::fann::metrics::SearchStats;
-use fannr::fann::Aggregate;
-use fannr::roadnet::{CancelToken, Graph};
+use fannr::fann::algo::apx_sum_traced;
+use fannr::fann::engine::{BatchQuery, Engine};
+use fannr::fann::gphi::ine::InePhi;
+use fannr::fann::metrics::{SearchStats, StatsSink};
+use fannr::fann::{Aggregate, FannQuery};
+use fannr::roadnet::{CancelToken, Graph, NodeId};
 use std::sync::OnceLock;
 
 const NODES: usize = 600;
@@ -47,25 +48,17 @@ fn row(s: &SearchStats) -> Row {
     ]
 }
 
-fn stats(r: &Row) -> SearchStats {
-    SearchStats {
-        gphi_evals: r[0],
-        label_lookups: r[1],
-        oracle_calls: r[2],
-        nodes_settled: r[3],
-        edges_relaxed: r[4],
-        heap_pushes: r[5],
-        heap_pops: r[6],
-        rtree_nodes: r[7],
-        candidates_pruned: r[8],
-    }
-}
+/// The [`BASELINE`] configurations, in table order.
+const CONFIGS: [&str; 3] = ["index-free", "apx-sum", "labelled"];
+const APX_SUM: usize = 1;
 
-/// The three engine configurations (covering all four strategies) and the
-/// slice each replays: the whole slice, except `APX-sum`, whose max
-/// queries would repeat the index-free rows.
+/// One graph, its seeded slice, and the two engine configurations that
+/// replay the whole slice, each with its [`BASELINE`] index (covering all
+/// three engine strategies). `APX-sum` replays only the sum queries.
 struct Fixture {
-    engines: [(&'static str, Engine, Vec<BatchQuery>); 3],
+    graph: Graph,
+    slice: Vec<BatchQuery>,
+    engines: [(usize, Engine); 2],
 }
 
 fn fixture() -> &'static Fixture {
@@ -86,17 +79,10 @@ fn fixture() -> &'static Fixture {
                 BatchQuery::new(p, q, phi, agg)
             })
             .collect();
-        let sums: Vec<BatchQuery> = slice
-            .iter()
-            .filter(|bq| bq.agg == Aggregate::Sum)
-            .cloned()
-            .collect();
         Fixture {
-            engines: [
-                ("index-free", Engine::new(&g), slice.clone()),
-                ("apx-sum", Engine::new(&g).allow_approx_sum(true), sums),
-                ("labelled", Engine::new(&g).with_labels(), slice),
-            ],
+            engines: [(0, Engine::new(&g)), (2, Engine::new(&g).with_labels())],
+            graph: g,
+            slice,
         }
     })
 }
@@ -114,61 +100,99 @@ fn traced_rows(engine: &Engine, slice: &[BatchQuery]) -> Vec<Row> {
         .collect()
 }
 
+/// What one session counts for each query of `slice`, in order.
+fn session_rows<'a>(engine: &Engine, slice: impl Iterator<Item = &'a BatchQuery>) -> Vec<Row> {
+    let token = CancelToken::new();
+    let mut session = engine.session(&token);
+    slice
+        .map(|bq| {
+            let (_, stats, ..) = session
+                .query(&bq.p, &bq.q, bq.phi, bq.agg)
+                .expect("valid query");
+            row(&stats)
+        })
+        .collect()
+}
+
 fn assert_baseline(what: &str, config: usize, got: &[Row]) {
-    let name = fixture().engines[config].0;
     assert!(
         got == BASELINE[config],
-        "{what} on the {name} engine diverged from the committed baseline; measured:\n{}",
+        "{what} on the {} configuration diverged from the committed baseline; measured:\n{}",
+        CONFIGS[config],
         got.iter()
             .map(|r| format!("        {r:?},\n"))
             .collect::<String>()
     );
 }
 
+/// `ids` as the set the engine canonicalises it to: sorted, no duplicates.
+fn canonical(ids: &[NodeId]) -> Vec<NodeId> {
+    let mut set = ids.to_vec();
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
 #[test]
 fn query_traced_reproduces_the_baseline() {
-    for (config, (_, engine, slice)) in fixture().engines.iter().enumerate() {
-        assert_baseline("query_traced", config, &traced_rows(engine, slice));
+    let f = fixture();
+    for (config, engine) in &f.engines {
+        assert_baseline("query_traced", *config, &traced_rows(engine, &f.slice));
     }
+}
+
+/// `APX-sum` is not an engine strategy; its row replays the slice's sum
+/// queries through the algorithm itself, on `P`/`Q` canonicalised as the
+/// engine would, with the INE backend counting into the same sink.
+#[test]
+fn apx_sum_traced_reproduces_the_baseline() {
+    let f = fixture();
+    let got: Vec<Row> = f
+        .slice
+        .iter()
+        .filter(|bq| bq.agg == Aggregate::Sum)
+        .map(|bq| {
+            let (p, q) = (canonical(&bq.p), canonical(&bq.q));
+            let query = FannQuery::new(&p, &q, bq.phi, bq.agg);
+            let sink = StatsSink::new();
+            let gphi = InePhi::with_recorder(&f.graph, &q, &sink);
+            apx_sum_traced(&f.graph, &query, &gphi, &sink);
+            row(&sink.snapshot())
+        })
+        .collect();
+    assert_baseline("apx_sum_traced", APX_SUM, &got);
 }
 
 /// One session answers the whole slice, so every query after the first
 /// runs on state left behind by a query with another `|Q|` and aggregate.
 #[test]
 fn recycled_session_reproduces_the_baseline() {
-    let token = CancelToken::new();
-    for (config, (_, engine, slice)) in fixture().engines.iter().enumerate() {
-        let mut session = engine.session(&token);
-        let got: Vec<Row> = slice
-            .iter()
-            .map(|bq| {
-                let (_, stats, ..) = session
-                    .query(&bq.p, &bq.q, bq.phi, bq.agg)
-                    .expect("valid query");
-                row(&stats)
-            })
-            .collect();
-        assert_baseline("a recycled session", config, &got);
+    let f = fixture();
+    for (config, engine) in &f.engines {
+        let got = session_rows(engine, f.slice.iter());
+        assert_baseline("a recycled session", *config, &got);
     }
 }
 
+/// Two sessions on two threads share one engine, each answering every
+/// other query of the slice: per-thread state stays per-thread, so every
+/// query still does exactly its baseline work.
 #[test]
-fn traced_batch_totals_reproduce_the_baseline() {
-    for (config, (name, engine, slice)) in fixture().engines.iter().enumerate() {
-        let mut want = [SearchStats::default(); 4];
-        for (bq, r) in slice.iter().zip(BASELINE[config]) {
-            want[engine.strategy_for(bq.agg).index()].add(&stats(r));
+fn two_threads_of_recycled_sessions_reproduce_the_baseline() {
+    let f = fixture();
+    for (config, engine) in &f.engines {
+        let [even, odd] = std::thread::scope(|scope| {
+            [0, 1]
+                .map(|t| {
+                    scope.spawn(move || session_rows(engine, f.slice.iter().skip(t).step_by(2)))
+                })
+                .map(|h| h.join().expect("session thread panicked"))
+        });
+        let mut got = Vec::with_capacity(f.slice.len());
+        for i in 0..f.slice.len() {
+            got.push(if i % 2 == 0 { even[i / 2] } else { odd[i / 2] });
         }
-        for workers in [1, 2] {
-            let (_, report) = engine.query_batch_traced(slice, workers);
-            for s in Strategy::ALL {
-                assert_eq!(
-                    report.strategy(s).stats,
-                    want[s.index()],
-                    "{s} totals on the {name} engine, {workers} worker(s)"
-                );
-            }
-        }
+        assert_baseline("two threads of sessions", *config, &got);
     }
 }
 

@@ -16,15 +16,15 @@
 //! * **shared-expansion equivalence** — [`Engine::query_colocated`]
 //!   answers every query in a batch (co-located, duplicated, one-element,
 //!   or mixed) bit-identically to independent [`Engine::query`] calls,
-//!   across all four strategies, both aggregates, and
+//!   across all three strategies, both aggregates, and
 //!   phi in {1/|Q|, 0.5, 1}.
 //! * **multi-writer churn** — with several writers bumping epochs
 //!   concurrently, cached answers remain bit-identical to a cold engine
 //!   on the exact pinned epoch's graph. The `stress_` prefix is the CI
 //!   filter for the multi-threaded step.
 
-use fannr::fann::engine::{BatchQuery, BatchResults, CacheOutcome, Engine};
-use fannr::fann::Aggregate;
+use fannr::fann::engine::{BatchQuery, CacheOutcome, Engine};
+use fannr::fann::{Aggregate, FannAnswer, QueryError};
 use fannr::roadnet::{CancelToken, Graph, GraphBuilder, WeightUpdate};
 use proptest::prelude::*;
 
@@ -107,31 +107,27 @@ fn edge_list(g: &Graph) -> Vec<(u32, u32, u32)> {
     es
 }
 
-/// The three engine configurations covering all four strategies, each
+/// The two engine configurations covering all three strategies, each
 /// with an attached answer cache.
-fn cached_engines(g: &Graph, capacity: usize) -> [Engine; 3] {
+fn cached_engines(g: &Graph, capacity: usize) -> [Engine; 2] {
     [
         Engine::new(g).with_answer_cache(capacity), // Exact-max / R-List
-        Engine::new(g)
-            .allow_approx_sum(true)
-            .with_answer_cache(capacity), // Exact-max / APX-sum
         Engine::new(g).with_labels().with_answer_cache(capacity), // IER-kNN/PHL
     ]
 }
 
+/// One answer per query of a batch, in input order.
+type Answers = Vec<Result<Option<FannAnswer>, QueryError>>;
+
 /// [`Engine::query_colocated`], keeping only the answers.
-fn colocated_answers(engine: &Engine, batch: &[BatchQuery]) -> BatchResults {
+fn colocated_answers(engine: &Engine, batch: &[BatchQuery]) -> Answers {
     let served = engine.query_colocated(batch).into_iter();
     served.map(|r| r.map(|(answer, _)| answer)).collect()
 }
 
 /// Cold-cache mirrors of [`cached_engines`] on an arbitrary graph.
-fn cold_engines(g: &Graph) -> [Engine; 3] {
-    [
-        Engine::new(g),
-        Engine::new(g).allow_approx_sum(true),
-        Engine::new(g).with_labels(),
-    ]
+fn cold_engines(g: &Graph) -> [Engine; 2] {
+    [Engine::new(g), Engine::new(g).with_labels()]
 }
 
 proptest! {
@@ -218,7 +214,7 @@ proptest! {
     }
 
     /// [`Engine::query_colocated`] equals independent [`Engine::query`]
-    /// across all four strategies, both aggregates, and
+    /// across all three strategies, both aggregates, and
     /// phi in {1/|Q|, 0.5, 1} — including one-query batches, duplicated
     /// queries, permuted member lists, and invalid members.
     #[test]

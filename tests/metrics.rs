@@ -14,7 +14,7 @@ use fannr::fann::gphi::ine::InePhi;
 use fannr::fann::gphi::GPhi;
 use fannr::fann::metrics::StatsSink;
 use fannr::fann::Aggregate;
-use fannr::roadnet::{Graph, GraphBuilder};
+use fannr::roadnet::{CancelToken, Graph, GraphBuilder};
 use proptest::prelude::*;
 
 /// A random connected graph: spanning tree + `extra` random edges, with
@@ -89,11 +89,7 @@ proptest! {
     /// engine can select, and it records work whenever it answers.
     #[test]
     fn traced_equals_untraced((g, p, q, phi) in arb_instance()) {
-        let engines = [
-            Engine::new(&g),
-            Engine::new(&g).allow_approx_sum(true),
-            Engine::new(&g).with_labels(),
-        ];
+        let engines = [Engine::new(&g), Engine::new(&g).with_labels()];
         for engine in &engines {
             for agg in [Aggregate::Sum, Aggregate::Max] {
                 let plain = engine.query(&p, &q, phi, agg).expect("valid instance");
@@ -114,28 +110,32 @@ proptest! {
         }
     }
 
-    /// Batch tracing changes nothing either: answers equal the untraced
-    /// batch, and the per-strategy query counts add up to the stream.
+    /// A session traces every query it answers and changes nothing
+    /// either: over a stream of both aggregates, with and without labels,
+    /// its answers equal the untraced `query` loop's, and it records work
+    /// whenever it answers.
     #[test]
     fn traced_batch_equals_untraced_batch((g, p, q, phi) in arb_instance()) {
-        let engine = Engine::new(&g);
-        let stream: Vec<BatchQuery> = [Aggregate::Max, Aggregate::Sum]
-            .into_iter()
-            .map(|agg| BatchQuery::new(p.clone(), q.clone(), phi, agg))
-            .collect();
-        for workers in [1usize, 2] {
-            let plain = engine.query_batch(&stream, workers);
-            let (traced, report) = engine.query_batch_traced(&stream, workers);
-            prop_assert_eq!(&plain, &traced);
-            prop_assert_eq!(report.total_queries(), stream.len() as u64);
+        let token = CancelToken::new();
+        for engine in [Engine::new(&g), Engine::new(&g).with_labels()] {
+            let mut session = engine.session(&token);
+            for agg in [Aggregate::Max, Aggregate::Sum, Aggregate::Max] {
+                let plain = engine.query(&p, &q, phi, agg).expect("valid instance");
+                let (traced, stats, ..) =
+                    session.query(&p, &q, phi, agg).expect("valid instance");
+                prop_assert_eq!(&plain, &traced, "strategy {}", engine.strategy_for(agg));
+                if plain.is_some() {
+                    prop_assert!(!stats.is_empty(), "{} recorded no work", engine.strategy_for(agg));
+                }
+            }
         }
     }
 }
 
 /// The same on a road network and a long stream of distinct queries, so
-/// each worker's recycled search state (scratch pool, INE buffers, label
-/// table) carries over between queries: traced ≡ untraced, every query
-/// counted, and every strategy that answered recorded work.
+/// the session's recycled search state (scratch pool, INE buffers, label
+/// table) carries over between queries: traced ≡ untraced, and every
+/// query recorded the work of the strategy that answered it.
 #[test]
 fn traced_batch_equals_untraced_on_a_road_network_stream() {
     let mut rng = fannr::workload::rng(0x51ED);
@@ -148,15 +148,15 @@ fn traced_batch_equals_untraced_on_a_road_network_stream() {
             BatchQuery::new(p, q, 0.5, agg)
         })
         .collect();
+    let token = CancelToken::new();
     for engine in [Engine::new(&g), Engine::new(&g).with_labels()] {
-        for workers in [1usize, 2] {
-            let plain = engine.query_batch(&stream, workers);
-            let (traced, report) = engine.query_batch_traced(&stream, workers);
-            assert_eq!(plain, traced);
-            assert_eq!(report.total_queries(), stream.len() as u64);
-            for (strategy, r) in report.active() {
-                assert!(!r.stats.is_empty(), "{strategy} recorded no work");
-            }
+        let mut session = engine.session(&token);
+        for (i, bq) in stream.iter().enumerate() {
+            let plain = engine.query(&bq.p, &bq.q, bq.phi, bq.agg).unwrap();
+            let (traced, stats, _, _, strategy) =
+                session.query(&bq.p, &bq.q, bq.phi, bq.agg).unwrap();
+            assert_eq!(plain, traced, "query {i}, {strategy}");
+            assert!(!stats.is_empty(), "query {i}: {strategy} recorded no work");
         }
     }
 }

@@ -224,12 +224,11 @@ fn matrix_bit_identical_to_single_engine() {
     }
 }
 
-/// APX-sum is not decomposable over arbitrary P splits (each shard's
-/// candidate heuristic sees only its slice), so its bit-identity leg uses
-/// the documented deployment shape: P colocated in one shard. The second
-/// shard owns a single non-candidate node and must never be contacted.
+/// With P colocated in one shard, the index-free sum (`R-List`) answers
+/// through the router bit-identically to a plain engine, and the second
+/// shard, which owns a single node outside P, is never contacted.
 #[test]
-fn apx_sum_bit_identical_when_p_colocated() {
+fn r_list_bit_identical_when_p_colocated() {
     let g = test_graph(11, 300);
     let (p, q) = pq(&g, 12);
     let outsider = (0..g.num_nodes() as u32)
@@ -241,12 +240,12 @@ fn apx_sum_bit_identical_when_p_colocated() {
             .collect::<Vec<_>>(),
         vec![outsider],
     ];
-    let mk = || Engine::new(&g).allow_approx_sum(true);
+    let mk = || Engine::new(&g);
     let single = mk();
     with_deployment(&g, &parts, mk, |router_addr, shard_addrs| {
         let mut client = Client::connect(router_addr).expect("connect");
         for (i, phi) in [1.0 / q.len() as f64, 0.5, 1.0].into_iter().enumerate() {
-            let id = format!("apx-{i}");
+            let id = format!("rlist-{i}");
             let resp = client
                 .call(&query_req(&id, &p, &q, phi, Aggregate::Sum))
                 .expect("query");

@@ -139,12 +139,11 @@ fn update_batches(g: &Graph, seed: u64) -> (Vec<WeightUpdate>, Vec<WeightUpdate>
     (inflate, deflate)
 }
 
-/// The three engine configurations covering all four strategies.
-fn engines(g: &Graph) -> [Engine; 3] {
+/// The two engine configurations covering all three strategies.
+fn engines(g: &Graph) -> [Engine; 2] {
     [
-        Engine::new(g),                        // Exact-max / R-List
-        Engine::new(g).allow_approx_sum(true), // Exact-max / APX-sum
-        Engine::new(g).with_labels(),          // IER-kNN/PHL
+        Engine::new(g),               // Exact-max / R-List
+        Engine::new(g).with_labels(), // IER-kNN/PHL
     ]
 }
 
@@ -308,11 +307,7 @@ proptest! {
 
         // Answers: engines over the scoped-repaired labels agree with
         // freshly built engines for every strategy and aggregate.
-        let scoped = [
-            Engine::new(&g2),
-            Engine::new(&g2).allow_approx_sum(true),
-            Engine::new(&g2).with_prebuilt_labels(lm),
-        ];
+        let scoped = [Engine::new(&g2), Engine::new(&g2).with_prebuilt_labels(lm)];
         let fresh = engines(&g2);
         for (live, rebuilt) in scoped.iter().zip(&fresh) {
             assert_same_answers(live, rebuilt, &p, &q, phi, "scoped-repaired artifacts");

@@ -802,6 +802,27 @@ impl Engine {
         Ok((answer, sink.snapshot()))
     }
 
+    /// The answer cache's answer to this query on the current snapshot,
+    /// with the strategy that computed it — or `None`, having done no
+    /// work, when no cache is attached. A miss or an invalid query is also
+    /// `None` and is not counted: the caller is expected to send it on to
+    /// [`QuerySession::query`], whose probe counts it (and reports the
+    /// error), so each query adds one to `hits + misses` either way.
+    /// A hit is bit-identical to [`Engine::query`] (see [`crate::locality`]).
+    pub fn cached(
+        &self,
+        p: &[NodeId],
+        q: &[NodeId],
+        phi: f64,
+        agg: Aggregate,
+    ) -> Option<(Option<FannAnswer>, Strategy)> {
+        let cache = self.shared.cache.get()?;
+        let snap = self.snapshot();
+        let prep = self.prepare(&snap, p, q, phi, agg).ok()?;
+        let hit = cache.probe(&prep.key(), snap.epoch())?;
+        Some((hit.answer, prep.strategy))
+    }
+
     /// Answer a batch of (typically co-located) queries on **one** pinned
     /// snapshot, computing every cache miss that shares a canonical `Q`
     /// from one [`SharedExpansion`]: the `|Q|` Dijkstra frontiers are
@@ -1491,5 +1512,27 @@ mod tests {
                     .unwrap();
             }
         }
+    }
+
+    #[test]
+    fn cached_answers_only_hits_and_counts_only_them() {
+        let g = grid(5, 5);
+        let p: Vec<u32> = (0..25).step_by(2).collect();
+        let q = vec![23u32, 1, 1];
+        assert_eq!(Engine::new(&g).cached(&p, &q, 0.5, Aggregate::Sum), None);
+
+        let engine = Engine::new(&g).with_answer_cache(8);
+        assert_eq!(engine.cached(&p, &q, 0.5, Aggregate::Sum), None, "cold");
+        assert_eq!(engine.cached(&p, &q, 0.0, Aggregate::Sum), None, "invalid");
+        let token = CancelToken::new();
+        let (computed, _, outcome, _, strategy) = engine
+            .session(&token)
+            .query(&p, &q, 0.5, Aggregate::Sum)
+            .unwrap();
+        assert_eq!(outcome, CacheOutcome::Miss);
+        let hit = engine.cached(&p, &[1, 23], 0.5, Aggregate::Sum);
+        assert_eq!(hit, Some((computed, strategy)));
+        let stats = engine.cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 }

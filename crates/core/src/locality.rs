@@ -260,17 +260,27 @@ impl AnswerCache {
     /// entry stamped with any other epoch is a miss — stale answers are
     /// unreachable by construction.
     pub fn lookup(&self, key: &CacheKey<'_>, epoch: u64) -> Option<CacheHit> {
+        self.get(key, epoch, true)
+    }
+
+    /// [`AnswerCache::lookup`] that counts a hit but not a miss: for a
+    /// caller whose miss goes on to a counting `lookup` of the same key
+    /// (the serving tier's admission probe), so each query still adds
+    /// exactly one to `hits + misses`.
+    pub fn probe(&self, key: &CacheKey<'_>, epoch: u64) -> Option<CacheHit> {
+        self.get(key, epoch, false)
+    }
+
+    fn get(&self, key: &CacheKey<'_>, epoch: u64, count_miss: bool) -> Option<CacheHit> {
         let fp = key.fingerprint();
         let mut t = self.table.lock().unwrap();
-        let Some(idx) = find(&t, key, fp) else {
-            t.stats.misses += 1;
+        let Some(idx) = find(&t, key, fp).filter(|&i| t.slots[i].epoch == epoch) else {
+            if count_miss {
+                t.stats.misses += 1;
+            }
             return None;
         };
         let s = t.slots[idx];
-        if s.epoch != epoch {
-            t.stats.misses += 1;
-            return None;
-        }
         t.stats.hits += 1;
         let answer = s.found.then(|| FannAnswer {
             p_star: s.p_star,
@@ -550,6 +560,19 @@ mod tests {
         assert_eq!(hit.bound, 40);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
+    }
+
+    #[test]
+    fn probe_counts_hits_but_not_misses() {
+        let cache = AnswerCache::new(8);
+        let k = key(&[1, 2, 3], &[4, 5], 0.5);
+        assert!(cache.probe(&k, 0).is_none(), "absent");
+        let a = answer(2, 42);
+        cache.insert(&k, 0, Some(&a), 40, unit_mbr(), 42);
+        assert!(cache.probe(&k, 1).is_none(), "other epoch");
+        assert_eq!(cache.probe(&k, 0), cache.lookup(&k, 0));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (2, 0));
     }
 
     #[test]

@@ -30,14 +30,17 @@
 //! `sum(applied)`. Connection failures surface as a typed `upstream`
 //! error naming the shard, after one reconnect retry.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fann_core::{flex_k, FannQuery};
-use fannr_serve::{Body, Client, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response};
+use fannr_serve::{
+    Body, Client, HealthInfo, Line, LineReader, MetricsInfo, Op, QuerySpec, Request, Response,
+    MAX_LINE_BYTES,
+};
 use roadnet::{Dist, Graph, NodeId, ShardMap};
 
 /// How the router behaves.
@@ -340,24 +343,15 @@ fn connection_loop(
         Ok(w) => w,
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut lines = LineReader::new(stream, MAX_LINE_BYTES);
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let resp = handle_line(trimmed, config, pools, shared, stop, started);
-                    let mut out = resp.to_json();
-                    out.push('\n');
-                    if writer.write_all(out.as_bytes()).is_err() {
-                        break;
-                    }
-                    let _ = writer.flush();
-                }
-                line.clear();
-            }
+        let resp = match lines.next_line() {
+            Ok(Line::Closed) => break,
+            Ok(Line::Request(line)) => match line.trim() {
+                "" => continue,
+                trimmed => handle_line(trimmed, config, pools, shared, stop, started),
+            },
+            Ok(Line::Rejected(error)) => rejected(shared, error),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut
@@ -366,9 +360,25 @@ fn connection_loop(
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
+                continue;
             }
             Err(_) => break,
+        };
+        let mut out = resp.to_json();
+        out.push('\n');
+        if writer.write_all(out.as_bytes()).is_err() {
+            break;
         }
+        let _ = writer.flush();
+    }
+}
+
+/// The `error` reply to a line that is not a request.
+fn rejected(shared: &Shared, error: String) -> Response {
+    shared.metrics.lock().unwrap().errors += 1;
+    Response {
+        id: None,
+        body: Body::Error { error },
     }
 }
 
@@ -382,13 +392,7 @@ fn handle_line(
 ) -> Response {
     let req = match Request::parse(trimmed) {
         Ok(r) => r,
-        Err(error) => {
-            shared.metrics.lock().unwrap().errors += 1;
-            return Response {
-                id: None,
-                body: Body::Error { error },
-            };
-        }
+        Err(error) => return rejected(shared, error),
     };
     match req.op {
         Op::Query(spec) => {

@@ -6,7 +6,8 @@
 //!
 //! - **Bounded admission** — a fixed-depth queue in front of the workers;
 //!   overload sheds immediately (`status:"shed"`) instead of buffering
-//!   without bound ([`server`]).
+//!   without bound ([`server`]). A query the answer cache holds is
+//!   answered at admission by the reader thread and never queued.
 //! - **Per-request deadlines** — each query carries `deadline_ms`
 //!   (measured from admission, so queue wait counts) enforced by
 //!   cooperative cancellation: the search kernels poll a
@@ -18,6 +19,8 @@
 //! - **Observability inline** — `health` and `metrics` requests are
 //!   answered by the reader thread, bypassing the queue, so they work even
 //!   when queries are being shed.
+//! - **Bounded lines** — a request line longer than [`MAX_LINE_BYTES`]
+//!   is dropped as it arrives and answered with an `error`.
 //!
 //! The wire format is line-delimited JSON ([`protocol`]) with a hand-rolled
 //! streaming codec (`json.rs`) that reads and writes typed requests and
@@ -27,10 +30,12 @@
 
 pub mod client;
 mod json;
+pub mod line;
 pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ClientReader, ClientWriter};
 pub use json::JsonError;
+pub use line::{Line, LineReader, MAX_LINE_BYTES};
 pub use protocol::{Body, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response};
 pub use server::{ServeConfig, ServeSummary, Server, ShardRole, ShutdownHandle};

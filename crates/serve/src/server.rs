@@ -7,6 +7,8 @@
 //!   └─ reader thread per connection
 //!        ├─ health / metrics / shutdown answered inline (never queued,
 //!        │  so observability survives overload)
+//!        ├─ query the answer cache holds: answered inline too (a probe,
+//!        │  never queued, never shed)
 //!        └─ query  ──try_send──▶ bounded queue ──▶ worker threads
 //!                     │                              each: re-armed
 //!                     └─ Full ⇒ "shed" response      CancelToken + one
@@ -16,21 +18,26 @@
 //!
 //! A request's deadline is measured from *admission* (queue wait counts):
 //! an overloaded server cancels stale work instead of burning CPU on
-//! answers nobody is waiting for. Shutdown — wire `shutdown` op, SIGINT /
-//! SIGTERM, or [`ShutdownHandle`] — stops the acceptor, lets readers
-//! close, drains every admitted query, then returns the final stats.
+//! answers nobody is waiting for. Only a query that needs a search goes
+//! on the queue: a cache hit is written back by the reader at admission,
+//! so it never waits out a batch window or a busy worker. Shutdown —
+//! wire `shutdown` op, SIGINT / SIGTERM, or [`ShutdownHandle`] — stops
+//! the acceptor, lets readers close, drains every admitted query, then
+//! returns the final stats.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fann_core::engine::{BatchQuery, Engine, QuerySession};
-use fann_core::QueryError;
+use fann_core::engine::{BatchQuery, Engine, QuerySession, Strategy};
+use fann_core::metrics::SearchStats;
+use fann_core::{FannAnswer, QueryError};
 use roadnet::{CancelToken, ShardMap};
 
+use crate::line::{Line, LineReader, MAX_LINE_BYTES};
 use crate::protocol::{Body, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response};
 
 /// Shard-mode role: this server owns the nodes `v` with
@@ -62,13 +69,14 @@ pub struct ServeConfig {
     pub handle_signals: bool,
     /// Answer-cache capacity (entries). `0` disables the cache; otherwise
     /// the engine gets an epoch-keyed answer cache attached
-    /// (`fann_core::locality`) and queries probe it before running.
+    /// (`fann_core::locality`), the reader answers a hit at admission and
+    /// only a miss is queued.
     pub cache_capacity: usize,
     /// Co-located batch admission window. When set, a worker that picks
     /// up a query keeps collecting compatible jobs for up to this long
     /// (bounded by [`ServeConfig::batch_max`]) and answers them from one
-    /// shared multi-source expansion. Health/metrics stay inline on the
-    /// reader threads, so observability is unaffected by an open window.
+    /// shared multi-source expansion. Health/metrics and cache hits stay
+    /// inline on the reader threads, so neither waits out an open window.
     /// `None` preserves the one-query-per-dispatch behavior.
     pub batch_window: Option<Duration>,
     /// Most queries one batch window may collect.
@@ -318,24 +326,23 @@ fn connection_loop(
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut lines = LineReader::new(stream, MAX_LINE_BYTES);
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF: client closed.
-            Ok(_) => {
+        match lines.next_line() {
+            Ok(Line::Closed) => break,
+            Ok(Line::Request(line)) => {
                 let trimmed = line.trim();
                 if !trimmed.is_empty() {
                     handle_line(trimmed, &tx, &writer, engine, shared, stop, config, started);
                 }
-                line.clear();
             }
+            Ok(Line::Rejected(error)) => reply_error(&writer, shared, error),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut
                     || e.kind() == io::ErrorKind::Interrupted =>
             {
-                // Partial data (if any) stays in `line`; just poll shutdown.
+                // A partial line stays buffered; just poll shutdown.
                 if stop.load(Ordering::SeqCst) || sig::signalled() {
                     break;
                 }
@@ -378,17 +385,7 @@ fn handle_line(
 ) {
     let req = match Request::parse(trimmed) {
         Ok(r) => r,
-        Err(error) => {
-            shared.metrics.lock().unwrap().errors += 1;
-            write_response(
-                writer,
-                &Response {
-                    id: None,
-                    body: Body::Error { error },
-                },
-            );
-            return;
-        }
+        Err(error) => return reply_error(writer, shared, error),
     };
     match req.op {
         Op::Health => {
@@ -535,14 +532,35 @@ fn handle_line(
                 );
                 return;
             }
+            let admitted = Instant::now();
             let deadline = spec
                 .deadline_ms
                 .map(Duration::from_millis)
                 .or(config.default_deadline);
+            // A hit is answered here, at admission. A miss, an invalid
+            // query and a zero deadline go on to a worker, whose own probe
+            // counts the miss (and which reports the error or cancels).
+            if deadline.is_none_or(|d| !d.is_zero()) {
+                if let Some((answer, strategy)) =
+                    engine.cached(&spec.p, &spec.q, spec.phi, spec.agg)
+                {
+                    shared.metrics.lock().unwrap().requests += 1;
+                    let resp = answered(
+                        shared,
+                        req.id,
+                        answer.as_ref(),
+                        strategy,
+                        admitted.elapsed(),
+                        None,
+                    );
+                    write_response(writer, &resp);
+                    return;
+                }
+            }
             let job = Job {
                 id: req.id,
                 spec,
-                admitted: Instant::now(),
+                admitted,
                 deadline,
                 writer: Arc::clone(writer),
             };
@@ -669,21 +687,14 @@ fn execute_batch(engine: &Engine, jobs: Vec<Job>, shared: &Shared) {
                     body: Body::Cancelled,
                 }
             }
-            Ok((answer, strategy)) => {
-                let mut m = shared.metrics.lock().unwrap();
-                m.latency.record(elapsed);
-                match answer {
-                    Some(_) => m.ok += 1,
-                    None => m.empty += 1,
-                }
-                drop(m);
-                Response::for_answer(
-                    job.id.clone(),
-                    answer.as_ref(),
-                    strategy.name(),
-                    elapsed.as_micros() as u64,
-                )
-            }
+            Ok((answer, strategy)) => answered(
+                shared,
+                job.id.clone(),
+                answer.as_ref(),
+                strategy,
+                elapsed,
+                None,
+            ),
             Err(e) => {
                 shared.metrics.lock().unwrap().errors += 1;
                 Response {
@@ -724,35 +735,27 @@ fn execute(
     };
     token.arm(budget);
     let spec = &job.spec;
-    let outcome = session.query(&spec.p, &spec.q, spec.phi, spec.agg);
-    let elapsed = job.admitted.elapsed();
-    let mut m = shared.metrics.lock().unwrap();
-    match outcome {
+    match session.query(&spec.p, &spec.q, spec.phi, spec.agg) {
         // `strategy` is the pinned snapshot's: a reply computed index-free
         // during a cold start stays labelled so even if the background
         // build has swapped labels in since.
-        Ok((answer, stats, _cache, _epoch, strategy)) => {
-            m.latency.record(elapsed);
-            m.search.add(&stats);
-            match answer {
-                Some(_) => m.ok += 1,
-                None => m.empty += 1,
-            }
-            drop(m);
-            let strategy = strategy.name();
-            Response::for_answer(id, answer.as_ref(), strategy, elapsed.as_micros() as u64)
-        }
+        Ok((answer, stats, _cache, _epoch, strategy)) => answered(
+            shared,
+            id,
+            answer.as_ref(),
+            strategy,
+            job.admitted.elapsed(),
+            Some(&stats),
+        ),
         Err(QueryError::Cancelled) => {
-            m.cancelled += 1;
-            drop(m);
+            shared.metrics.lock().unwrap().cancelled += 1;
             Response {
                 id,
                 body: Body::Cancelled,
             }
         }
         Err(e) => {
-            m.errors += 1;
-            drop(m);
+            shared.metrics.lock().unwrap().errors += 1;
             Response {
                 id,
                 body: Body::Error {
@@ -763,9 +766,47 @@ fn execute(
     }
 }
 
+/// Account for one answered query and build its reply; every answer is
+/// recorded here, whoever produced it (a worker's search, a batch, or the
+/// reader's cache probe): its latency since admission, `ok` or `empty`,
+/// and the search work when it ran one.
+fn answered(
+    shared: &Shared,
+    id: Option<String>,
+    answer: Option<&FannAnswer>,
+    strategy: Strategy,
+    elapsed: Duration,
+    search: Option<&SearchStats>,
+) -> Response {
+    let mut m = shared.metrics.lock().unwrap();
+    m.latency.record(elapsed);
+    if let Some(stats) = search {
+        m.search.add(stats);
+    }
+    match answer {
+        Some(_) => m.ok += 1,
+        None => m.empty += 1,
+    }
+    drop(m);
+    Response::for_answer(id, answer, strategy.name(), elapsed.as_micros() as u64)
+}
+
+/// Reply to a line that is not a request (unparsable, or not a line the
+/// reader would buffer) with a typed `error`; the connection stays open.
+fn reply_error(writer: &Mutex<TcpStream>, shared: &Shared, error: String) {
+    shared.metrics.lock().unwrap().errors += 1;
+    write_response(
+        writer,
+        &Response {
+            id: None,
+            body: Body::Error { error },
+        },
+    );
+}
+
 /// Serialize + write one response line. Write errors mean the client is
 /// gone; the query result is simply dropped.
-fn write_response(writer: &Arc<Mutex<TcpStream>>, resp: &Response) {
+fn write_response(writer: &Mutex<TcpStream>, resp: &Response) {
     let mut line = resp.to_json();
     line.push('\n');
     if let Ok(mut w) = writer.lock() {

@@ -8,7 +8,9 @@ use std::time::Duration;
 
 use fann_core::engine::Engine;
 use fann_core::Aggregate;
-use fannr_serve::{Body, Client, Op, QuerySpec, Request, Response, ServeConfig, Server};
+use fannr_serve::{
+    Body, Client, Op, QuerySpec, Request, Response, ServeConfig, Server, MAX_LINE_BYTES,
+};
 use roadnet::Graph;
 
 fn test_graph(seed: u64, nodes: usize) -> Graph {
@@ -190,6 +192,37 @@ fn deeply_nested_line_gets_an_error_and_the_server_keeps_serving() {
             })
             .expect("health");
         assert!(matches!(resp.body, Body::Health(_)), "{resp:?}");
+    });
+}
+
+/// A request line one byte over [`MAX_LINE_BYTES`] is dropped as it
+/// arrives and answered with an `error` naming the limit; the same
+/// connection then answers a query.
+#[test]
+fn overlong_line_gets_an_error_and_the_connection_keeps_serving() {
+    let graph = test_graph(9, 120);
+    let (p, q) = pq(&graph, 10);
+    with_server(free_port_config(), &graph, |addr| {
+        let mut client = Client::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        client
+            .send_raw(&"x".repeat(MAX_LINE_BYTES + 1))
+            .expect("send");
+        let resp = client.recv().expect("recv");
+        match &resp.body {
+            Body::Error { error } => {
+                assert!(error.contains(&MAX_LINE_BYTES.to_string()), "{error}")
+            }
+            other => panic!("expected an error, got {other:?}"),
+        }
+
+        let resp = client
+            .call(&query_req("after", &p, &q, 0.5, Aggregate::Max))
+            .expect("query");
+        assert_eq!(resp.id.as_deref(), Some("after"));
+        assert!(matches!(resp.body, Body::Ok { .. }), "{resp:?}");
     });
 }
 
@@ -572,6 +605,112 @@ fn health_is_inline_while_a_batch_window_is_open() {
     assert_eq!(summary.metrics.batch_queries, 1);
 }
 
+/// A cache hit is answered by the reader at admission: it overtakes a
+/// worker parked in a batch window, and it is not shed while the queue is
+/// full. One worker, a depth-1 queue, a 600 ms window:
+/// 1. warm query A;
+/// 2. pipeline miss B (the worker parks in its window) and A again: A's
+///    reply comes first, well inside the window, bit-identical;
+/// 3. pipeline a burst of distinct misses and A a third time: the
+///    burst outruns the lone worker and some of it is shed, A is not.
+///
+/// Every query that was not shed is counted once by the cache.
+#[test]
+fn a_hit_overtakes_a_parked_worker_and_is_never_shed() {
+    let graph = test_graph(25, 300);
+    let (p, q) = pq(&graph, 26);
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_depth: 1,
+        cache_capacity: 256,
+        batch_window: Some(Duration::from_millis(600)),
+        batch_max: 16,
+        ..ServeConfig::default()
+    };
+    const BURST: u64 = 40;
+    let a = |id: &str| query_req(id, &p, &q, 0.5, Aggregate::Max);
+    // A reply's answer and strategy, without its timing.
+    let answer = |resp: &Response| match &resp.body {
+        Body::Ok {
+            p_star,
+            dist,
+            subset,
+            strategy,
+            ..
+        } => (*p_star, *dist, subset.clone(), strategy.clone()),
+        other => panic!("expected an answer, got {other:?}"),
+    };
+
+    let (shed, summary) = with_server(config, &graph, |addr| {
+        let mut client = Client::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let warm = answer(&client.call(&a("a1")).expect("warm"));
+
+        let (pb, qb) = pq(&graph, 27);
+        let started = std::time::Instant::now();
+        client
+            .send(&query_req("b", &pb, &qb, 0.5, Aggregate::Max))
+            .expect("send b");
+        client.send(&a("a2")).expect("send a2");
+        let resp = client.recv().expect("recv");
+        assert_eq!(resp.id.as_deref(), Some("a2"), "the hit must answer first");
+        assert!(
+            started.elapsed() < Duration::from_millis(400),
+            "hit took {:?} with a 600ms window open",
+            started.elapsed()
+        );
+        assert_eq!(answer(&resp), warm, "a hit replays the computed answer");
+        let resp = client.recv().expect("recv");
+        assert_eq!(resp.id.as_deref(), Some("b"));
+        assert!(
+            matches!(resp.body, Body::Ok { .. } | Body::Empty),
+            "{resp:?}"
+        );
+
+        // One write, so the reader meets the whole burst at once.
+        let mut burst: Vec<String> = (0..BURST)
+            .map(|i| {
+                let (pc, qc) = pq(&graph, 100 + i);
+                query_req(&format!("c{i}"), &pc, &qc, 0.5, Aggregate::Sum).to_json()
+            })
+            .collect();
+        burst.push(a("a3").to_json());
+        let started = std::time::Instant::now();
+        client.send_raw(&burst.join("\n")).expect("send burst");
+        let mut shed = 0;
+        for _ in 0..=BURST {
+            let resp = client.recv().expect("recv");
+            if resp.id.as_deref() == Some("a3") {
+                assert!(
+                    started.elapsed() < Duration::from_millis(400),
+                    "hit took {:?} behind a burst",
+                    started.elapsed()
+                );
+                assert_eq!(answer(&resp), warm, "a hit replays the computed answer");
+                continue;
+            }
+            match resp.body {
+                Body::Shed => shed += 1,
+                Body::Ok { .. } | Body::Empty => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(shed > 0, "a burst of {BURST} through one worker never shed");
+        shed
+    });
+
+    let m = &summary.metrics;
+    assert_eq!(m.shed, shed, "{m:?}");
+    assert_eq!(m.cache_hits, 2, "{m:?}");
+    let queries = 3 + 1 + BURST;
+    assert_eq!(m.cache_hits + m.cache_misses, queries - m.shed, "{m:?}");
+    assert_eq!(m.requests, queries - m.shed, "{m:?}");
+    assert_eq!(m.ok + m.empty, queries - m.shed, "{m:?}");
+}
+
 /// Update lines pipelined on one connection apply in line order: the
 /// acks come back in order with consecutive epochs, and answers are
 /// bit-identical to a local engine fed the same batches.
@@ -657,7 +796,8 @@ fn health_queued_stays_within_queue_depth_under_load() {
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
-        cache_capacity: 16, // hits keep each request short: more handoffs
+        // No cache: a hit would be answered at admission and never touch
+        // the queue; each request here is a short index-free search.
         ..ServeConfig::default()
     };
     let depth = config.queue_depth as u64;

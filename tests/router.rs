@@ -17,7 +17,9 @@ use fannr::fann::{flex_k, Aggregate};
 use fannr::roadnet::dijkstra::dijkstra_all;
 use fannr::roadnet::{Graph, GraphBuilder, Point, ShardMap, WeightUpdate, INF};
 use fannr::router::{Router, RouterConfig};
-use fannr::serve::{Body, Client, Op, QuerySpec, Request, ServeConfig, Server, ShardRole};
+use fannr::serve::{
+    Body, Client, Op, QuerySpec, Request, ServeConfig, Server, ShardRole, MAX_LINE_BYTES,
+};
 use proptest::prelude::*;
 
 fn test_graph(seed: u64, nodes: usize) -> Graph {
@@ -443,6 +445,40 @@ fn update_routes_to_owning_shard_only() {
                     .map(|a| (a.p_star, a.dist, a.subset));
                 assert_eq!(got, want, "post-update divergence ({agg})");
             }
+        },
+    );
+}
+
+/// A line one byte over the shared line cap gets a typed `error` naming
+/// the limit from the router itself, and the same connection still
+/// answers `health`.
+#[test]
+fn overlong_line_gets_an_error_from_the_router() {
+    let g = test_graph(7, 300);
+    let parts = fannr::gtree::top_level_cut(&g, 2);
+    with_deployment(
+        &g,
+        &parts,
+        || Engine::new(&g),
+        |router_addr, _| {
+            let mut client = Client::connect(router_addr).expect("connect");
+            client
+                .send_raw(&"x".repeat(MAX_LINE_BYTES + 1))
+                .expect("send");
+            let resp = client.recv().expect("recv");
+            match &resp.body {
+                Body::Error { error } => {
+                    assert!(error.contains(&MAX_LINE_BYTES.to_string()), "{error}")
+                }
+                other => panic!("expected an error, got {other:?}"),
+            }
+            let resp = client
+                .call(&Request {
+                    id: Some("h".into()),
+                    op: Op::Health,
+                })
+                .expect("health");
+            assert!(matches!(resp.body, Body::Health(_)), "{resp:?}");
         },
     );
 }

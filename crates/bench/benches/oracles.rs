@@ -1,10 +1,10 @@
 //! Ablation bench (DESIGN.md §7): point-to-point oracle comparison —
-//! Dijkstra vs A* vs bidirectional vs hub labels vs G-tree.
+//! Dijkstra vs A* vs hub labels vs G-tree.
 //! The spread here is what drives the Fig. 3 backend spread.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fann_core::gphi::oracle::{
-    AStarOracle, BidirOracle, DijkstraOracle, DistanceOracle, GTreeOracle, GuardedLabelOracle,
+    AStarOracle, DijkstraOracle, DistanceOracle, GTreeOracle, GuardedLabelOracle,
 };
 use std::time::Duration;
 
@@ -21,7 +21,6 @@ fn bench(c: &mut Criterion) {
     let oracles: Vec<Box<dyn DistanceOracle>> = vec![
         Box::new(DijkstraOracle::new(&g)),
         Box::new(AStarOracle::new(&g)),
-        Box::new(BidirOracle { graph: &g }),
         Box::new(GuardedLabelOracle::new(&hl)),
         Box::new(GTreeOracle {
             tree: &gt,

@@ -36,14 +36,13 @@ pub fn omp(g: &Graph, q: &[NodeId], agg: Aggregate) -> Option<(NodeId, Dist)> {
 }
 
 /// Flexible OMP: the vertex minimizing the aggregate over its best
-/// `ceil(phi |Q|)` participants (an FANN_R query with implicit `P = V`).
+/// `ceil(phi |Q|)` participants, counted exactly by [`crate::flex_k`] (an
+/// FANN_R query with implicit `P = V`).
 ///
 /// Returns the winning vertex, the chosen participants sorted by distance,
 /// and the aggregate — an [`FannAnswer`] for API uniformity.
 pub fn flexible_omp(g: &Graph, q: &[NodeId], phi: f64, agg: Aggregate) -> Option<FannAnswer> {
-    assert!(!q.is_empty(), "Q must be non-empty");
-    assert!(phi > 0.0 && phi <= 1.0, "phi must lie in (0, 1]");
-    let k = ((phi * q.len() as f64).ceil() as usize).clamp(1, q.len());
+    let k = crate::flex_k(phi, q.len());
 
     // Per-vertex bounded max-heap of the k smallest (dist, q) pairs.
     // Memory O(|V| k): fine at road-network scale for the k values OMP
@@ -143,13 +142,21 @@ mod tests {
 
     #[test]
     fn flexible_omp_matches_reference() {
-        let g = grid(5, 5);
-        let q = [2u32, 12, 20, 24];
-        for phi in [0.25, 0.5, 0.75, 1.0] {
-            for agg in [Aggregate::Sum, Aggregate::Max] {
-                let fast = flexible_omp(&g, &q, phi, agg).unwrap();
-                let slow = flexible_omp_reference(&g, &q, phi, agg).unwrap();
-                assert_eq!(fast.dist, slow.dist, "phi={phi} {agg}");
+        // The second case is one where the naive `ceil(phi * |Q|)` takes
+        // 8 members for phi = 7/25 instead of 7.
+        let all: Vec<u32> = (0..25).collect();
+        let cases: [(Graph, &[u32], &[f64]); 2] = [
+            (grid(5, 5), &[2, 12, 20, 24], &[0.25, 0.5, 0.75, 1.0]),
+            (grid(6, 5), &all, &[7.0 / 25.0]),
+        ];
+        for (g, q, phis) in &cases {
+            for &phi in *phis {
+                for agg in [Aggregate::Sum, Aggregate::Max] {
+                    let fast = flexible_omp(g, q, phi, agg).unwrap();
+                    let slow = flexible_omp_reference(g, q, phi, agg).unwrap();
+                    assert_eq!(fast.dist, slow.dist, "phi={phi} {agg}");
+                    assert_eq!(fast.subset.len(), slow.subset.len(), "phi={phi} {agg}");
+                }
             }
         }
     }

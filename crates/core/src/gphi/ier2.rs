@@ -52,7 +52,6 @@ impl<'g, O: DistanceOracle, R: Recorder> IerPhi<'g, O, R> {
             "PHL" => "IER-PHL",
             "GTree" => "IER-GTree",
             "Dijkstra" => "IER-Dijkstra",
-            "BiDijkstra" => "IER-BiDijkstra",
             _ => "IER-?",
         };
         let is_label = oracle.name() == "PHL";

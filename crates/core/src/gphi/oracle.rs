@@ -10,8 +10,8 @@ use crate::metrics::Recorder;
 use gtree::GTree;
 use hublabel::{HubLabels, SourceTable};
 use roadnet::{
-    astar_pair_recorded, astar_pair_with, bidirectional_pair, dijkstra_pair_recorded,
-    AppliedUpdate, Dist, Graph, LowerBound, NodeId, QueryScratch,
+    astar_pair_recorded, astar_pair_with, dijkstra_pair_recorded, AppliedUpdate, Dist, Graph,
+    LowerBound, NodeId, QueryScratch,
 };
 use std::cell::RefCell;
 
@@ -120,20 +120,6 @@ impl<R: Recorder> DistanceOracle for AStarOracle<'_, R> {
     }
     fn name(&self) -> &'static str {
         "A*"
-    }
-}
-
-/// Bidirectional Dijkstra (extension backend, DESIGN.md §7).
-pub struct BidirOracle<'g> {
-    pub graph: &'g Graph,
-}
-
-impl DistanceOracle for BidirOracle<'_> {
-    fn dist(&self, s: NodeId, t: NodeId) -> Option<Dist> {
-        bidirectional_pair(self.graph, s, t)
-    }
-    fn name(&self) -> &'static str {
-        "BiDijkstra"
     }
 }
 
@@ -302,7 +288,6 @@ mod tests {
         let oracles: Vec<Box<dyn DistanceOracle + '_>> = vec![
             Box::new(DijkstraOracle::new(&g)),
             Box::new(AStarOracle::new(&g)),
-            Box::new(BidirOracle { graph: &g }),
             Box::new(GuardedLabelOracle::new(&hl)),
             Box::new(GTreeOracle {
                 tree: &gt,
@@ -327,7 +312,6 @@ mod tests {
         let names = [
             DijkstraOracle::new(&g).name(),
             AStarOracle::new(&g).name(),
-            BidirOracle { graph: &g }.name(),
             GuardedLabelOracle::new(&hl).name(),
             GTreeOracle {
                 tree: &gt,

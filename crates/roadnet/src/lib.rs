@@ -7,8 +7,8 @@
 //! * [`Graph`] — a compact CSR (compressed sparse row) representation with
 //!   node coordinates, built through [`GraphBuilder`].
 //! * Exact shortest-path search: [`dijkstra`] (single-source, point-to-point,
-//!   bounded), [`bidirectional`] point-to-point search, and [`astar`] with an
-//!   admissible Euclidean lower bound ([`LowerBound`]).
+//!   bounded) and [`astar`] with an admissible Euclidean lower bound
+//!   ([`LowerBound`]).
 //! * [`expansion::DijkstraIter`] — an *incremental network expansion* (INE)
 //!   iterator that settles nodes from-near-to-far and can be paused/resumed,
 //!   the "switchable" primitive behind the paper's `R-List` and `Exact-max`
@@ -22,7 +22,6 @@
 //!   preprocessing, §VI-A).
 
 pub mod astar;
-pub mod bidirectional;
 pub mod cancel;
 pub mod components;
 pub mod dijkstra;
@@ -44,7 +43,6 @@ pub mod stats;
 pub mod svg;
 
 pub use astar::{astar_pair, astar_pair_cancellable, astar_pair_recorded, astar_pair_with};
-pub use bidirectional::bidirectional_pair;
 pub use cancel::{CancelCheck, CancelToken, Cancelled};
 pub use components::largest_connected_component;
 pub use dijkstra::{

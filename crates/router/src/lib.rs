@@ -60,14 +60,11 @@ pub struct RouterConfig {
     /// Ceiling on how long the router waits for one upstream response
     /// beyond the request deadline (protects against a hung shard).
     pub upstream_timeout: Duration,
-    /// Propagate a wire `shutdown` to every shard before draining, so one
-    /// shutdown drains the whole deployment.
-    pub propagate_shutdown: bool,
 }
 
 impl RouterConfig {
-    /// A config with the standard knobs (10s upstream timeout, shutdown
-    /// propagation on); the caller provides the topology.
+    /// A config with the standard knobs (10s upstream timeout); the
+    /// caller provides the topology.
     pub fn new(
         addr: impl Into<String>,
         shard_addrs: Vec<String>,
@@ -81,7 +78,6 @@ impl RouterConfig {
             graph,
             default_deadline: None,
             upstream_timeout: Duration::from_secs(10),
-            propagate_shutdown: true,
         }
     }
 }
@@ -405,16 +401,16 @@ fn handle_line(
         Op::Health => handle_health(req.id, config, pools, shared, stop, started),
         Op::Metrics => handle_metrics(req.id, config, pools, shared),
         Op::Shutdown => {
-            if config.propagate_shutdown {
-                for pool in pools {
-                    let _ = pool.call(
-                        &Request {
-                            id: None,
-                            op: Op::Shutdown,
-                        },
-                        config.upstream_timeout,
-                    );
-                }
+            // One wire shutdown drains the whole deployment: every shard
+            // first, then the router itself.
+            for pool in pools {
+                let _ = pool.call(
+                    &Request {
+                        id: None,
+                        op: Op::Shutdown,
+                    },
+                    config.upstream_timeout,
+                );
             }
             stop.store(true, Ordering::SeqCst);
             Response {

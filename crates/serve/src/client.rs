@@ -1,5 +1,6 @@
-//! A small blocking client for the line protocol, used by `loadgen`, the
-//! integration tests, and anyone scripting against the server.
+//! A small blocking client for the line protocol, used by the router's
+//! upstream pools, `fannr update`, the integration tests, and
+//! anyone scripting against the server.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};

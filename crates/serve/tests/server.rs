@@ -605,6 +605,79 @@ fn health_is_inline_while_a_batch_window_is_open() {
     assert_eq!(summary.metrics.batch_queries, 1);
 }
 
+/// A burst of co-located queries (one `Q`, eight different `P`, both
+/// aggregates) pipelined into one worker's batch window is answered from
+/// shared expansions, each reply bit-identical to `Engine::query`, and
+/// `metrics` counts all eight as batched in fewer than eight batches.
+#[test]
+fn batched_burst_answers_match_the_engine() {
+    const BURST: usize = 8;
+    let graph = test_graph(29, 300);
+    let engine = Engine::new(&graph);
+    let (_, q) = pq(&graph, 30);
+    let mut rng = workload::rng(31);
+    let queries: Vec<(Vec<u32>, Aggregate)> = (0..BURST)
+        .map(|i| {
+            let p = workload::points::uniform_data_points(&graph, 0.1, &mut rng);
+            (p, [Aggregate::Max, Aggregate::Sum][i % 2])
+        })
+        .collect();
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        batch_window: Some(Duration::from_millis(200)),
+        batch_max: BURST,
+        ..ServeConfig::default()
+    };
+
+    with_server(config, &graph, |addr| {
+        let mut client = Client::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        // One write, so the worker's window meets the whole burst.
+        let burst: Vec<String> = queries
+            .iter()
+            .enumerate()
+            .map(|(i, (p, agg))| query_req(&i.to_string(), p, &q, 0.5, *agg).to_json())
+            .collect();
+        client.send_raw(&burst.join("\n")).expect("send burst");
+        for _ in 0..BURST {
+            let resp = client.recv().expect("recv");
+            let i: usize = resp.id.as_deref().expect("id").parse().expect("index");
+            let (p, agg) = &queries[i];
+            let want = engine
+                .query(p, &q, 0.5, *agg)
+                .expect("valid query")
+                .map(|a| (a.p_star, a.dist, a.subset));
+            let got = match resp.body {
+                Body::Ok {
+                    p_star,
+                    dist,
+                    subset,
+                    ..
+                } => Some((p_star, dist, subset)),
+                other => panic!("query {i}: expected an answer, got {other:?}"),
+            };
+            assert_eq!(got, want, "query {i} ({agg})");
+        }
+
+        let resp = client
+            .call(&Request {
+                id: None,
+                op: Op::Metrics,
+            })
+            .expect("metrics");
+        match resp.body {
+            Body::Metrics(m) => {
+                assert_eq!(m.batch_queries, BURST as u64, "{m:?}");
+                assert!(m.batches < BURST as u64, "{m:?}");
+            }
+            other => panic!("expected metrics, got {other:?}"),
+        }
+    });
+}
+
 /// A cache hit is answered by the reader at admission: it overtakes a
 /// worker parked in a batch window, and it is not shed while the queue is
 /// full. One worker, a depth-1 queue, a 600 ms window:

@@ -13,7 +13,7 @@ use fannr::fann::{Aggregate, FannQuery};
 use fannr::gtree::{GTree, GTreeParams, Occurrence};
 use fannr::hublabel::HubLabels;
 use fannr::roadnet::dijkstra::{dijkstra_all, dijkstra_pair};
-use fannr::roadnet::{astar_pair, bidirectional_pair, Graph, GraphBuilder, LowerBound, INF};
+use fannr::roadnet::{astar_pair, Graph, GraphBuilder, LowerBound, INF};
 use proptest::prelude::*;
 
 /// A random connected graph: spanning tree + `extra` random edges.
@@ -95,7 +95,6 @@ proptest! {
             for t in 0..g.num_nodes() as u32 {
                 let want = (truth[t as usize] != INF).then_some(truth[t as usize]);
                 prop_assert_eq!(astar_pair(&g, &lb, s, t), want);
-                prop_assert_eq!(bidirectional_pair(&g, s, t), want);
                 prop_assert_eq!(hl.distance(s, t), want);
                 prop_assert_eq!(gt.dist(&g, s, t), want);
             }

@@ -11,6 +11,7 @@
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use fannr::fann::engine::Engine;
 use fannr::fann::{flex_k, Aggregate};
@@ -51,17 +52,20 @@ impl<F: Fn()> Drop for Guard<F> {
 /// Launch one shard server per part plus the router, run `f` against the
 /// deployment, then drain everything. `mk_engine` builds each shard's
 /// engine, so every strategy configuration (labels, approx-sum) can be
-/// deployed.
+/// deployed. `f` gets the router's address, the shards' addresses and the
+/// threads running every shard and the router; each thread panics if its
+/// `run` returns an error, which fails the test when the scope ends.
 fn with_deployment<T>(
     graph: &Graph,
     parts: &[Vec<u32>],
     mk_engine: impl Fn() -> Engine,
-    f: impl FnOnce(SocketAddr, &[SocketAddr]) -> T,
+    f: impl FnOnce(SocketAddr, &[SocketAddr], &[thread::ScopedJoinHandle<'_, ()>]) -> T,
 ) -> T {
     let map = Arc::new(ShardMap::build(graph, parts));
     thread::scope(|scope| {
         let mut shard_addrs = Vec::new();
         let mut handles = Vec::new();
+        let mut running = Vec::new();
         for s in 0..parts.len() as u32 {
             let engine = mk_engine();
             let server = Server::bind(ServeConfig {
@@ -75,9 +79,9 @@ fn with_deployment<T>(
             .expect("bind shard");
             shard_addrs.push(server.local_addr().expect("shard addr"));
             handles.push(server.shutdown_handle());
-            scope.spawn(move || {
-                let _ = server.run(&engine);
-            });
+            running.push(scope.spawn(move || {
+                server.run(&engine).expect("shard run");
+            }));
         }
         let router = Router::bind(RouterConfig::new(
             "127.0.0.1:0",
@@ -88,16 +92,16 @@ fn with_deployment<T>(
         .expect("bind router");
         let router_addr = router.local_addr().expect("router addr");
         let router_handle = router.shutdown_handle();
-        scope.spawn(move || {
-            let _ = router.run();
-        });
+        running.push(scope.spawn(move || {
+            router.run().expect("router run");
+        }));
         let guard = Guard(move || {
             router_handle.shutdown();
             for h in &handles {
                 h.shutdown();
             }
         });
-        let out = f(router_addr, &shard_addrs);
+        let out = f(router_addr, &shard_addrs, &running);
         drop(guard);
         out
     })
@@ -200,7 +204,7 @@ fn matrix_bit_identical_to_single_engine() {
         let parts = fannr::gtree::top_level_cut(&g, shards);
         for (tag, mk, aggs) in &configs {
             let single = mk();
-            with_deployment(&g, &parts, mk, |router_addr, _| {
+            with_deployment(&g, &parts, mk, |router_addr, _, _| {
                 let mut client = Client::connect(router_addr).expect("connect");
                 for &agg in aggs {
                     for (pi, &phi) in phis.iter().enumerate() {
@@ -244,7 +248,7 @@ fn r_list_bit_identical_when_p_colocated() {
     ];
     let mk = || Engine::new(&g);
     let single = mk();
-    with_deployment(&g, &parts, mk, |router_addr, shard_addrs| {
+    with_deployment(&g, &parts, mk, |router_addr, shard_addrs, _| {
         let mut client = Client::connect(router_addr).expect("connect");
         for (i, phi) in [1.0 / q.len() as f64, 0.5, 1.0].into_iter().enumerate() {
             let id = format!("rlist-{i}");
@@ -311,7 +315,7 @@ fn three_shard_wave_contacts_every_shard() {
         &g,
         &parts,
         || Engine::new(&g),
-        |router_addr, _| {
+        |router_addr, _, _| {
             let mut client = Client::connect(router_addr).expect("connect");
             for agg in [Aggregate::Max, Aggregate::Sum] {
                 let resp = client
@@ -379,7 +383,7 @@ fn update_routes_to_owning_shard_only() {
         &g,
         &parts,
         || Engine::new(&g),
-        |router_addr, shard_addrs| {
+        |router_addr, shard_addrs, _| {
             let mut client = Client::connect(router_addr).expect("connect");
             let mut update = |id: &str, batch: &[WeightUpdate]| -> (u64, u64) {
                 let resp = client
@@ -460,7 +464,7 @@ fn overlong_line_gets_an_error_from_the_router() {
         &g,
         &parts,
         || Engine::new(&g),
-        |router_addr, _| {
+        |router_addr, _, _| {
             let mut client = Client::connect(router_addr).expect("connect");
             client
                 .send_raw(&"x".repeat(MAX_LINE_BYTES + 1))
@@ -495,7 +499,7 @@ fn deeply_nested_line_gets_an_error_from_the_router() {
         &g,
         &parts,
         || Engine::new(&g),
-        |router_addr, _| {
+        |router_addr, _, _| {
             let mut client = Client::connect(router_addr).expect("connect");
             for line in [
                 "[".repeat(100_000),
@@ -532,7 +536,7 @@ fn one_shard_down_degrades_only_its_region() {
         &g,
         &parts,
         || Engine::new(&g),
-        |router_addr, shard_addrs| {
+        |router_addr, shard_addrs, _| {
             let mut client = Client::connect(router_addr).expect("connect");
             // Warm both pools so the dead-connection retry path is exercised.
             let warm = client
@@ -588,6 +592,68 @@ fn one_shard_down_degrades_only_its_region() {
                     Body::Upstream { shard, .. } => assert_eq!(shard, 1),
                     other => panic!("expected upstream error from probe, got {other:?}"),
                 }
+            }
+        },
+    );
+}
+
+/// One wire `shutdown` sent to the router drains the whole deployment:
+/// the router answers `bye` and forwards the shutdown, so the router's
+/// and both shards' `run` calls return on their own (`with_deployment`
+/// trips the shutdown handles only after the body has checked that).
+/// Before that, the router itself answers a 0 ms deadline `cancelled`
+/// and counts it in its metrics.
+#[test]
+fn wire_shutdown_to_the_router_drains_every_shard() {
+    let g = test_graph(7, 300);
+    let parts = fannr::gtree::top_level_cut(&g, 2);
+    let (p, q) = pq(&g, 8);
+    with_deployment(
+        &g,
+        &parts,
+        || Engine::new(&g),
+        |router_addr, _, running| {
+            let mut client = Client::connect(router_addr).expect("connect");
+            let resp = client
+                .call(&query_req("ok", &p, &q, 0.5, Aggregate::Max))
+                .expect("query");
+            assert!(matches!(resp.body, Body::Ok { .. }), "{resp:?}");
+
+            let mut doomed = query_req("doomed", &p, &q, 0.5, Aggregate::Sum);
+            if let Op::Query(spec) = &mut doomed.op {
+                spec.deadline_ms = Some(0);
+            }
+            let resp = client.call(&doomed).expect("doomed query");
+            assert_eq!(resp.body, Body::Cancelled, "{resp:?}");
+
+            let resp = client
+                .call(&Request {
+                    id: None,
+                    op: Op::Metrics,
+                })
+                .expect("metrics");
+            match resp.body {
+                Body::Metrics(m) => {
+                    assert_eq!((m.ok, m.cancelled), (1, 1), "{m:?}");
+                    assert_eq!(m.requests, m.ok + m.empty + m.cancelled + m.errors, "{m:?}");
+                }
+                other => panic!("expected metrics, got {other:?}"),
+            }
+
+            let resp = client
+                .call(&Request {
+                    id: Some("bye".into()),
+                    op: Op::Shutdown,
+                })
+                .expect("shutdown");
+            assert_eq!(resp.body, Body::Bye);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !running.iter().all(|t| t.is_finished()) {
+                assert!(
+                    Instant::now() < deadline,
+                    "the deployment was still running 5 s after a wire shutdown"
+                );
+                thread::sleep(Duration::from_millis(20));
             }
         },
     );
@@ -674,7 +740,7 @@ proptest! {
         (g, p, q, phi, parts) in arb_partitioned_instance()
     ) {
         let single = Engine::new(&g);
-        let outcome = with_deployment(&g, &parts, || Engine::new(&g), |router_addr, _| {
+        let outcome = with_deployment(&g, &parts, || Engine::new(&g), |router_addr, _, _| {
             let mut client = Client::connect(router_addr).expect("connect");
             let mut checks = Vec::new();
             for agg in [Aggregate::Max, Aggregate::Sum] {

@@ -197,6 +197,9 @@ pub struct HubLabels {
     dists: FlatVec<u32>,
     /// `order[rank]` is the hub with that rank: a permutation of `0..n`.
     order: FlatVec<NodeId>,
+    /// [`Graph::fingerprint`] of the graph the labels were built (or
+    /// repaired) for. Not part of the index's value.
+    graph: u64,
     /// Process-unique identity, so a [`SourceTable`] never serves one
     /// index's scatter to another. Not part of the index's value.
     id: u64,
@@ -247,7 +250,7 @@ impl HubLabels {
                 push_entry(&mut labels, (hub, rank as u32), u, d)?;
             }
         }
-        Ok(Self::from_labels(labels, order))
+        Ok(Self::from_labels(labels, order, g))
     }
 
     /// Build labels with the [`default_order`] across `workers` threads
@@ -302,7 +305,7 @@ impl HubLabels {
                 }
             }
         }
-        Ok(Self::from_labels(labels, order))
+        Ok(Self::from_labels(labels, order, g))
     }
 
     /// Run one pruned Dijkstra per batch hub against the pre-batch labels,
@@ -356,8 +359,9 @@ impl HubLabels {
         out.into_iter().map(|c| c.expect("batch covered")).collect()
     }
 
-    /// Reassemble from per-node label lists, each sorted by hub rank.
-    fn from_labels(labels: Vec<Label>, order: &[NodeId]) -> Self {
+    /// Reassemble from per-node label lists, each sorted by hub rank, as
+    /// the labels of `g`.
+    fn from_labels(labels: Vec<Label>, order: &[NodeId], g: &Graph) -> Self {
         let total: usize = labels.iter().map(Vec::len).sum();
         let mut offsets = Vec::with_capacity(labels.len() + 1);
         let mut ranks = Vec::with_capacity(total);
@@ -375,6 +379,7 @@ impl HubLabels {
             ranks: ranks.into(),
             dists: dists.into(),
             order: order.to_vec().into(),
+            graph: g.fingerprint(),
             id: next_id(),
         }
     }
@@ -432,6 +437,13 @@ impl HubLabels {
         let (tr, td) = self.label(t);
         let best = table.gather(tr.iter().copied().zip(td.iter().copied()));
         (best != INF).then_some(best)
+    }
+
+    /// [`Graph::fingerprint`] of the graph these labels were built for:
+    /// what `labels.v2` records, and what a load compares against the
+    /// graph it serves ([`Graph::check_built_for`]).
+    pub fn graph_fingerprint(&self) -> u64 {
+        self.graph
     }
 
     /// Number of labeled vertices.
@@ -576,7 +588,7 @@ impl HubLabels {
             }
         }
         Ok((
-            HubLabels::from_labels(labels, order),
+            HubLabels::from_labels(labels, order, g),
             LabelRepairStats {
                 roots_searched,
                 roots_total: n,

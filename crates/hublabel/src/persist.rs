@@ -2,18 +2,20 @@
 //!
 //! Label construction is the expensive phase (minutes on large networks,
 //! Fig. 9b); production deployments build once and ship the index. The
-//! file is four sections behind the shared flat header:
+//! file is five sections behind the shared flat header:
 //!
 //! ```text
 //! 0  entry offsets   (n + 1) × u64
 //! 1  hub ranks       entries × u32   per-node runs, ascending
 //! 2  distances       entries × u32   parallel to the ranks
 //! 3  hub order       n × u32         order[rank] = hub, a permutation
+//! 4  graph           1 × u64         fingerprint of the graph built for
 //! ```
 //!
-//! This is header version 3. Version 2 stored `u64` distances and no
-//! order (repairs re-derived one); such a file is refused with
-//! `UnsupportedVersion(2)` rather than served against the wrong ranks.
+//! This is header version 4. Version 3 lacked the graph fingerprint, so
+//! nothing tied the labels to their graph; version 2 stored `u64`
+//! distances and no order. Either is refused with `UnsupportedVersion`
+//! rather than served against a graph it may not describe.
 
 use crate::{is_permutation, next_id, HubLabels};
 use roadnet::flat::{ensure, FlatError, FlatFile, FlatStreamWriter, FlatVec, FlatWriter, LoadMode};
@@ -22,7 +24,7 @@ use std::path::Path;
 
 /// Magic for the flat hub-label container.
 pub const FLAT_MAGIC: [u8; 8] = *b"FANNHL2\0";
-const FLAT_VERSION: u32 = 3;
+const FLAT_VERSION: u32 = 4;
 
 impl HubLabels {
     /// Serialize into the flat container.
@@ -32,17 +34,19 @@ impl HubLabels {
         w.section(&self.ranks);
         w.section(&self.dists);
         w.section(&self.order);
+        w.section(&[self.graph]);
         w.finish()
     }
 
     /// Write the flat container to `path`, streaming each array straight
     /// to the file — no assembled in-memory copy.
     pub fn write_flat(&self, path: &Path) -> std::io::Result<()> {
-        let mut w = FlatStreamWriter::create(path, FLAT_MAGIC, FLAT_VERSION, 4)?;
+        let mut w = FlatStreamWriter::create(path, FLAT_MAGIC, FLAT_VERSION, 5)?;
         w.section(&self.offsets)?;
         w.section(&self.ranks)?;
         w.section(&self.dists)?;
         w.section(&self.order)?;
+        w.section(&[self.graph])?;
         w.finish()
     }
 
@@ -66,7 +70,7 @@ impl HubLabels {
     }
 
     fn from_flat(f: FlatFile) -> Result<Self, FlatError> {
-        ensure(f.section_count() == 4, "label section count")?;
+        ensure(f.section_count() == 5, "label section count")?;
         let offsets: FlatVec<u64> = f.section(0)?;
         let ranks: FlatVec<u32> = f.section(1)?;
         let dists: FlatVec<u32> = f.section(2)?;
@@ -97,11 +101,13 @@ impl HubLabels {
             "label ranks sorted",
         )?;
         ensure(is_permutation(&order, n), "label hub order")?;
+        let graph = f.word(4, "label graph fingerprint length")?;
         Ok(HubLabels {
             offsets,
             ranks,
             dists,
             order,
+            graph,
             id: next_id(),
         })
     }
@@ -138,6 +144,7 @@ mod tests {
         w.section(&rk);
         w.section(&ds);
         w.section(&ord);
+        w.section(&[hl.graph]);
         w.finish()
     }
 
@@ -157,6 +164,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert!(hl2 == hl);
         assert_eq!(hl2.order(), hl.order());
+        assert_eq!(hl2.graph_fingerprint(), hl.graph_fingerprint());
         for s in 0..10 {
             for t in 0..10 {
                 assert_eq!(hl2.distance(s, t), hl.distance(s, t));

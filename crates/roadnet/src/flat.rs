@@ -195,6 +195,17 @@ pub enum FlatError {
     SectionBounds(usize),
     /// Structural invariant of the specific index format is violated.
     Corrupt(&'static str),
+    /// A well-formed artifact recorded as built for another graph: its
+    /// stored graph fingerprint is not the loading graph's
+    /// ([`crate::Graph::fingerprint`]).
+    GraphMismatch {
+        /// What was refused, e.g. `labels.v2` or `shard map`.
+        artifact: &'static str,
+        /// The fingerprint the artifact records.
+        built_for: u64,
+        /// The fingerprint of the graph it was loaded against.
+        graph: u64,
+    },
 }
 
 impl fmt::Display for FlatError {
@@ -203,11 +214,24 @@ impl fmt::Display for FlatError {
             FlatError::Io(e) => write!(f, "i/o error: {e}"),
             FlatError::BadMagic => write!(f, "bad magic"),
             FlatError::WrongEndianness => write!(f, "foreign-endian file"),
-            FlatError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
+            FlatError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported format version {v}: rebuild it with this build's \
+                 `fannr build-index` (a shard map with `fannr partition`)"
+            ),
             FlatError::Truncated => write!(f, "truncated input"),
             FlatError::Misaligned(what) => write!(f, "misaligned {what}"),
             FlatError::SectionBounds(i) => write!(f, "section {i} out of bounds"),
             FlatError::Corrupt(what) => write!(f, "corrupt index: {what}"),
+            FlatError::GraphMismatch {
+                artifact,
+                built_for,
+                graph,
+            } => write!(
+                f,
+                "{artifact} was built for another graph (fingerprint {built_for:016x}, \
+                 this graph {graph:016x}): rebuild it from this graph"
+            ),
         }
     }
 }
@@ -718,6 +742,14 @@ impl FlatFile {
     #[inline]
     pub fn section_count(&self) -> usize {
         self.sections.len()
+    }
+
+    /// The single `u64` held by section `idx` (a one-word section such as
+    /// a graph fingerprint); `what` names it when the length is wrong.
+    pub fn word(&self, idx: usize, what: &'static str) -> Result<u64, FlatError> {
+        let sec: FlatVec<u64> = self.section(idx)?;
+        ensure(sec.len() == 1, what)?;
+        Ok(sec[0])
     }
 
     /// Typed zero-copy view of section `idx`. Rejects payload lengths that

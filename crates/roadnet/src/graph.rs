@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::path::Path;
+use std::sync::OnceLock;
 
 use crate::flat::{ensure, FlatError, FlatFile, FlatStreamWriter, FlatVec, FlatWriter, LoadMode};
 
@@ -54,6 +55,10 @@ impl Point {
 /// Every constructor also settles the graph's admissibility scale once
 /// (see [`crate::LowerBound::for_graph`]), so no query walks the edges
 /// to find it.
+///
+/// Artifacts built from a graph (hub labels, shard maps) record its
+/// [`Graph::fingerprint`], and loading one against another graph is
+/// refused ([`FlatError::GraphMismatch`]).
 #[derive(Clone)]
 pub struct Graph {
     offsets: FlatVec<u32>,
@@ -63,11 +68,39 @@ pub struct Graph {
     /// `min_e w(e) / euclid(e)` over edges of positive Euclidean length,
     /// `INFINITY` if there are none. Derived from the four arrays.
     lb_scale: f64,
+    /// [`Graph::fingerprint`], computed on first use — or read from the
+    /// `graph.v2` header, so a loaded graph never rehashes its arrays.
+    fingerprint: OnceLock<u64>,
 }
 
 /// Magic for the flat v2 graph container.
 pub const GRAPH_MAGIC: [u8; 8] = *b"FANNGR2\0";
-const GRAPH_VERSION: u32 = 2;
+/// Version 3 added the fingerprint section; version 2 files are refused.
+const GRAPH_VERSION: u32 = 3;
+
+/// A graph's 64-bit fingerprint: `n`, then the CSR offsets, arc targets,
+/// arc weights and coordinate bits, one word at a time. Each step
+/// (`xor`, multiply by an odd constant, xor-shift) is a bijection of the
+/// running state, so two inputs that differ in a single word always
+/// fingerprint differently.
+fn fingerprint_of(
+    offsets: &[u32],
+    targets: &[NodeId],
+    weights: &[Weight],
+    coords: &[Point],
+) -> u64 {
+    fn fold(h: u64, word: u64) -> u64 {
+        let h = (h ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 29)
+    }
+    let mut h = fold(0, coords.len() as u64);
+    for words in [offsets, targets, weights] {
+        h = words.iter().fold(h, |h, &w| fold(h, w as u64));
+    }
+    coords
+        .iter()
+        .fold(h, |h, p| fold(fold(h, p.x.to_bits()), p.y.to_bits()))
+}
 
 /// `min_e w(e) / euclid(e)` over the undirected edges of positive
 /// Euclidean length, `INFINITY` if there are none: one pass over the CSR.
@@ -239,6 +272,7 @@ impl Graph {
             weights: weights.into(),
             coords: self.coords.clone(),
             lb_scale,
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -264,6 +298,34 @@ impl Graph {
             weights,
             coords,
             lb_scale,
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    /// The graph's 64-bit fingerprint over `n`, the CSR arrays and the
+    /// coordinate bits: what a hub-label index or a shard map records as
+    /// the graph it was built for. O(n + m) on first call for a built or
+    /// patched graph, then cached; O(1) for a graph read from `graph.v2`,
+    /// which stores it.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            fingerprint_of(&self.offsets, &self.targets, &self.weights, &self.coords)
+        })
+    }
+
+    /// Accept an artifact that records `built_for` as its graph's
+    /// fingerprint only if that is this graph: otherwise
+    /// [`FlatError::GraphMismatch`] naming `artifact`.
+    pub fn check_built_for(&self, artifact: &'static str, built_for: u64) -> Result<(), FlatError> {
+        let graph = self.fingerprint();
+        if built_for == graph {
+            Ok(())
+        } else {
+            Err(FlatError::GraphMismatch {
+                artifact,
+                built_for,
+                graph,
+            })
         }
     }
 
@@ -275,13 +337,15 @@ impl Graph {
     }
 
     /// Serialize into the flat v2 container (DESIGN.md §11). Sections:
-    /// `0` CSR offsets, `1` arc targets, `2` arc weights, `3` coordinates.
+    /// `0` CSR offsets, `1` arc targets, `2` arc weights, `3` coordinates,
+    /// `4` the [`Graph::fingerprint`] (one `u64`).
     pub fn to_flat_bytes(&self) -> Vec<u8> {
         let mut w = FlatWriter::new(GRAPH_MAGIC, GRAPH_VERSION);
         w.section(&self.offsets);
         w.section(&self.targets);
         w.section(&self.weights);
         w.section(&self.coords);
+        w.section(&[self.fingerprint()]);
         w.finish()
     }
 
@@ -289,11 +353,12 @@ impl Graph {
     /// straight to the file ([`FlatStreamWriter`]) — no assembled
     /// in-memory copy of the container.
     pub fn write_flat(&self, path: &Path) -> std::io::Result<()> {
-        let mut w = FlatStreamWriter::create(path, GRAPH_MAGIC, GRAPH_VERSION, 4)?;
+        let mut w = FlatStreamWriter::create(path, GRAPH_MAGIC, GRAPH_VERSION, 5)?;
         w.section(&self.offsets)?;
         w.section(&self.targets)?;
         w.section(&self.weights)?;
         w.section(&self.coords)?;
+        w.section(&[self.fingerprint()])?;
         w.finish()
     }
 
@@ -317,7 +382,7 @@ impl Graph {
     }
 
     fn from_flat(f: FlatFile) -> Result<Graph, FlatError> {
-        ensure(f.section_count() == 4, "graph section count")?;
+        ensure(f.section_count() == 5, "graph section count")?;
         let offsets: FlatVec<u32> = f.section(0)?;
         let targets: FlatVec<NodeId> = f.section(1)?;
         let weights: FlatVec<Weight> = f.section(2)?;
@@ -339,7 +404,10 @@ impl Graph {
             targets.iter().all(|&t| (t as usize) < n),
             "graph target range",
         )?;
-        Ok(Graph::from_parts(offsets, targets, weights, coords))
+        let fingerprint = f.word(4, "graph fingerprint length")?;
+        let g = Graph::from_parts(offsets, targets, weights, coords);
+        g.fingerprint.set(fingerprint).expect("a fresh graph");
+        Ok(g)
     }
 }
 
@@ -646,8 +714,8 @@ mod tests {
         let g = triangle();
         let mut bytes = g.to_flat_bytes();
         // Section 1 (targets) starts right after section 0 (4 offsets,
-        // padded to 16 bytes) which begins at header + 4 table entries.
-        let targets_at = 24 + 4 * 16 + 16;
+        // padded to 16 bytes) which begins at header + 5 table entries.
+        let targets_at = 24 + 5 * 16 + 16;
         bytes[targets_at..targets_at + 4].copy_from_slice(&99u32.to_ne_bytes());
         assert!(matches!(
             Graph::from_flat_bytes(&bytes),
@@ -659,7 +727,7 @@ mod tests {
     fn flat_rejects_nonmonotone_offsets() {
         let g = triangle();
         let mut bytes = g.to_flat_bytes();
-        let offsets_at = 24 + 4 * 16;
+        let offsets_at = 24 + 5 * 16;
         bytes[offsets_at + 4..offsets_at + 8].copy_from_slice(&60u32.to_ne_bytes());
         assert!(Graph::from_flat_bytes(&bytes).is_err());
     }

@@ -24,7 +24,10 @@
 //! On-disk layout (v2 container, magic `FANNSM2\0`): sections
 //! `[meta: u32 x2 (num_shards, num_nodes)] [owner: u32 per node]`
 //! `[regions: f64 x4 per shard (min_x, min_y, max_x, max_y)]`
-//! `[border_off: u32 x (num_shards+1)] [borders: u32] [scale: f64 x1]`.
+//! `[border_off: u32 x (num_shards+1)] [borders: u32] [scale: f64 x1]`
+//! `[graph: u64 x1]`, the last the [`Graph::fingerprint`] of the graph
+//! the map was cut from: [`ShardMap::read_flat_for`] refuses the map
+//! against any other graph.
 
 use std::path::Path;
 
@@ -36,10 +39,11 @@ use crate::Dist;
 /// Magic bytes of the shard-map container.
 pub const SHARD_MAP_MAGIC: [u8; 8] = *b"FANNSM2\0";
 
-/// Current shard-map format version.
-pub const SHARD_MAP_VERSION: u32 = 1;
+/// Current shard-map format version. Version 2 added the graph
+/// fingerprint section; version 1 maps are refused.
+pub const SHARD_MAP_VERSION: u32 = 2;
 
-const SECTIONS: usize = 6;
+const SECTIONS: usize = 7;
 
 /// Per-node shard ownership plus per-shard region summaries. Clones are
 /// O(1) handle copies (the arrays are [`FlatVec`]s).
@@ -52,6 +56,8 @@ pub struct ShardMap {
     borders: FlatVec<u32>,
     scale: f64,
     owned: Vec<u64>,
+    /// Fingerprint of the graph the map was built from.
+    graph: u64,
 }
 
 impl ShardMap {
@@ -131,7 +137,14 @@ impl ShardMap {
             borders: borders.into(),
             scale: LowerBound::for_graph(g).scale(),
             owned,
+            graph: g.fingerprint(),
         }
+    }
+
+    /// [`Graph::fingerprint`] of the graph this map was built from.
+    #[inline]
+    pub fn graph_fingerprint(&self) -> u64 {
+        self.graph
     }
 
     #[inline]
@@ -213,12 +226,21 @@ impl ShardMap {
         w.section::<u32>(&self.border_off);
         w.section::<u32>(&self.borders);
         w.section::<f64>(&[self.scale]);
+        w.section::<u64>(&[self.graph]);
         w.write_to(path)
     }
 
     /// Load a shard map with the default backing mode.
     pub fn read_flat(path: &Path) -> Result<ShardMap, FlatError> {
         Self::read_flat_with(path, LoadMode::Auto)
+    }
+
+    /// [`ShardMap::read_flat`] for serving `graph`: a map cut from any
+    /// other graph is refused with [`FlatError::GraphMismatch`].
+    pub fn read_flat_for(path: &Path, graph: &Graph) -> Result<ShardMap, FlatError> {
+        let map = Self::read_flat(path)?;
+        graph.check_built_for("shard map", map.graph)?;
+        Ok(map)
     }
 
     /// Load a shard map with an explicit [`LoadMode`], validating every
@@ -259,6 +281,7 @@ impl ShardMap {
         ensure(scale_sec.len() == 1, "scale length")?;
         let scale = scale_sec[0];
         ensure(scale.is_finite() && scale >= 0.0, "scale value")?;
+        let graph = f.word(6, "graph fingerprint length")?;
         let mut owned = vec![0u64; num_shards as usize];
         for &s in owner.iter() {
             owned[s as usize] += 1;
@@ -271,6 +294,7 @@ impl ShardMap {
             borders,
             scale,
             owned,
+            graph,
         })
     }
 }
@@ -368,6 +392,7 @@ mod tests {
             assert_eq!(r.owned_nodes(s), m.owned_nodes(s));
         }
         assert_eq!(r.scale(), m.scale());
+        assert_eq!(r.graph_fingerprint(), g.fingerprint());
     }
 
     #[test]
@@ -384,6 +409,7 @@ mod tests {
         w.section::<u32>(&[0, 0]);
         w.section::<u32>(&[]);
         w.section::<f64>(&[1.0]);
+        w.section::<u64>(&[g.fingerprint()]);
         w.write_to(&path).unwrap();
         let err = ShardMap::read_flat(&path).unwrap_err();
         let _ = std::fs::remove_file(&path);

@@ -3,12 +3,14 @@
 //! cold-started from an index directory answers every strategy
 //! bit-identically to an engine built in memory, an index directory is
 //! `graph.v2` + `labels.v2` and nothing else (a `gtree.v2` left by older
-//! builds is never read or written), and malformed containers are
-//! rejected with typed errors rather than panics.
+//! builds is never read or written), malformed containers are
+//! rejected with typed errors rather than panics, and labels built for
+//! another graph are refused by the graph fingerprint.
 
 use fannr::fann::engine::{Engine, IndexDirOptions};
 use fannr::fann::{Aggregate, FannAnswer};
 use fannr::hublabel::HubLabels;
+use fannr::roadnet::flat::FlatError;
 use fannr::roadnet::{Graph, GraphBuilder, LoadMode, NodeId};
 use proptest::prelude::*;
 
@@ -60,6 +62,42 @@ proptest! {
         prop_assert!(via_v2 == built);
         prop_assert_eq!(via_v2.order(), built.order());
         prop_assert!(HubLabels::build_parallel(&g, 2).unwrap() == built);
+    }
+
+    /// The fingerprint survives the flat round trip and sees every
+    /// weight and every coordinate: one heavier edge, or one node moved
+    /// along one axis, gives another fingerprint; rebuilding the same
+    /// graph from its edges gives the same one.
+    #[test]
+    fn fingerprint_changes_with_any_weight_or_coordinate(
+        g in arb_graph(),
+        pick in any::<u64>(),
+        delta in 1u32..1000,
+        axis in 0usize..2,
+    ) {
+        let fp = g.fingerprint();
+        prop_assert_eq!(Graph::from_flat_bytes(&g.to_flat_bytes()).unwrap().fingerprint(), fp);
+        let edges: Vec<_> = g.edges().collect();
+        let (u, v, w) = edges[pick as usize % edges.len()];
+        let heavier = g.with_patched_weights(&[(u, v, w + delta)]).unwrap();
+        prop_assert_ne!(heavier.fingerprint(), fp);
+
+        let moved = (pick >> 32) as usize % g.num_nodes();
+        let rebuild = |shift: f64| {
+            let mut b = GraphBuilder::new();
+            for x in 0..g.num_nodes() {
+                let c = g.coord(x as NodeId);
+                let d = if x == moved { shift } else { 0.0 };
+                let (dx, dy) = if axis == 0 { (d, 0.0) } else { (0.0, d) };
+                b.add_node(c.x + dx, c.y + dy);
+            }
+            for &(u, v, w) in &edges {
+                b.add_edge(u, v, w);
+            }
+            b.build()
+        };
+        prop_assert_eq!(rebuild(0.0).fingerprint(), fp);
+        prop_assert_ne!(rebuild(delta as f64 / 8.0).fingerprint(), fp);
     }
 
     /// Truncating a v2 container anywhere must produce an error, not a
@@ -346,8 +384,9 @@ fn leftover_gtree_v2_is_never_read() {
     }
 }
 
-/// A missing or mangled index directory yields typed errors, and a label
-/// file for a different graph is refused by the node-count check.
+/// A missing or mangled index directory yields typed errors, a label file
+/// for a different graph is refused, and so is a file of an older format
+/// version, with an error that names `build-index`.
 #[test]
 fn from_index_dir_rejects_bad_directories() {
     let dir = std::env::temp_dir().join(format!("fannr-flatbad-{}", std::process::id()));
@@ -380,16 +419,101 @@ fn from_index_dir_rejects_bad_directories() {
         .unwrap();
     assert!(Engine::from_index_dir(&dir).unwrap().has_labels());
 
-    // A labels.v2 from before the format bump (header version 2: u64
-    // distances, no stored hub order) is refused by version, never
-    // reinterpreted against ranks it was not built with.
-    let mut old = std::fs::read(dir.join("labels.v2")).unwrap();
-    old[12] = 2;
-    std::fs::write(dir.join("labels.v2"), old).unwrap();
-    assert!(matches!(
-        Engine::from_index_dir(&dir),
-        Err(fannr::roadnet::flat::FlatError::UnsupportedVersion(2))
-    ));
+    // A labels.v2 from before a format bump is refused by version, never
+    // reinterpreted: version 2 (u64 distances, no stored hub order) and
+    // version 3 (no graph fingerprint).
+    let current = std::fs::read(dir.join("labels.v2")).unwrap();
+    for version in [2u8, 3] {
+        let mut old = current.clone();
+        old[12] = version;
+        std::fs::write(dir.join("labels.v2"), old).unwrap();
+        match Engine::from_index_dir(&dir) {
+            Err(e @ FlatError::UnsupportedVersion(v)) if v == version as u32 => {
+                assert!(e.to_string().contains("build-index"), "{e}")
+            }
+            other => panic!("labels version {version}: got {:?}", other.err()),
+        }
+    }
+    std::fs::write(dir.join("labels.v2"), current).unwrap();
 
+    // So is a graph.v2 of version 2, from before the fingerprint.
+    let mut old = std::fs::read(dir.join("graph.v2")).unwrap();
+    old[12] = 2;
+    std::fs::write(dir.join("graph.v2"), old).unwrap();
+    match Engine::from_index_dir(&dir) {
+        Err(e @ FlatError::UnsupportedVersion(2)) => {
+            assert!(e.to_string().contains("build-index"), "{e}")
+        }
+        other => panic!("graph version 2: got {:?}", other.err()),
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The seed 7 and seed 8 networks at `--nodes 2000` both have 2028 nodes,
+/// so a node-count check cannot tell their labels apart. Seed 8's
+/// `labels.v2` beside seed 7's `graph.v2` is refused with a typed error
+/// naming the file, never attached to answer for the wrong graph; seed
+/// 7's own labels load.
+#[test]
+fn swapped_labels_are_refused_by_the_graph_fingerprint() {
+    let g7 = fannr::workload::synth::road_network(2000, &mut fannr::workload::rng(7));
+    let g8 = fannr::workload::synth::road_network(2000, &mut fannr::workload::rng(8));
+    assert_eq!(g7.num_nodes(), g8.num_nodes());
+    let dir = std::env::temp_dir().join(format!("fannr-flatswap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    g7.write_flat(&dir.join("graph.v2")).unwrap();
+    let labels8 = HubLabels::build_parallel(&g8, 2).unwrap();
+    labels8.write_flat(&dir.join("labels.v2")).unwrap();
+    match Engine::from_index_dir(&dir) {
+        Err(FlatError::GraphMismatch {
+            artifact,
+            built_for,
+            graph,
+        }) => {
+            assert_eq!(artifact, "labels.v2");
+            assert_eq!(built_for, g8.fingerprint());
+            assert_eq!(graph, g7.fingerprint());
+        }
+        other => panic!("swapped labels: got {:?}", other.err()),
+    }
+
+    let labels7 = HubLabels::build_parallel(&g7, 2).unwrap();
+    labels7.write_flat(&dir.join("labels.v2")).unwrap();
+    assert!(Engine::from_index_dir(&dir).unwrap().has_labels());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Labels built in the background after a graph-only cold start record
+/// `graph.v2`'s fingerprint even when a live update has moved the served
+/// graph on, so the next cold start attaches them.
+#[test]
+fn background_labels_match_graph_v2_after_a_live_update() {
+    let graph = fannr::workload::synth::road_network(400, &mut fannr::workload::rng(29));
+    let dir = std::env::temp_dir().join(format!("fannr-flatupd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    graph.write_flat(&dir.join("graph.v2")).unwrap();
+    let opts = IndexDirOptions {
+        background_build: true,
+        ..IndexDirOptions::default()
+    };
+    let engine = Engine::from_index_dir_with(&dir, &opts).unwrap();
+    let (u, v, w) = graph.edges().next().unwrap();
+    engine
+        .apply_updates(&[fannr::roadnet::WeightUpdate { u, v, w: w * 3 }])
+        .unwrap();
+    assert_ne!(engine.snapshot().graph().fingerprint(), graph.fingerprint());
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while !dir.join("labels.v2").exists() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "background build never persisted"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let persisted = HubLabels::read_flat(&dir.join("labels.v2")).unwrap();
+    assert_eq!(persisted.graph_fingerprint(), graph.fingerprint());
+    assert!(Engine::from_index_dir(&dir).unwrap().has_labels());
     std::fs::remove_dir_all(&dir).ok();
 }

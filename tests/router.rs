@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use fannr::fann::engine::Engine;
 use fannr::fann::{flex_k, Aggregate};
 use fannr::roadnet::dijkstra::dijkstra_all;
+use fannr::roadnet::flat::FlatError;
 use fannr::roadnet::{Graph, GraphBuilder, Point, ShardMap, WeightUpdate, INF};
 use fannr::router::{Router, RouterConfig};
 use fannr::serve::{
@@ -657,6 +658,39 @@ fn wire_shutdown_to_the_router_drains_every_shard() {
             }
         },
     );
+}
+
+/// The seed 7 and seed 8 networks at 2000 nodes have the same node count,
+/// so a node-count check cannot tell their shard maps apart: seed 8's map
+/// is refused against seed 7's graph with a typed error naming the shard
+/// map, and seed 7's own map loads. (`tests/cli.rs` runs the same swap
+/// through `fannr serve --shard-map` and `fannr route`.)
+#[test]
+fn swapped_shard_map_is_refused_by_the_graph_fingerprint() {
+    let (g7, g8) = (test_graph(7, 2000), test_graph(8, 2000));
+    assert_eq!(g7.num_nodes(), g8.num_nodes());
+    let path = std::env::temp_dir().join(format!("fannr-swapmap-{}", std::process::id()));
+    ShardMap::build(&g8, &fannr::gtree::top_level_cut(&g8, 2))
+        .write_flat(&path)
+        .expect("write map");
+    match ShardMap::read_flat_for(&path, &g7) {
+        Err(FlatError::GraphMismatch {
+            artifact,
+            built_for,
+            graph,
+        }) => {
+            assert_eq!(artifact, "shard map");
+            assert_eq!(built_for, g8.fingerprint());
+            assert_eq!(graph, g7.fingerprint());
+        }
+        other => panic!("swapped shard map: got {:?}", other.err()),
+    }
+    ShardMap::build(&g7, &fannr::gtree::top_level_cut(&g7, 2))
+        .write_flat(&path)
+        .expect("write map");
+    let map = ShardMap::read_flat_for(&path, &g7).expect("the graph's own map");
+    assert_eq!(map.graph_fingerprint(), g7.fingerprint());
+    std::fs::remove_file(&path).ok();
 }
 
 /// A random connected graph: spanning tree + extra random edges, weights

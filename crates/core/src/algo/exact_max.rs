@@ -14,14 +14,9 @@ use crate::gphi::GPhi;
 use crate::metrics::Recorder;
 use crate::{Aggregate, FannAnswer, FannQuery};
 use roadnet::cancel::{CancelCheck, Cancelled};
-use roadnet::{Dist, Graph, NodeId, ObjectStreams, ScratchPool, StreamSet};
+use roadnet::{Dist, Graph, NodeId, ObjectStreams, ScratchPool};
 use std::collections::HashMap;
 
-/// Run the counter loop; returns `(p*, hits)` where `hits` are the
-/// `(query_point, dist)` pairs that fired, or `None` if the queues exhaust
-/// before any counter reaches `k`. Expansion scratches are drawn from (and
-/// returned to) `pool`. Data points whose counter never started before the
-/// winner fired are reported to `rec` as pruned.
 /// A fired counter: the winning data point plus its `k` nearest query
 /// points with their distances.
 type Fired = Option<(NodeId, Vec<(NodeId, Dist)>)>;
@@ -38,6 +33,11 @@ fn counter_loop<R: Recorder>(
     }
 }
 
+/// Run the counter loop; returns `(p*, hits)` where `hits` are the
+/// `(query_point, dist)` pairs that fired, or `None` if the queues exhaust
+/// before any counter reaches `k`. Expansion scratches are drawn from (and
+/// returned to) `pool`. Data points whose counter never started before the
+/// winner fired are reported to `rec` as pruned.
 fn counter_loop_cancellable<R: Recorder, C: CancelCheck>(
     g: &Graph,
     query: &FannQuery,
@@ -46,76 +46,37 @@ fn counter_loop_cancellable<R: Recorder, C: CancelCheck>(
     cancel: C,
 ) -> Result<Fired, Cancelled> {
     let mut streams = ObjectStreams::with_pool_cancellable(g, query.q, query.p, pool, rec, cancel);
-    let fired = counter_core(&mut streams, query, rec, cancel);
+    // Every exit leaves through the block's value, so the scratches are
+    // recycled whether the counters fired, ran dry or were cancelled.
+    let fired = 'scan: {
+        let k = query.subset_size();
+        let mut hits: HashMap<NodeId, Vec<(NodeId, Dist)>> = HashMap::new();
+        let mut fired = None;
+        while let Some((i, pnode, d)) = streams.min_head() {
+            if cancel.poll_cancelled() {
+                break 'scan Err(Cancelled);
+            }
+            let entry = hits.entry(pnode).or_default();
+            entry.push((query.q[i], d));
+            if entry.len() >= k {
+                fired = Some((pnode, hits.remove(&pnode).expect("just inserted")));
+                break;
+            }
+            streams.pop(i);
+        }
+        // Data points whose counter never started (duplicate-free P).
+        let touched = hits.len() + usize::from(fired.is_some());
+        rec.pruned(query.p.len().saturating_sub(touched) as u64);
+        // A cancelled stream looks exhausted — `fired = None` here could
+        // mean "unreachable" or "truncated". Re-check exactly before
+        // trusting it.
+        if cancel.cancelled_now() {
+            break 'scan Err(Cancelled);
+        }
+        Ok(fired)
+    };
     streams.recycle_into(pool);
     fired
-}
-
-/// The counter loop itself, over any [`StreamSet`] — the same code path
-/// whether the streams are private ([`ObjectStreams`]) or a shared-batch
-/// view ([`roadnet::SharedStreams`]), so both produce identical answers.
-fn counter_core<S: StreamSet, R: Recorder, C: CancelCheck>(
-    streams: &mut S,
-    query: &FannQuery,
-    rec: R,
-    cancel: C,
-) -> Result<Fired, Cancelled> {
-    let k = query.subset_size();
-    let mut hits: HashMap<NodeId, Vec<(NodeId, Dist)>> = HashMap::new();
-    let mut fired = None;
-    while let Some((i, pnode, d)) = streams.min_head() {
-        if cancel.poll_cancelled() {
-            return Err(Cancelled);
-        }
-        let entry = hits.entry(pnode).or_default();
-        entry.push((query.q[i], d));
-        if entry.len() >= k {
-            fired = Some((pnode, hits.remove(&pnode).expect("just inserted")));
-            break;
-        }
-        streams.pop(i);
-    }
-    // Data points whose counter never started (duplicate-free P).
-    let touched = hits.len() + usize::from(fired.is_some());
-    rec.pruned(query.p.len().saturating_sub(touched) as u64);
-    // A cancelled stream looks exhausted — `fired = None` here could mean
-    // "unreachable" or "truncated". Re-check exactly before trusting it.
-    if cancel.cancelled_now() {
-        return Err(Cancelled);
-    }
-    Ok(fired)
-}
-
-/// [`exact_max`] over caller-provided streams — the shared-expansion batch
-/// entry point: the engine builds one [`roadnet::SharedExpansion`] per
-/// co-located group and runs each member on a view of it. Answers are
-/// identical to [`exact_max`] because the streams yield identical
-/// sequences and the driver is the same code.
-///
-/// # Panics
-/// If the query aggregate is not [`Aggregate::Max`], or if the stream set
-/// was not built over `query.q` in order.
-pub fn exact_max_on_streams<S: StreamSet>(
-    query: &FannQuery,
-    streams: &mut S,
-) -> Option<FannAnswer> {
-    assert_eq!(
-        query.agg,
-        Aggregate::Max,
-        "Exact-max answers max-FANN_R only (see the Table II counter-example)"
-    );
-    assert_eq!(streams.len(), query.q.len(), "one stream per query point");
-    let fired = match counter_core(streams, query, (), ()) {
-        Ok(f) => f,
-        Err(Cancelled) => unreachable!("the unit CancelCheck never cancels"),
-    };
-    let (p_star, hits) = fired?;
-    let dist = hits.iter().map(|&(_, d)| d).max().expect("k >= 1");
-    Some(FannAnswer {
-        p_star,
-        subset: hits.into_iter().map(|(q, _)| q).collect(),
-        dist,
-    })
 }
 
 /// Exact max-FANN_R. The optimal subset is recovered from the counter

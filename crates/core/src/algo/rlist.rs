@@ -18,7 +18,7 @@ use crate::gphi::GPhi;
 use crate::metrics::Recorder;
 use crate::{FannAnswer, FannQuery};
 use roadnet::cancel::{CancelCheck, Cancelled};
-use roadnet::{Dist, Graph, ObjectStreams, ScratchPool, StreamSet, INF};
+use roadnet::{Dist, Graph, ObjectStreams, ScratchPool, INF};
 use std::collections::HashSet;
 
 /// Exact FANN_R with threshold-based early termination. Universal
@@ -61,84 +61,57 @@ pub fn r_list_cancellable<R: Recorder, C: CancelCheck>(
     cancel: C,
 ) -> Result<Option<FannAnswer>, Cancelled> {
     let mut streams = ObjectStreams::with_pool_cancellable(g, query.q, query.p, pool, rec, cancel);
-    let best = r_list_core(&mut streams, query, gphi, rec, cancel);
-    streams.recycle_into(pool);
-    best
-}
+    // Every exit leaves through the block's value, so the scratches are
+    // recycled whether the scan finished or was cancelled.
+    let best = 'scan: {
+        let k = query.subset_size();
+        let mut seen: HashSet<roadnet::NodeId> = HashSet::new();
+        let mut best: Option<FannAnswer> = None;
 
-/// The threshold scan itself, over any [`StreamSet`] — the same code path
-/// whether the streams are private ([`ObjectStreams`]) or a shared-batch
-/// view ([`roadnet::SharedStreams`]), so both produce identical answers.
-fn r_list_core<S: StreamSet, R: Recorder, C: CancelCheck>(
-    streams: &mut S,
-    query: &FannQuery,
-    gphi: &dyn GPhi,
-    rec: R,
-    cancel: C,
-) -> Result<Option<FannAnswer>, Cancelled> {
-    let k = query.subset_size();
-    let mut seen: HashSet<roadnet::NodeId> = HashSet::new();
-    let mut best: Option<FannAnswer> = None;
-
-    // Until every queue is exhausted (then every reachable point was seen).
-    while let Some((i, pnode, _)) = streams.min_head() {
-        if cancel.poll_cancelled() {
-            return Err(Cancelled);
-        }
-        // Threshold over current heads (before popping).
-        let mut heads: Vec<Dist> = streams
-            .head_dists()
-            .into_iter()
-            .map(|h| h.unwrap_or(INF))
-            .collect();
-        heads.sort_unstable();
-        let tau = query.agg.of_sorted(&heads[..k]);
-        if let Some(b) = &best {
-            if b.dist <= tau {
-                break;
+        // Until every queue is exhausted (then every reachable point was
+        // seen).
+        while let Some((i, pnode, _)) = streams.min_head() {
+            if cancel.poll_cancelled() {
+                break 'scan Err(Cancelled);
             }
-        }
-        streams.pop(i);
-        if seen.insert(pnode) {
-            if let Some(r) = gphi.eval(pnode, k, query.agg) {
-                if best.as_ref().is_none_or(|b| r.dist < b.dist) {
-                    best = Some(FannAnswer {
-                        p_star: pnode,
-                        subset: r.subset_nodes(),
-                        dist: r.dist,
-                    });
+            // Threshold over current heads (before popping).
+            let mut heads: Vec<Dist> = streams
+                .head_dists()
+                .into_iter()
+                .map(|h| h.unwrap_or(INF))
+                .collect();
+            heads.sort_unstable();
+            let tau = query.agg.of_sorted(&heads[..k]);
+            if let Some(b) = &best {
+                if b.dist <= tau {
+                    break;
+                }
+            }
+            streams.pop(i);
+            if seen.insert(pnode) {
+                if let Some(r) = gphi.eval(pnode, k, query.agg) {
+                    if best.as_ref().is_none_or(|b| r.dist < b.dist) {
+                        best = Some(FannAnswer {
+                            p_star: pnode,
+                            subset: r.subset_nodes(),
+                            dist: r.dist,
+                        });
+                    }
                 }
             }
         }
-    }
-    // A cancelled stream looks exhausted and a cancelled `g_phi` eval
-    // looks unreachable, either of which could have truncated the scan —
-    // re-check exactly before trusting `best`.
-    if cancel.cancelled_now() {
-        return Err(Cancelled);
-    }
-    // Data points the threshold let us skip entirely (duplicate-free P).
-    rec.pruned(query.p.len().saturating_sub(seen.len()) as u64);
-    Ok(best)
-}
-
-/// [`r_list`] over caller-provided streams — the shared-expansion batch
-/// entry point (see [`crate::algo::exact_max::exact_max_on_streams`]).
-/// Answers are identical to [`r_list`] because the streams yield identical
-/// sequences and the driver is the same code.
-///
-/// # Panics
-/// If the stream set was not built over `query.q` in order.
-pub fn r_list_on_streams<S: StreamSet>(
-    query: &FannQuery,
-    gphi: &dyn GPhi,
-    streams: &mut S,
-) -> Option<FannAnswer> {
-    assert_eq!(streams.len(), query.q.len(), "one stream per query point");
-    match r_list_core(streams, query, gphi, (), ()) {
-        Ok(best) => best,
-        Err(Cancelled) => unreachable!("the unit CancelCheck never cancels"),
-    }
+        // A cancelled stream looks exhausted and a cancelled `g_phi` eval
+        // looks unreachable, either of which could have truncated the
+        // scan — re-check exactly before trusting `best`.
+        if cancel.cancelled_now() {
+            break 'scan Err(Cancelled);
+        }
+        // Data points the threshold let us skip entirely (duplicate-free P).
+        rec.pruned(query.p.len().saturating_sub(seen.len()) as u64);
+        Ok(best)
+    };
+    streams.recycle_into(pool);
+    best
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ pub use expansion::DijkstraIter;
 pub use flat::{FlatError, FlatFile, FlatStreamWriter, FlatVec, FlatWriter, LoadMode};
 pub use graph::{Csr, Graph, GraphBuilder, NodeId, Point, Weight};
 pub use lowerbound::LowerBound;
-pub use multisource::{ObjectStreams, SharedExpansion, SharedStreams, StreamSet};
+pub use multisource::ObjectStreams;
 pub use par::{default_workers, par_map_indexed};
 pub use path::shortest_path;
 pub use recorder::SearchRecorder;

@@ -5,6 +5,8 @@
 //! that carry a data object, with one-element lookahead. The queues are
 //! advanced *alternately* ("switchable"): all per-queue state persists while
 //! another queue runs. `R-List` and `Exact-max` are thin drivers on top.
+//! [`ObjectStreams`] is the one stream set: every query expands its own
+//! `|Q|` queues, which poll the query's [`CancelCheck`] as they settle.
 //!
 //! Memory: each queue owns one [`crate::QueryScratch`] drawn from a
 //! [`ScratchPool`], i.e. a dense 8 B/node distance array plus 4 B per node
@@ -17,53 +19,6 @@ use crate::graph::{Graph, NodeId};
 use crate::recorder::SearchRecorder;
 use crate::scratch::ScratchPool;
 use crate::Dist;
-
-/// The stream interface the `R-List` / `Exact-max` drivers consume: `|Q|`
-/// from-near-to-far object queues advanced alternately. Implemented by
-/// [`ObjectStreams`] (one private expansion per query) and by
-/// [`SharedStreams`] (a per-query view over one [`SharedExpansion`] reused
-/// across a co-located batch). Both yield identical sequences for the same
-/// `(sources, objects)` pair, so a driver's answer does not depend on which
-/// implementation backs it.
-pub trait StreamSet {
-    /// Number of streams (`|Q|`).
-    fn len(&self) -> usize;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Head (next unreported object and its distance) of stream `i`,
-    /// advancing the underlying expansion as needed. `None` once the
-    /// stream's component holds no further objects.
-    fn head(&mut self, i: usize) -> Option<(NodeId, Dist)>;
-
-    /// Pop the head of stream `i`.
-    fn pop(&mut self, i: usize) -> Option<(NodeId, Dist)>;
-
-    /// Index + head of the stream whose head distance is smallest
-    /// (`L_min` in Algorithm 2); distance ties break towards the smaller
-    /// stream index. `None` when every stream is exhausted.
-    fn min_head(&mut self) -> Option<(usize, NodeId, Dist)> {
-        let mut best: Option<(usize, NodeId, Dist)> = None;
-        for i in 0..self.len() {
-            if let Some((v, d)) = self.head(i) {
-                if best.is_none_or(|(_, _, bd)| d < bd) {
-                    best = Some((i, v, d));
-                }
-            }
-        }
-        best
-    }
-
-    /// Current head distances of all streams (exhausted streams yield
-    /// `None`). Used to evaluate the R-List threshold.
-    fn head_dists(&mut self) -> Vec<Option<Dist>> {
-        (0..self.len())
-            .map(|i| self.head(i).map(|(_, d)| d))
-            .collect()
-    }
-}
 
 /// Build a node-indexed membership mask for a set of object nodes.
 pub fn membership(num_nodes: usize, objects: &[NodeId]) -> Vec<bool> {
@@ -207,7 +162,8 @@ impl<'g, R: SearchRecorder, C: CancelCheck> ObjectStreams<'g, R, C> {
     }
 
     /// Index + head of the stream whose head distance is smallest
-    /// (`L_min` in Algorithm 2). `None` when every stream is exhausted.
+    /// (`L_min` in Algorithm 2); distance ties break towards the smaller
+    /// stream index. `None` when every stream is exhausted.
     pub fn min_head(&mut self) -> Option<(usize, NodeId, Dist)> {
         let mut best: Option<(usize, NodeId, Dist)> = None;
         for i in 0..self.streams.len() {
@@ -226,185 +182,6 @@ impl<'g, R: SearchRecorder, C: CancelCheck> ObjectStreams<'g, R, C> {
         (0..self.streams.len())
             .map(|i| self.head(i).map(|(_, d)| d))
             .collect()
-    }
-
-    /// Total nodes settled across all streams — the expansion work metric
-    /// reported by the efficiency experiments.
-    pub fn total_settled(&self) -> usize {
-        self.streams
-            .iter()
-            .map(|s| s.expansion.settled_count())
-            .sum()
-    }
-}
-
-impl<R: SearchRecorder, C: CancelCheck> StreamSet for ObjectStreams<'_, R, C> {
-    fn len(&self) -> usize {
-        ObjectStreams::len(self)
-    }
-
-    fn head(&mut self, i: usize) -> Option<(NodeId, Dist)> {
-        ObjectStreams::head(self, i)
-    }
-
-    fn pop(&mut self, i: usize) -> Option<(NodeId, Dist)> {
-        ObjectStreams::pop(self, i)
-    }
-
-    fn min_head(&mut self) -> Option<(usize, NodeId, Dist)> {
-        ObjectStreams::min_head(self)
-    }
-
-    fn head_dists(&mut self) -> Vec<Option<Dist>> {
-        ObjectStreams::head_dists(self)
-    }
-}
-
-/// One multi-source Dijkstra expansion shared by a whole co-located batch
-/// (queries with the same canonical `Q`): each source's settle sequence is
-/// memoized the first time it is demanded, so `|batch|` queries pay for one
-/// expansion instead of `|batch|` independent ones.
-///
-/// Per-query consumption goes through [`SharedExpansion::view`], which
-/// filters the common settle logs by that query's own object set. Because
-/// [`DijkstraIter`] is deterministic, a view yields bit-for-bit the stream
-/// sequence a private [`ObjectStreams`] over the same `(sources, objects)`
-/// would — the driver equivalence the locality tests pin down.
-pub struct SharedExpansion<'g> {
-    graph: &'g Graph,
-    iters: Vec<DijkstraIter<'g>>,
-    /// Memoized settle prefix per source, in settle order.
-    logs: Vec<Vec<(NodeId, Dist)>>,
-    /// Sources whose reachable component is fully logged.
-    done: Vec<bool>,
-}
-
-impl<'g> SharedExpansion<'g> {
-    /// One lazily-advancing expansion per source.
-    pub fn new(graph: &'g Graph, sources: &[NodeId]) -> Self {
-        let mut pool = ScratchPool::new();
-        Self::with_pool(graph, sources, &mut pool)
-    }
-
-    /// [`SharedExpansion::new`] drawing expansion scratches from `pool`;
-    /// pair with [`SharedExpansion::recycle_into`].
-    pub fn with_pool(graph: &'g Graph, sources: &[NodeId], pool: &mut ScratchPool) -> Self {
-        let iters = sources
-            .iter()
-            .map(|&q| DijkstraIter::with_scratch(graph, q, pool.take()))
-            .collect::<Vec<_>>();
-        let n = sources.len();
-        SharedExpansion {
-            graph,
-            iters,
-            logs: vec![Vec::new(); n],
-            done: vec![false; n],
-        }
-    }
-
-    /// Return every expansion scratch to `pool` for the next batch.
-    pub fn recycle_into(self, pool: &mut ScratchPool) {
-        for it in self.iters {
-            pool.put(it.into_scratch());
-        }
-    }
-
-    /// Number of sources.
-    pub fn num_sources(&self) -> usize {
-        self.iters.len()
-    }
-
-    /// Total nodes settled across all shared expansions (each counted
-    /// once, no matter how many views consumed it).
-    pub fn total_settled(&self) -> usize {
-        self.iters.iter().map(|it| it.settled_count()).sum()
-    }
-
-    /// The `pos`-th settled node of source `i`, advancing the live
-    /// expansion if the log is short. `None` once the source's reachable
-    /// component is exhausted before `pos`.
-    fn settled(&mut self, i: usize, pos: usize) -> Option<(NodeId, Dist)> {
-        while self.logs[i].len() <= pos {
-            if self.done[i] {
-                return None;
-            }
-            match self.iters[i].next() {
-                Some(entry) => self.logs[i].push(entry),
-                None => {
-                    self.done[i] = true;
-                    return None;
-                }
-            }
-        }
-        Some(self.logs[i][pos])
-    }
-
-    /// A per-query stream view over the shared expansion, yielding members
-    /// of `objects` from-near-to-far per source — the [`StreamSet`] a
-    /// driver runs on. Views are consumed one at a time (each borrows the
-    /// expansion mutably); the memoized logs persist across views.
-    pub fn view(&mut self, objects: &[NodeId]) -> SharedStreams<'_, 'g> {
-        let n = self.num_sources();
-        SharedStreams {
-            is_object: membership(self.graph.num_nodes(), objects),
-            cursor: vec![0; n],
-            head: vec![None; n],
-            exhausted: vec![false; n],
-            shared: self,
-        }
-    }
-}
-
-/// One query's [`StreamSet`] over a [`SharedExpansion`] (obtained from
-/// [`SharedExpansion::view`]): replays the memoized settle logs, filtered
-/// by this query's object membership, with the same one-element lookahead
-/// as [`ObjectStreams`].
-pub struct SharedStreams<'s, 'g> {
-    shared: &'s mut SharedExpansion<'g>,
-    is_object: Vec<bool>,
-    /// Next unconsumed log position per stream.
-    cursor: Vec<usize>,
-    /// Lookahead: the next unreported object per stream, if any.
-    head: Vec<Option<(NodeId, Dist)>>,
-    exhausted: Vec<bool>,
-}
-
-impl SharedStreams<'_, '_> {
-    fn fill(&mut self, i: usize) {
-        if self.head[i].is_some() || self.exhausted[i] {
-            return;
-        }
-        loop {
-            match self.shared.settled(i, self.cursor[i]) {
-                Some((v, d)) => {
-                    self.cursor[i] += 1;
-                    if self.is_object[v as usize] {
-                        self.head[i] = Some((v, d));
-                        return;
-                    }
-                }
-                None => {
-                    self.exhausted[i] = true;
-                    return;
-                }
-            }
-        }
-    }
-}
-
-impl StreamSet for SharedStreams<'_, '_> {
-    fn len(&self) -> usize {
-        self.shared.num_sources()
-    }
-
-    fn head(&mut self, i: usize) -> Option<(NodeId, Dist)> {
-        self.fill(i);
-        self.head[i]
-    }
-
-    fn pop(&mut self, i: usize) -> Option<(NodeId, Dist)> {
-        self.fill(i);
-        self.head[i].take()
     }
 }
 
@@ -521,67 +298,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn membership_rejects_bad_node() {
         membership(3, &[5]);
-    }
-
-    /// Drain a StreamSet exactly the way the drivers do (min_head + pop),
-    /// recording every pop.
-    fn drain<S: StreamSet>(s: &mut S) -> Vec<(usize, NodeId, Dist)> {
-        let mut out = Vec::new();
-        while let Some((i, v, d)) = s.min_head() {
-            out.push((i, v, d));
-            s.pop(i);
-        }
-        out
-    }
-
-    #[test]
-    fn shared_view_matches_private_streams() {
-        let g = path5();
-        let sources = [0u32, 4];
-        let object_sets: [&[u32]; 4] = [&[0, 1, 2, 3, 4], &[1, 3], &[2], &[0, 4]];
-        let mut shared = SharedExpansion::new(&g, &sources);
-        for objects in object_sets {
-            let got = drain(&mut shared.view(objects));
-            let want = drain(&mut ObjectStreams::new(&g, &sources, objects));
-            assert_eq!(got, want, "objects {objects:?}");
-        }
-    }
-
-    #[test]
-    fn shared_views_are_independent_and_replayable() {
-        let g = path5();
-        let mut shared = SharedExpansion::new(&g, &[2]);
-        // First view partially consumes; a later view over the same
-        // objects must still see the full sequence from the start.
-        let mut v1 = shared.view(&[0, 4]);
-        let first = v1.pop(0);
-        drop(v1);
-        let replay = drain(&mut shared.view(&[0, 4]));
-        assert_eq!(replay.first().map(|&(_, v, d)| (v, d)), first);
-        assert_eq!(replay.len(), 2);
-    }
-
-    #[test]
-    fn shared_expansion_settles_each_node_once() {
-        let g = path5();
-        let mut shared = SharedExpansion::new(&g, &[0]);
-        drain(&mut shared.view(&[4]));
-        let settled_once = shared.total_settled();
-        drain(&mut shared.view(&[4]));
-        assert_eq!(
-            shared.total_settled(),
-            settled_once,
-            "log replay, no re-expansion"
-        );
-    }
-
-    #[test]
-    fn shared_expansion_recycles_scratches() {
-        let g = path5();
-        let mut pool = ScratchPool::new();
-        let mut shared = SharedExpansion::with_pool(&g, &[0, 4], &mut pool);
-        drain(&mut shared.view(&[2]));
-        shared.recycle_into(&mut pool);
-        assert_eq!(pool.idle_count(), 2);
     }
 }

@@ -864,8 +864,6 @@ fn handle_metrics(
                 m.cache_retained += sm.cache_retained;
                 m.cache_evicted += sm.cache_evicted;
                 m.cache_rebuilds += sm.cache_rebuilds;
-                m.batches += sm.batches;
-                m.batch_queries += sm.batch_queries;
                 // Repair footprint sums across shards (each repairs its own
                 // indexes); wall time takes the slowest shard.
                 m.labels_repaired += sm.labels_repaired;

@@ -383,10 +383,6 @@ pub struct MetricsInfo {
     pub cache_evicted: u64,
     /// In-place cache-table compactions that reclaimed tombstones.
     pub cache_rebuilds: u64,
-    /// Co-located batch windows executed (0 without batching).
-    pub batches: u64,
-    /// Queries answered through those batch windows.
-    pub batch_queries: u64,
     /// Shard id when serving in `--shard` mode (absent otherwise).
     pub shard: Option<u32>,
     /// Nodes owned by this shard (0 outside shard mode).
@@ -430,8 +426,6 @@ impl PartialEq for MetricsInfo {
             && self.cache_retained == other.cache_retained
             && self.cache_evicted == other.cache_evicted
             && self.cache_rebuilds == other.cache_rebuilds
-            && self.batches == other.batches
-            && self.batch_queries == other.batch_queries
             && self.shard == other.shard
             && self.owned_nodes == other.owned_nodes
             && self.region == other.region
@@ -582,8 +576,6 @@ impl Response {
                 w.u64("cache_retained", m.cache_retained);
                 w.u64("cache_evicted", m.cache_evicted);
                 w.u64("cache_rebuilds", m.cache_rebuilds);
-                w.u64("batches", m.batches);
-                w.u64("batch_queries", m.batch_queries);
                 if let Some(s) = m.shard {
                     w.u64("shard", u64::from(s));
                     w.u64("owned_nodes", m.owned_nodes);
@@ -694,7 +686,7 @@ impl Response {
                     epoch: f.required("epoch")?,
                     ..Default::default()
                 };
-                // Cache/batch counters arrived with the query-locality
+                // Cache counters arrived with the query-locality
                 // layer; tolerate their absence for older peers.
                 let opt = |key: &str| f.u64(key).unwrap_or(0);
                 m.cache_hits = opt("cache_hits");
@@ -704,8 +696,6 @@ impl Response {
                 m.cache_retained = opt("cache_retained");
                 m.cache_evicted = opt("cache_evicted");
                 m.cache_rebuilds = opt("cache_rebuilds");
-                m.batches = opt("batches");
-                m.batch_queries = opt("batch_queries");
                 m.shard = f.u64("shard").map(|s| s as u32);
                 m.owned_nodes = opt("owned_nodes");
                 m.region = region;
@@ -1354,7 +1344,6 @@ mod tests {
                     epoch: gen_u64(rng),
                     cache_hits: gen_u64(rng),
                     cache_retained: gen_u64(rng),
-                    batches: gen_u64(rng),
                     shard: (below(rng, 2) == 0).then(|| gen_node(rng)),
                     owned_nodes: gen_u64(rng),
                     region: gen_region(rng),

@@ -230,8 +230,6 @@ pub fn response_to_json(resp: &Response) -> String {
             members.push(("cache_retained".into(), Json::from(m.cache_retained)));
             members.push(("cache_evicted".into(), Json::from(m.cache_evicted)));
             members.push(("cache_rebuilds".into(), Json::from(m.cache_rebuilds)));
-            members.push(("batches".into(), Json::from(m.batches)));
-            members.push(("batch_queries".into(), Json::from(m.batch_queries)));
             if let Some(s) = m.shard {
                 members.push(("shard".into(), Json::from(s as u64)));
                 members.push(("owned_nodes".into(), Json::from(m.owned_nodes)));
@@ -356,7 +354,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                 epoch: u64_field("epoch")?,
                 ..Default::default()
             };
-            // Cache/batch counters arrived with the query-locality
+            // Cache counters arrived with the query-locality
             // layer; tolerate their absence for older peers.
             let opt = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
             m.cache_hits = opt("cache_hits");
@@ -366,8 +364,6 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
             m.cache_retained = opt("cache_retained");
             m.cache_evicted = opt("cache_evicted");
             m.cache_rebuilds = opt("cache_rebuilds");
-            m.batches = opt("batches");
-            m.batch_queries = opt("batch_queries");
             m.shard = v.get("shard").and_then(Json::as_u64).map(|s| s as u32);
             m.owned_nodes = opt("owned_nodes");
             m.region = region_from(&v);

@@ -9,18 +9,20 @@
 //!        │  so observability survives overload)
 //!        ├─ query the answer cache holds: answered inline too (a probe,
 //!        │  never queued, never shed)
-//!        └─ query  ──try_send──▶ bounded queue ──▶ worker threads
-//!                     │                              each: re-armed
-//!                     └─ Full ⇒ "shed" response      CancelToken + one
-//!                        (admission control: the     QuerySession
-//!                        queue never grows unbounded)
+//!        └─ query  ──try_send──▶ bounded queue ──▶ worker threads, each:
+//!                     │                           recv one query, arm its
+//!                     └─ Full ⇒ "shed" response   CancelToken from the
+//!                        (admission control: the  deadline, answer it with
+//!                        queue never grows        its one QuerySession,
+//!                        unbounded)               write the reply
 //! ```
 //!
 //! A request's deadline is measured from *admission* (queue wait counts):
 //! an overloaded server cancels stale work instead of burning CPU on
-//! answers nobody is waiting for. Only a query that needs a search goes
-//! on the queue: a cache hit is written back by the reader at admission,
-//! so it never waits out a batch window or a busy worker. Shutdown —
+//! answers nobody is waiting for, and a search that outlives its deadline
+//! stops within one settled node. Every miss takes that one path; a cache
+//! hit is written back by the reader at admission, so it never waits
+//! behind a busy worker. Shutdown —
 //! wire `shutdown` op, SIGINT / SIGTERM, or [`ShutdownHandle`] — stops
 //! the acceptor, lets readers close, drains every admitted query, then
 //! returns the final stats.
@@ -32,7 +34,7 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fann_core::engine::{BatchQuery, Engine, QuerySession, Strategy};
+use fann_core::engine::{Engine, QuerySession, Strategy};
 use fann_core::metrics::SearchStats;
 use fann_core::{FannAnswer, QueryError};
 use roadnet::{CancelToken, ShardMap};
@@ -72,15 +74,6 @@ pub struct ServeConfig {
     /// (`fann_core::locality`), the reader answers a hit at admission and
     /// only a miss is queued.
     pub cache_capacity: usize,
-    /// Co-located batch admission window. When set, a worker that picks
-    /// up a query keeps collecting compatible jobs for up to this long
-    /// (bounded by [`ServeConfig::batch_max`]) and answers them from one
-    /// shared multi-source expansion. Health/metrics and cache hits stay
-    /// inline on the reader threads, so neither waits out an open window.
-    /// `None` preserves the one-query-per-dispatch behavior.
-    pub batch_window: Option<Duration>,
-    /// Most queries one batch window may collect.
-    pub batch_max: usize,
     /// Serve as one shard of a partitioned deployment: restrict candidate
     /// sets and update batches to the owned node set and advertise the
     /// shard in `health`/`metrics`. `None` serves the whole graph.
@@ -96,8 +89,6 @@ impl Default for ServeConfig {
             default_deadline: None,
             handle_signals: false,
             cache_capacity: 0,
-            batch_window: None,
-            batch_max: 16,
             shard: None,
         }
     }
@@ -247,7 +238,7 @@ impl Server {
 
         std::thread::scope(|scope| -> io::Result<()> {
             for _ in 0..config.workers.max(1) {
-                scope.spawn(|| worker_loop(engine, &rx, &shared, config));
+                scope.spawn(|| worker_loop(engine, &rx, &shared));
             }
 
             loop {
@@ -590,121 +581,18 @@ fn handle_line(
 /// Query worker: owns one re-armable token and one [`QuerySession`] whose
 /// search buffers are reused across every request it answers; drains the
 /// queue to empty even after shutdown begins (admitted requests are never
-/// dropped). With a batch window configured, a worker that picks up a
-/// query keeps the queue for up to the window and answers everything it
-/// collected from one shared co-located expansion
-/// ([`Engine::query_colocated`]).
-fn worker_loop(engine: &Engine, rx: &Mutex<Receiver<Job>>, shared: &Shared, config: &ServeConfig) {
+/// dropped).
+fn worker_loop(engine: &Engine, rx: &Mutex<Receiver<Job>>, shared: &Shared) {
     let token = CancelToken::new();
     let mut session = engine.session(&token);
-    let window = config.batch_window.filter(|w| !w.is_zero());
     loop {
         let job = match rx.lock().unwrap().recv() {
             Ok(j) => j,
             Err(_) => return, // queue closed and empty: drain complete.
         };
         shared.queued.fetch_sub(1, Ordering::Relaxed);
-        let Some(window) = window else {
-            shared.inflight.fetch_add(1, Ordering::Relaxed);
-            let resp = execute(&token, &mut session, &job, shared);
-            shared.inflight.fetch_sub(1, Ordering::Relaxed);
-            write_response(&job.writer, &resp);
-            continue;
-        };
-        // Admission window: collect co-located work while it lasts. The
-        // receiver mutex is held for the window, which serializes batch
-        // collection across workers — but health/metrics never touch the
-        // queue, so observability stays inline.
-        let mut jobs = vec![job];
-        let opened = Instant::now();
-        {
-            let rx = rx.lock().unwrap();
-            while jobs.len() < config.batch_max.max(1) {
-                let Some(remaining) = window.checked_sub(opened.elapsed()) else {
-                    break;
-                };
-                match rx.recv_timeout(remaining) {
-                    Ok(j) => {
-                        shared.queued.fetch_sub(1, Ordering::Relaxed);
-                        jobs.push(j);
-                    }
-                    Err(_) => break, // window elapsed, or queue closed.
-                }
-            }
-        }
-        shared
-            .inflight
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        execute_batch(engine, jobs, shared);
-    }
-}
-
-/// Answer one collected batch: per-job deadline pre-check (a job whose
-/// deadline lapsed in the queue or the window is cancelled without
-/// running), one [`Engine::query_colocated`] call for the rest, per-job
-/// deadline post-check before writing. Batched queries record latency but
-/// not search stats (the shared expansion has no per-query attribution);
-/// cache counters are read from the engine at `metrics` time.
-fn execute_batch(engine: &Engine, jobs: Vec<Job>, shared: &Shared) {
-    let mut live: Vec<usize> = Vec::with_capacity(jobs.len());
-    let mut queries: Vec<BatchQuery> = Vec::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        let expired = job.deadline.is_some_and(|d| {
-            d.checked_sub(job.admitted.elapsed())
-                .is_none_or(|r| r.is_zero())
-        });
-        if expired {
-            shared.metrics.lock().unwrap().cancelled += 1;
-            shared.inflight.fetch_sub(1, Ordering::Relaxed);
-            write_response(
-                &job.writer,
-                &Response {
-                    id: job.id.clone(),
-                    body: Body::Cancelled,
-                },
-            );
-        } else {
-            let s = &job.spec;
-            queries.push(BatchQuery::new(s.p.clone(), s.q.clone(), s.phi, s.agg));
-            live.push(i);
-        }
-    }
-    {
-        let mut m = shared.metrics.lock().unwrap();
-        m.batches += 1;
-        m.batch_queries += live.len() as u64;
-    }
-    let results = engine.query_colocated(&queries);
-    for (&i, result) in live.iter().zip(results) {
-        let job = &jobs[i];
-        let elapsed = job.admitted.elapsed();
-        let over_deadline = job.deadline.is_some_and(|d| elapsed >= d);
-        let resp = match result {
-            _ if over_deadline => {
-                shared.metrics.lock().unwrap().cancelled += 1;
-                Response {
-                    id: job.id.clone(),
-                    body: Body::Cancelled,
-                }
-            }
-            Ok((answer, strategy)) => answered(
-                shared,
-                job.id.clone(),
-                answer.as_ref(),
-                strategy,
-                elapsed,
-                None,
-            ),
-            Err(e) => {
-                shared.metrics.lock().unwrap().errors += 1;
-                Response {
-                    id: job.id.clone(),
-                    body: Body::Error {
-                        error: e.to_string(),
-                    },
-                }
-            }
-        };
+        shared.inflight.fetch_add(1, Ordering::Relaxed);
+        let resp = execute(&token, &mut session, &job, shared);
         shared.inflight.fetch_sub(1, Ordering::Relaxed);
         write_response(&job.writer, &resp);
     }
@@ -767,9 +655,9 @@ fn execute(
 }
 
 /// Account for one answered query and build its reply; every answer is
-/// recorded here, whoever produced it (a worker's search, a batch, or the
-/// reader's cache probe): its latency since admission, `ok` or `empty`,
-/// and the search work when it ran one.
+/// recorded here, whoever produced it (a worker's search or the reader's
+/// cache probe): its latency since admission, `ok` or `empty`, and the
+/// search work when it ran one.
 fn answered(
     shared: &Shared,
     id: Option<String>,

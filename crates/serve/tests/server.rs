@@ -547,33 +547,41 @@ fn metrics_account_for_cache_hits_misses_and_invalidations() {
     assert!(m.cache_invalidated >= 1);
 }
 
-/// While a batch admission window is open (one worker, long window, a
-/// query parked waiting for co-located company), `health` is still
-/// answered inline — observability never queues behind batching.
+/// A search that runs for a long time index-free: `R-List` sum over all
+/// 64 query points spread across the whole network, with dense `P`, so
+/// every evaluated candidate expands most of the graph (about a second in
+/// a debug build, tens of milliseconds optimised).
+fn slow_query(graph: &Graph) -> (Vec<u32>, Vec<u32>) {
+    let mut rng = workload::rng(42);
+    let p = workload::points::uniform_data_points(graph, 0.2, &mut rng);
+    let q = workload::points::uniform_query_points(graph, 64, 1.0, &mut rng);
+    (p, q)
+}
+
+fn slow_req(id: &str, graph: &Graph) -> Request {
+    let (p, q) = slow_query(graph);
+    query_req(id, &p, &q, 1.0, Aggregate::Sum)
+}
+
+/// While the lone worker is busy with a slow miss, `health` is still
+/// answered inline: its reply overtakes the miss queued before it, and
+/// the miss then completes.
 #[test]
-fn health_is_inline_while_a_batch_window_is_open() {
-    let graph = test_graph(23, 150);
-    let (p, q) = pq(&graph, 24);
+fn health_is_inline_while_the_lone_worker_is_busy() {
+    let graph = test_graph(41, 2000);
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
         cache_capacity: 16,
-        batch_window: Some(Duration::from_millis(600)),
-        batch_max: 16,
         ..ServeConfig::default()
     };
 
     let ((), summary) = with_server(config, &graph, |addr| {
         let mut client = Client::connect(addr).expect("connect");
         client
-            .set_read_timeout(Some(Duration::from_secs(30)))
+            .set_read_timeout(Some(Duration::from_secs(60)))
             .expect("timeout");
-        let started = std::time::Instant::now();
-        // The lone worker takes this job and holds the admission window
-        // open waiting for co-located queries that never come.
-        client
-            .send(&query_req("windowed", &p, &q, 0.5, Aggregate::Max))
-            .expect("send");
+        client.send(&slow_req("slow", &graph)).expect("send");
         client
             .send(&Request {
                 id: Some("h".into()),
@@ -581,34 +589,26 @@ fn health_is_inline_while_a_batch_window_is_open() {
             })
             .expect("send health");
 
-        // Health overtakes the parked query: it is answered by the reader
-        // thread, well before the window can close.
+        // Health overtakes the busy worker: the reader answers it.
         let resp = client.recv().expect("recv");
         assert_eq!(resp.id.as_deref(), Some("h"), "health must answer first");
-        assert!(matches!(resp.body, Body::Health(_)), "{resp:?}");
-        assert!(
-            started.elapsed() < Duration::from_millis(400),
-            "health took {:?} with a 600ms window open",
-            started.elapsed()
-        );
+        match resp.body {
+            Body::Health(h) => assert_eq!(h.inflight + h.queued, 1, "{h:?}"),
+            other => panic!("expected health, got {other:?}"),
+        }
 
-        // The windowed query still completes (after the window lapses).
         let resp = client.recv().expect("recv");
-        assert_eq!(resp.id.as_deref(), Some("windowed"));
-        assert!(
-            matches!(resp.body, Body::Ok { .. } | Body::Empty),
-            "{resp:?}"
-        );
+        assert_eq!(resp.id.as_deref(), Some("slow"));
+        assert!(matches!(resp.body, Body::Ok { .. }), "{resp:?}");
     });
 
-    assert_eq!(summary.metrics.batches, 1);
-    assert_eq!(summary.metrics.batch_queries, 1);
+    let m = &summary.metrics;
+    assert_eq!((m.requests, m.ok, m.cache_misses), (1, 1, 1), "{m:?}");
 }
 
-/// A burst of co-located queries (one `Q`, eight different `P`, both
-/// aggregates) pipelined into one worker's batch window is answered from
-/// shared expansions, each reply bit-identical to `Engine::query`, and
-/// `metrics` counts all eight as batched in fewer than eight batches.
+/// A burst of queries with one `Q`, eight different `P` and both
+/// aggregates, written in one go and pipelined through one worker: each
+/// reply is bit-identical to `Engine::query`.
 #[test]
 fn batched_burst_answers_match_the_engine() {
     const BURST: usize = 8;
@@ -625,17 +625,15 @@ fn batched_burst_answers_match_the_engine() {
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
-        batch_window: Some(Duration::from_millis(200)),
-        batch_max: BURST,
+        queue_depth: BURST,
         ..ServeConfig::default()
     };
 
-    with_server(config, &graph, |addr| {
+    let ((), summary) = with_server(config, &graph, |addr| {
         let mut client = Client::connect(addr).expect("connect");
         client
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
-        // One write, so the worker's window meets the whole burst.
         let burst: Vec<String> = queries
             .iter()
             .enumerate()
@@ -661,44 +659,31 @@ fn batched_burst_answers_match_the_engine() {
             };
             assert_eq!(got, want, "query {i} ({agg})");
         }
-
-        let resp = client
-            .call(&Request {
-                id: None,
-                op: Op::Metrics,
-            })
-            .expect("metrics");
-        match resp.body {
-            Body::Metrics(m) => {
-                assert_eq!(m.batch_queries, BURST as u64, "{m:?}");
-                assert!(m.batches < BURST as u64, "{m:?}");
-            }
-            other => panic!("expected metrics, got {other:?}"),
-        }
     });
+    assert_eq!(summary.metrics.ok, BURST as u64);
 }
 
 /// A cache hit is answered by the reader at admission: it overtakes a
-/// worker parked in a batch window, and it is not shed while the queue is
-/// full. One worker, a depth-1 queue, a 600 ms window:
+/// worker parked on a slow miss, and it is not shed while the queue is
+/// full. One worker, a depth-1 queue:
 /// 1. warm query A;
-/// 2. pipeline miss B (the worker parks in its window) and A again: A's
-///    reply comes first, well inside the window, bit-identical;
-/// 3. pipeline a burst of distinct misses and A a third time: the
-///    burst outruns the lone worker and some of it is shed, A is not.
+/// 2. pipeline the slow miss B and A again: A's reply comes first,
+///    bit-identical;
+/// 3. pipeline a burst — a slow miss, then distinct fast misses — and A
+///    a third time: the burst outruns
+///    the lone worker and some of it is shed, A is not, and A's reply
+///    overtakes the slow miss.
 ///
 /// Every query that was not shed is counted once by the cache.
 #[test]
 fn a_hit_overtakes_a_parked_worker_and_is_never_shed() {
-    let graph = test_graph(25, 300);
+    let graph = test_graph(41, 2000);
     let (p, q) = pq(&graph, 26);
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
         queue_depth: 1,
         cache_capacity: 256,
-        batch_window: Some(Duration::from_millis(600)),
-        batch_max: 16,
         ..ServeConfig::default()
     };
     const BURST: u64 = 40;
@@ -718,52 +703,41 @@ fn a_hit_overtakes_a_parked_worker_and_is_never_shed() {
     let (shed, summary) = with_server(config, &graph, |addr| {
         let mut client = Client::connect(addr).expect("connect");
         client
-            .set_read_timeout(Some(Duration::from_secs(30)))
+            .set_read_timeout(Some(Duration::from_secs(60)))
             .expect("timeout");
         let warm = answer(&client.call(&a("a1")).expect("warm"));
 
-        let (pb, qb) = pq(&graph, 27);
-        let started = std::time::Instant::now();
-        client
-            .send(&query_req("b", &pb, &qb, 0.5, Aggregate::Max))
-            .expect("send b");
+        client.send(&slow_req("b", &graph)).expect("send b");
         client.send(&a("a2")).expect("send a2");
         let resp = client.recv().expect("recv");
         assert_eq!(resp.id.as_deref(), Some("a2"), "the hit must answer first");
-        assert!(
-            started.elapsed() < Duration::from_millis(400),
-            "hit took {:?} with a 600ms window open",
-            started.elapsed()
-        );
         assert_eq!(answer(&resp), warm, "a hit replays the computed answer");
         let resp = client.recv().expect("recv");
         assert_eq!(resp.id.as_deref(), Some("b"));
-        assert!(
-            matches!(resp.body, Body::Ok { .. } | Body::Empty),
-            "{resp:?}"
-        );
+        assert!(matches!(resp.body, Body::Ok { .. }), "{resp:?}");
 
-        // One write, so the reader meets the whole burst at once.
-        let mut burst: Vec<String> = (0..BURST)
-            .map(|i| {
-                let (pc, qc) = pq(&graph, 100 + i);
-                query_req(&format!("c{i}"), &pc, &qc, 0.5, Aggregate::Sum).to_json()
-            })
-            .collect();
+        // One write, so the reader meets the whole burst at once. It
+        // leads with the slow query at another `phi`: a miss that keeps
+        // the worker busy.
+        let (sp, sq) = slow_query(&graph);
+        let mut burst = vec![query_req("c0", &sp, &sq, 0.5, Aggregate::Sum).to_json()];
+        burst.extend((1..BURST).map(|i| {
+            let (pc, qc) = pq(&graph, 100 + i);
+            query_req(&format!("c{i}"), &pc, &qc, 0.5, Aggregate::Sum).to_json()
+        }));
         burst.push(a("a3").to_json());
-        let started = std::time::Instant::now();
         client.send_raw(&burst.join("\n")).expect("send burst");
-        let mut shed = 0;
+        let (mut shed, mut a3_seen) = (0, false);
         for _ in 0..=BURST {
             let resp = client.recv().expect("recv");
-            if resp.id.as_deref() == Some("a3") {
-                assert!(
-                    started.elapsed() < Duration::from_millis(400),
-                    "hit took {:?} behind a burst",
-                    started.elapsed()
-                );
-                assert_eq!(answer(&resp), warm, "a hit replays the computed answer");
-                continue;
+            match resp.id.as_deref() {
+                Some("a3") => {
+                    assert_eq!(answer(&resp), warm, "a hit replays the computed answer");
+                    a3_seen = true;
+                    continue;
+                }
+                Some("c0") => assert!(a3_seen, "the hit must overtake the slow miss"),
+                _ => {}
             }
             match resp.body {
                 Body::Shed => shed += 1,
@@ -782,6 +756,59 @@ fn a_hit_overtakes_a_parked_worker_and_is_never_shed() {
     assert_eq!(m.cache_hits + m.cache_misses, queries - m.shed, "{m:?}");
     assert_eq!(m.requests, queries - m.shed, "{m:?}");
     assert_eq!(m.ok + m.empty, queries - m.shed, "{m:?}");
+}
+
+/// A deadline that lapses mid-search stops the search: the slow miss,
+/// given a tenth of its measured uncancelled time as `deadline_ms`, is
+/// answered `cancelled` in well under half that time, and `metrics`
+/// counts exactly one more cancellation.
+#[test]
+fn a_deadline_cancels_a_running_search() {
+    let graph = test_graph(41, 2000);
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let cancelled = |client: &mut Client| match client
+        .call(&Request {
+            id: None,
+            op: Op::Metrics,
+        })
+        .expect("metrics")
+        .body
+    {
+        Body::Metrics(m) => m.cancelled,
+        other => panic!("expected metrics, got {other:?}"),
+    };
+
+    with_server(config, &graph, |addr| {
+        let mut client = Client::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("timeout");
+        let started = std::time::Instant::now();
+        let resp = client.call(&slow_req("free", &graph)).expect("call");
+        let full = started.elapsed();
+        assert!(matches!(resp.body, Body::Ok { .. }), "{resp:?}");
+        let before = cancelled(&mut client);
+
+        let mut req = slow_req("bounded", &graph);
+        let deadline_ms = (full.as_millis() as u64 / 10).max(1);
+        if let Op::Query(spec) = &mut req.op {
+            spec.deadline_ms = Some(deadline_ms);
+        }
+        let started = std::time::Instant::now();
+        let resp = client.call(&req).expect("call");
+        let bounded = started.elapsed();
+        assert_eq!(resp.body, Body::Cancelled, "{resp:?}");
+        assert!(
+            bounded < full / 2,
+            "cancelled after {bounded:?} with a {deadline_ms} ms deadline; \
+             the search runs {full:?} uncancelled"
+        );
+        assert_eq!(cancelled(&mut client), before + 1);
+    });
 }
 
 /// Update lines pipelined on one connection apply in line order: the

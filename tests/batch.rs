@@ -11,7 +11,7 @@
 //!   `q_1..q_n` sequentially equals `n` fresh backends;
 //! * set semantics — duplicate ids answer like the deduplicated stream.
 
-use fannr::fann::engine::{BatchQuery, Engine, Strategy as EngineStrategy};
+use fannr::fann::engine::{Engine, Strategy as EngineStrategy};
 use fannr::fann::gphi::ine::InePhi;
 use fannr::fann::gphi::oracle::{AStarOracle, DijkstraOracle, DistanceOracle};
 use fannr::fann::gphi::{GPhi, ReusableGPhi};
@@ -22,9 +22,24 @@ use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+/// One query of a stream: `(P, Q, phi, g)`.
+#[derive(Clone)]
+struct Case {
+    p: Vec<NodeId>,
+    q: Vec<NodeId>,
+    phi: f64,
+    agg: Aggregate,
+}
+
+impl Case {
+    fn new(p: Vec<NodeId>, q: Vec<NodeId>, phi: f64, agg: Aggregate) -> Self {
+        Case { p, q, phi, agg }
+    }
+}
+
 /// A connected-ish synthetic road network plus a deterministic mixed query
 /// stream over it (both aggregates, several phi values, varying P/Q).
-fn workload(seed: u64, nodes: usize, queries: usize) -> (Graph, Vec<BatchQuery>) {
+fn workload(seed: u64, nodes: usize, queries: usize) -> (Graph, Vec<Case>) {
     let mut rng = fannr::workload::rng(seed);
     let g = fannr::workload::synth::road_network(nodes, &mut rng);
     let all_p = fannr::workload::points::uniform_data_points(&g, 0.1, &mut rng);
@@ -40,7 +55,7 @@ fn workload(seed: u64, nodes: usize, queries: usize) -> (Graph, Vec<BatchQuery>)
             } else {
                 Aggregate::Sum
             };
-            BatchQuery::new(p, q, phi, agg)
+            Case::new(p, q, phi, agg)
         })
         .collect();
     (g, stream)
@@ -56,7 +71,7 @@ type Served = (
 /// own dealt every `threads`-th query, so every session runs on state left
 /// behind by queries with another `|Q|`, aggregate, and phi. Results come
 /// back in stream order.
-fn on_sessions(engine: &Engine, stream: &[BatchQuery], threads: usize) -> Vec<Served> {
+fn on_sessions(engine: &Engine, stream: &[Case], threads: usize) -> Vec<Served> {
     let mut out: Vec<(usize, Served)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
@@ -152,11 +167,8 @@ fn worker_counts_agree() {
 #[test]
 fn per_query_errors_leave_state_clean() {
     let (g, mut stream) = workload(14, 300, 12);
-    stream.insert(
-        3,
-        BatchQuery::new(vec![u32::MAX], vec![0], 0.5, Aggregate::Max),
-    );
-    stream.insert(4, BatchQuery::new(vec![0], vec![1], 2.0, Aggregate::Sum));
+    stream.insert(3, Case::new(vec![u32::MAX], vec![0], 0.5, Aggregate::Max));
+    stream.insert(4, Case::new(vec![0], vec![1], 2.0, Aggregate::Sum));
     for engine in [Engine::new(&g), Engine::new(&g).with_labels()] {
         for threads in [1usize, 2, 8] {
             let served = on_sessions(&engine, &stream, threads);
@@ -193,7 +205,7 @@ fn duplicate_ids_cross_validate_against_deduped_stream() {
     let (g, stream) = workload(15, 400, 12);
     // Duplicate some of P and Q in every query (keeping first-occurrence
     // order so the deduped twin is exactly the original).
-    let dup_stream: Vec<BatchQuery> = stream
+    let dup_stream: Vec<Case> = stream
         .iter()
         .map(|b| {
             let mut p = b.p.clone();
@@ -201,7 +213,7 @@ fn duplicate_ids_cross_validate_against_deduped_stream() {
             p.push(*b.p.last().expect("non-empty P"));
             let mut q = b.q.clone();
             q.extend_from_slice(&b.q);
-            BatchQuery::new(p, q, b.phi, b.agg)
+            Case::new(p, q, b.phi, b.agg)
         })
         .collect();
     for engine in [Engine::new(&g), Engine::new(&g).with_labels()] {

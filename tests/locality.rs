@@ -1,6 +1,5 @@
-//! Query-locality layer coherence: the epoch-keyed answer cache and the
-//! shared multi-source batch expansion must be *invisible* except for
-//! speed.
+//! Query-locality layer coherence: the epoch-keyed answer cache must be
+//! *invisible* except for speed.
 //!
 //! The contract under test, property-sampled across graphs, workloads,
 //! strategies, and aggregates:
@@ -13,18 +12,13 @@
 //!   window.
 //! * **key canonicalization** — permuted and duplicated `P`/`Q` requests
 //!   hit the same cache entry and return the same answer.
-//! * **shared-expansion equivalence** — [`Engine::query_colocated`]
-//!   answers every query in a batch (co-located, duplicated, one-element,
-//!   or mixed) bit-identically to independent [`Engine::query`] calls,
-//!   across all three strategies, both aggregates, and
-//!   phi in {1/|Q|, 0.5, 1}.
 //! * **multi-writer churn** — with several writers bumping epochs
 //!   concurrently, cached answers remain bit-identical to a cold engine
 //!   on the exact pinned epoch's graph. The `stress_` prefix is the CI
 //!   filter for the multi-threaded step.
 
-use fannr::fann::engine::{BatchQuery, CacheOutcome, Engine};
-use fannr::fann::{Aggregate, FannAnswer, QueryError};
+use fannr::fann::engine::{CacheOutcome, Engine};
+use fannr::fann::Aggregate;
 use fannr::roadnet::{CancelToken, Graph, GraphBuilder, WeightUpdate};
 use proptest::prelude::*;
 
@@ -116,15 +110,6 @@ fn cached_engines(g: &Graph, capacity: usize) -> [Engine; 2] {
     ]
 }
 
-/// One answer per query of a batch, in input order.
-type Answers = Vec<Result<Option<FannAnswer>, QueryError>>;
-
-/// [`Engine::query_colocated`], keeping only the answers.
-fn colocated_answers(engine: &Engine, batch: &[BatchQuery]) -> Answers {
-    let served = engine.query_colocated(batch).into_iter();
-    served.map(|r| r.map(|(answer, _)| answer)).collect()
-}
-
 /// Cold-cache mirrors of [`cached_engines`] on an arbitrary graph.
 fn cold_engines(g: &Graph) -> [Engine; 2] {
     [Engine::new(g), Engine::new(g).with_labels()]
@@ -211,66 +196,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// [`Engine::query_colocated`] equals independent [`Engine::query`]
-    /// across all three strategies, both aggregates, and
-    /// phi in {1/|Q|, 0.5, 1} — including one-query batches, duplicated
-    /// queries, permuted member lists, and invalid members.
-    #[test]
-    fn colocated_batches_match_independent_queries((g, p, q, _phi) in arb_instance()) {
-        let phis = [1.0 / q.len() as f64, 0.5, 1.0];
-        for live in cold_engines(&g) {
-            for agg in [Aggregate::Max, Aggregate::Sum] {
-                // A co-located batch: every phi over the same Q, plus a
-                // duplicate, a permuted copy, and an invalid straggler.
-                let mut rev_q = q.clone();
-                rev_q.reverse();
-                let bad = vec![g.num_nodes() as u32 + 7];
-                let mut batch: Vec<BatchQuery> = phis
-                    .iter()
-                    .map(|&f| BatchQuery::new(p.clone(), q.clone(), f, agg))
-                    .collect();
-                batch.push(BatchQuery::new(p.clone(), q.clone(), phis[0], agg));
-                batch.push(BatchQuery::new(p.clone(), rev_q.clone(), 0.5, agg));
-                batch.push(BatchQuery::new(p.clone(), bad.clone(), 0.5, agg));
-                let got = colocated_answers(&live, &batch);
-                prop_assert_eq!(got.len(), batch.len());
-                for (bq, got) in batch.iter().zip(&got) {
-                    let want = live.query(&bq.p, &bq.q, bq.phi, bq.agg);
-                    prop_assert_eq!(got, &want, "batched != independent ({:?})", agg);
-                }
-
-                // One-query batch.
-                let solo = [BatchQuery::new(p.clone(), q.clone(), 0.5, agg)];
-                let got = colocated_answers(&live, &solo);
-                prop_assert_eq!(&got[0], &live.query(&p, &q, 0.5, agg));
-            }
-        }
-    }
-
-    /// Running the same batch twice on a cached engine answers entirely
-    /// from the cache the second time — and still bit-identically.
-    #[test]
-    fn colocated_cache_replay_is_bit_identical((g, p, q, _phi) in arb_instance()) {
-        let live = Engine::new(&g).with_answer_cache(64);
-        let batch: Vec<BatchQuery> = [1.0 / q.len() as f64, 0.5, 1.0]
-            .iter()
-            .flat_map(|&f| {
-                [Aggregate::Max, Aggregate::Sum]
-                    .map(|agg| BatchQuery::new(p.clone(), q.clone(), f, agg))
-            })
-            .collect();
-        let first = colocated_answers(&live, &batch);
-        let hits_before = live.cache_stats().expect("cache attached").hits;
-        let second = colocated_answers(&live, &batch);
-        prop_assert_eq!(&first, &second);
-        let stats = live.cache_stats().expect("cache attached");
-        prop_assert_eq!(
-            stats.hits - hits_before,
-            batch.len() as u64,
-            "second pass must be all hits"
-        );
     }
 }
 

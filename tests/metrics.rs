@@ -9,7 +9,7 @@
 //!   `k` (more targets end the expansion sooner), and every strategy
 //!   reports non-zero work on non-trivial queries.
 
-use fannr::fann::engine::{BatchQuery, Engine};
+use fannr::fann::engine::Engine;
 use fannr::fann::gphi::ine::InePhi;
 use fannr::fann::gphi::GPhi;
 use fannr::fann::metrics::StatsSink;
@@ -140,21 +140,19 @@ proptest! {
 fn traced_batch_equals_untraced_on_a_road_network_stream() {
     let mut rng = fannr::workload::rng(0x51ED);
     let g = fannr::workload::synth::road_network(3_000, &mut rng);
-    let stream: Vec<BatchQuery> = (0..60)
+    let stream: Vec<_> = (0..60)
         .map(|i| {
             let p = fannr::workload::points::uniform_data_points(&g, 0.01, &mut rng);
             let q = fannr::workload::points::uniform_query_points(&g, 6, 0.2, &mut rng);
-            let agg = [Aggregate::Max, Aggregate::Sum][i % 2];
-            BatchQuery::new(p, q, 0.5, agg)
+            (p, q, [Aggregate::Max, Aggregate::Sum][i % 2])
         })
         .collect();
     let token = CancelToken::new();
     for engine in [Engine::new(&g), Engine::new(&g).with_labels()] {
         let mut session = engine.session(&token);
-        for (i, bq) in stream.iter().enumerate() {
-            let plain = engine.query(&bq.p, &bq.q, bq.phi, bq.agg).unwrap();
-            let (traced, stats, _, _, strategy) =
-                session.query(&bq.p, &bq.q, bq.phi, bq.agg).unwrap();
+        for (i, (p, q, agg)) in stream.iter().enumerate() {
+            let plain = engine.query(p, q, 0.5, *agg).unwrap();
+            let (traced, stats, _, _, strategy) = session.query(p, q, 0.5, *agg).unwrap();
             assert_eq!(plain, traced, "query {i}, {strategy}");
             assert!(!stats.is_empty(), "query {i}: {strategy} recorded no work");
         }

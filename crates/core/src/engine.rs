@@ -36,7 +36,7 @@
 //! until [`Engine::repair_indexes`] — usually via
 //! [`Engine::repair_in_background`] — rebuilds them. `Engine` is `Clone +
 //! Send + Sync + 'static`: handles share state, so a server can hand one
-//! to every worker thread and another to an updater.
+//! to every connection thread and another to an updater.
 
 use crate::algo::ier::build_p_rtree;
 use crate::algo::{exact_max_cancellable, ier_knn_cancellable, r_list_cancellable, IerBound};
@@ -385,19 +385,22 @@ impl Engine {
     }
 
     /// Attach previously built labels (e.g. from
-    /// [`HubLabels::read_flat`]). The caller asserts the labels were
-    /// built for this engine's *current* graph.
-    pub fn with_prebuilt_labels(self, labels: HubLabels) -> Self {
+    /// [`HubLabels::read_flat`]). Labels built for another graph than the
+    /// engine's *current* one are refused with
+    /// [`roadnet::flat::FlatError::GraphMismatch`], never attached.
+    pub fn with_prebuilt_labels(self, labels: HubLabels) -> Result<Self, roadnet::flat::FlatError> {
         {
             let _guard = self.shared.writer.lock().unwrap();
             let cur = self.shared.cell.load();
+            cur.graph()
+                .check_built_for("labels", labels.graph_fingerprint())?;
             self.shared.cell.store(Arc::new(EngineSnapshot {
                 net: cur.net.clone(),
                 labels: Some(Arc::new(labels)),
                 stale: RepairScope::new(),
             }));
         }
-        self
+        Ok(self)
     }
 
     /// Cold-start an engine from a flat index directory written by
@@ -430,7 +433,7 @@ impl Engine {
             let labels = HubLabels::read_flat_with(&labels_path, opts.load_mode)?;
             // Both fingerprints sit in the file headers: an O(1) check.
             graph.check_built_for("labels.v2", labels.graph_fingerprint())?;
-            engine = engine.with_prebuilt_labels(labels);
+            engine = engine.with_prebuilt_labels(labels)?;
         }
         if opts.background_build && !have_labels {
             engine.complete_index_in_background(dir);
@@ -819,8 +822,8 @@ impl Engine {
         Some((hit.answer, prep.strategy))
     }
 
-    /// Open a [`QuerySession`] — the per-worker handle `fannr serve`
-    /// answers the wire through — whose searches poll `token`.
+    /// Open a [`QuerySession`] — the handle `fannr serve` answers the wire
+    /// through — whose searches poll `token`.
     pub fn session<'t>(&self, token: &'t CancelToken) -> QuerySession<'t> {
         QuerySession {
             engine: self.clone(),
@@ -830,7 +833,7 @@ impl Engine {
     }
 }
 
-/// The one recycled per-worker search container: a scratch pool for the
+/// The one recycled search container of a [`QuerySession`]: a scratch pool for the
 /// `|Q|`-expansion algorithms, the graph-free buffers of the INE `g_phi` backend, and the label oracle's
 /// [`SourceTable`]. It holds no graph and no `(R, C)` instantiation, so
 /// one state serves every strategy, traced or not, across epoch swaps (the
@@ -850,12 +853,13 @@ struct SearchState {
 /// that produced the answer, whatever has been published since.
 pub type Answered = (Option<FannAnswer>, SearchStats, CacheOutcome, u64, Strategy);
 
-/// The per-worker query handle (obtained from [`Engine::session`]): one
+/// The recycled query handle (obtained from [`Engine::session`]): one
 /// recycled search state (a scratch pool, the INE buffers and the label
 /// oracle's source table) plus a borrowed [`CancelToken`]. This is how
-/// `fannr serve` answers the wire: each worker thread opens one session
-/// for its lifetime, re-arms the token per request ([`CancelToken::arm`])
-/// and sends every query through [`QuerySession::query`], so search
+/// `fannr serve` answers the wire: it opens `--workers` sessions at
+/// start-up, and a connection's reader takes one for each miss, re-arms
+/// its token ([`CancelToken::arm`]) and sends the query through
+/// [`QuerySession::query`], so search
 /// buffers are allocated while the session warms up and reused from then
 /// on. They hold no graph, so a session follows epoch swaps mid-stream
 /// without keeping a retired snapshot alive. Every search polls the token

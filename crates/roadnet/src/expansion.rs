@@ -33,7 +33,6 @@ use crate::Dist;
 pub struct DijkstraIter<'g, R: SearchRecorder = (), C: CancelCheck = ()> {
     csr: Csr<'g>,
     scratch: QueryScratch,
-    settled: usize,
     rec: R,
     cancel: C,
     cancelled: bool,
@@ -84,7 +83,6 @@ impl<'g, R: SearchRecorder, C: CancelCheck> DijkstraIter<'g, R, C> {
         DijkstraIter {
             csr,
             scratch,
-            settled: 0,
             rec,
             cancel,
             cancelled: false,
@@ -106,11 +104,6 @@ impl<'g, R: SearchRecorder, C: CancelCheck> DijkstraIter<'g, R, C> {
     pub fn peek_dist(&mut self) -> Option<Dist> {
         self.skip_stale();
         self.scratch.peek().map(|(d, _)| d)
-    }
-
-    /// Number of nodes settled so far.
-    pub fn settled_count(&self) -> usize {
-        self.settled
     }
 
     /// Drop heap entries superseded by a shorter distance (lazy deletion;
@@ -142,7 +135,6 @@ impl<R: SearchRecorder, C: CancelCheck> Iterator for DijkstraIter<'_, R, C> {
                 break (d, v);
             }
         };
-        self.settled += 1;
         self.rec.node_settled();
         // Weights are >= 1, so `nd` never improves a settled neighbour.
         for (nb, w) in self.csr.neighbors(v) {
@@ -227,16 +219,6 @@ mod tests {
         let g = b.build();
         let settled: Vec<_> = DijkstraIter::new(&g, 0).collect();
         assert_eq!(settled, vec![(0, 0), (1, 1)]);
-    }
-
-    #[test]
-    fn settled_count_tracks_history() {
-        let g = diamond();
-        let mut it = DijkstraIter::new(&g, 0);
-        it.by_ref().take(3).for_each(drop);
-        assert_eq!(it.settled_count(), 3);
-        it.by_ref().for_each(drop);
-        assert_eq!(it.settled_count(), 4);
     }
 
     #[test]

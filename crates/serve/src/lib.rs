@@ -4,12 +4,14 @@
 //! [`fann_core::engine::Engine`] into a network service with the load
 //! discipline a shared road-network index needs:
 //!
-//! - **Bounded admission** — a fixed-depth queue in front of the workers;
-//!   overload sheds immediately (`status:"shed"`) instead of buffering
-//!   without bound ([`server`]). A query the answer cache holds is
-//!   answered at admission by the reader thread and never queued.
+//! - **Bounded admission** — each connection's reader answers a miss on
+//!   one of `workers` search sessions, and at most `queue_depth` misses
+//!   wait for one; beyond that, overload sheds immediately
+//!   (`status:"shed"`) instead of waiting without bound ([`server`]). A
+//!   query the answer cache holds is answered at admission and never
+//!   takes a session. Replies on one connection come in request order.
 //! - **Per-request deadlines** — each query carries `deadline_ms`
-//!   (measured from admission, so queue wait counts) enforced by
+//!   (measured from admission, so the wait for a session counts) enforced by
 //!   cooperative cancellation: the search kernels poll a
 //!   [`roadnet::CancelToken`] and return `cancelled` — never a partial or
 //!   wrong answer.
@@ -17,7 +19,7 @@
 //!   [`ShutdownHandle`] stop the acceptor, finish every admitted query,
 //!   and flush the final stats.
 //! - **Observability inline** — `health` and `metrics` requests are
-//!   answered by the reader thread, bypassing the queue, so they work even
+//!   answered by the reader thread without a session, so they work even
 //!   when queries are being shed.
 //! - **Bounded lines** — a request line longer than [`MAX_LINE_BYTES`]
 //!   is dropped as it arrives and answered with an `error`.

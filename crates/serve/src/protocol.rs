@@ -20,7 +20,7 @@
 //!             "subset":[nodeid...], "strategy":string, "micros":number}
 //!          | {"status":"empty", "id"?}          ; no p reaches k of Q
 //!          | {"status":"cancelled", "id"?}      ; deadline exceeded
-//!          | {"status":"shed", "id"?}           ; queue full, retry later
+//!          | {"status":"shed", "id"?}           ; overloaded, retry later
 //!          | {"status":"updated", "id"?, "epoch":number, "applied":number}
 //!          | {"status":"error", "id"?, "error":string}
 //!          | {"status":"upstream", "id"?, "shard":number, "error":string}
@@ -75,7 +75,8 @@ pub struct QuerySpec {
     pub phi: f64,
     pub agg: Aggregate,
     /// Per-request deadline, measured from the moment the server admits
-    /// the request (queue wait counts). `None` uses the server default.
+    /// the request (the wait for a session counts). `None` uses the server
+    /// default.
     pub deadline_ms: Option<u64>,
 }
 
@@ -309,9 +310,9 @@ fn read_region(r: &mut Reader) -> Result<Option<[f64; 4]>, JsonError> {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HealthInfo {
     pub uptime_ms: u64,
-    /// Queries currently executing on workers.
+    /// Misses currently searching on a session.
     pub inflight: u64,
-    /// Queries admitted but not yet picked up.
+    /// Misses admitted and waiting for a session.
     pub queued: u64,
     pub workers: u64,
     /// True once shutdown began (accepting no new connections).
@@ -357,7 +358,7 @@ impl HealthInfo {
 /// Aggregate serving counters for a `metrics` response.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsInfo {
-    /// Requests admitted to the queue (sheds excluded).
+    /// Queries admitted (sheds excluded).
     pub requests: u64,
     pub ok: u64,
     pub empty: u64,
@@ -466,7 +467,8 @@ pub enum Body {
     Empty,
     /// The deadline passed before an answer was established.
     Cancelled,
-    /// Load shed at admission: the queue was full. The query never ran.
+    /// Load shed at admission: every session was busy and the most misses
+    /// allowed were already waiting. The query never ran.
     Shed,
     /// Weight updates applied and published; `epoch` is the new epoch,
     /// `applied` the number of edges changed.

@@ -4,34 +4,41 @@
 //!
 //! ```text
 //! acceptor (run's own thread, nonblocking accept + shutdown poll)
-//!   └─ reader thread per connection
-//!        ├─ health / metrics / shutdown answered inline (never queued,
-//!        │  so observability survives overload)
+//!   └─ reader thread per connection, one request line at a time
+//!        ├─ health / metrics / update / shutdown: answered inline (they
+//!        │  never take a session, so observability survives overload)
 //!        ├─ query the answer cache holds: answered inline too (a probe,
-//!        │  never queued, never shed)
-//!        └─ query  ──try_send──▶ bounded queue ──▶ worker threads, each:
-//!                     │                           recv one query, arm its
-//!                     └─ Full ⇒ "shed" response   CancelToken from the
-//!                        (admission control: the  deadline, answer it with
-//!                        queue never grows        its one QuerySession,
-//!                        unbounded)               write the reply
+//!        │  never waits for a session, never shed)
+//!        └─ query that misses ──▶ session pool (`--workers` sessions)
+//!              ├─ deadline already lapsed ⇒ "cancelled", no session
+//!              ├─ none idle and `--queue-depth` misses already waiting
+//!              │    ⇒ "shed" (admission control: waiting never grows
+//!              │      unbounded)
+//!              └─ otherwise wait for a session, arm its CancelToken with
+//!                 the budget left, search, hand the session back, write
+//!                 the reply
 //! ```
 //!
-//! A request's deadline is measured from *admission* (queue wait counts):
-//! an overloaded server cancels stale work instead of burning CPU on
-//! answers nobody is waiting for, and a search that outlives its deadline
-//! stops within one settled node. Every miss takes that one path; a cache
-//! hit is written back by the reader at admission, so it never waits
-//! behind a busy worker. Shutdown —
-//! wire `shutdown` op, SIGINT / SIGTERM, or [`ShutdownHandle`] — stops
-//! the acceptor, lets readers close, drains every admitted query, then
-//! returns the final stats.
+//! The reader answers a miss itself, so there is no hand-off to another
+//! thread: `--workers` bounds the searches in flight (a session is the
+//! permit, and its recycled search buffers are the only per-search
+//! memory), not a pool of threads. Replies on one connection come back in
+//! request order; a request pipelined behind a running miss waits for it,
+//! and only another connection overtakes.
+//!
+//! A request's deadline is measured from *admission* (the wait for a
+//! session counts): an overloaded server cancels stale work instead of
+//! burning CPU on answers nobody is waiting for, and a search that
+//! outlives its deadline stops within one settled node. Shutdown — wire
+//! `shutdown` op, SIGINT / SIGTERM, or [`ShutdownHandle`] — stops the
+//! acceptor and lets readers close; a reader finishes the search it is
+//! running before it exits, so no admitted query is dropped, and `run`
+//! then returns the final stats.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fann_core::engine::{Engine, QuerySession, Strategy};
@@ -58,10 +65,12 @@ pub struct ServeConfig {
     /// Address to bind, e.g. `127.0.0.1:7878`. Port 0 picks a free port
     /// (read it back with [`Server::local_addr`]).
     pub addr: String,
-    /// Query worker threads. Each holds its own [`CancelToken`].
+    /// Search sessions: the most misses searched at once. Each session
+    /// holds its own [`CancelToken`] and recycled search buffers.
     pub workers: usize,
-    /// Bounded queue depth shared by all workers. A query arriving while
-    /// the queue is full is shed immediately with `status:"shed"`.
+    /// The most misses that wait for a session (at least 1). A miss
+    /// arriving while every session is busy and this many are waiting is
+    /// shed immediately with `status:"shed"`.
     pub queue_depth: usize,
     /// Deadline applied when a request carries no `deadline_ms`.
     /// `None` means such requests run to completion.
@@ -72,7 +81,7 @@ pub struct ServeConfig {
     /// Answer-cache capacity (entries). `0` disables the cache; otherwise
     /// the engine gets an epoch-keyed answer cache attached
     /// (`fann_core::locality`), the reader answers a hit at admission and
-    /// only a miss is queued.
+    /// only a miss takes a session.
     pub cache_capacity: usize,
     /// Serve as one shard of a partitioned deployment: restrict candidate
     /// sets and update batches to the owned node set and advertise the
@@ -168,24 +177,69 @@ mod sig {
     }
 }
 
-/// One admitted query travelling from a reader to a worker.
-struct Job {
-    id: Option<String>,
-    spec: QuerySpec,
-    admitted: Instant,
-    deadline: Option<Duration>,
-    writer: Arc<Mutex<TcpStream>>,
-}
-
-/// Counters shared by readers and workers. The histogram and search
-/// stats sit behind one mutex (touched once per finished query); the
-/// queue/inflight gauges are lock-free so `health` stays cheap.
+/// Counters shared by the readers. The histogram and search stats sit
+/// behind one mutex (touched once per finished query); the
+/// queued/inflight gauges are atomics so `health` stays cheap.
 #[derive(Default)]
 struct Shared {
     metrics: Mutex<MetricsInfo>,
     queued: AtomicU64,
     inflight: AtomicU64,
     connections: AtomicU64,
+}
+
+/// Only a reader that panicked while holding the pool lock poisons it.
+const POOL_POISONED: &str = "a reader panicked holding the session pool";
+
+/// One search session and the token its searches poll.
+type Lease<'t> = (&'t CancelToken, QuerySession<'t>);
+
+/// The `--workers` search sessions a reader takes one of to answer a
+/// miss. A taken session is the permit to search, so searches in flight
+/// never exceed `workers` and search-buffer memory stays at `workers`
+/// sessions however many connections are open. Both gauges change only
+/// under the `idle` lock, so `queued` never passes the depth.
+struct Sessions<'t> {
+    idle: Mutex<Vec<Lease<'t>>>,
+    freed: Condvar,
+    /// The most misses that wait for a session before one is shed.
+    depth: u64,
+}
+
+impl<'t> Sessions<'t> {
+    fn new(engine: &Engine, tokens: &'t [CancelToken], depth: usize) -> Self {
+        Sessions {
+            idle: Mutex::new(tokens.iter().map(|t| (t, engine.session(t))).collect()),
+            freed: Condvar::new(),
+            depth: depth.max(1) as u64,
+        }
+    }
+
+    /// An idle session, waiting for one if none is; `None` (shed) when
+    /// none is idle and `depth` misses are already waiting.
+    fn take(&self, shared: &Shared) -> Option<Lease<'t>> {
+        let mut idle = self.idle.lock().expect(POOL_POISONED);
+        if idle.is_empty() {
+            if shared.queued.load(Ordering::Relaxed) >= self.depth {
+                return None;
+            }
+            shared.queued.fetch_add(1, Ordering::Relaxed);
+            while idle.is_empty() {
+                idle = self.freed.wait(idle).expect(POOL_POISONED);
+            }
+            shared.queued.fetch_sub(1, Ordering::Relaxed);
+        }
+        shared.inflight.fetch_add(1, Ordering::Relaxed);
+        idle.pop()
+    }
+
+    fn put(&self, lease: Lease<'t>, shared: &Shared) {
+        let mut idle = self.idle.lock().expect(POOL_POISONED);
+        shared.inflight.fetch_sub(1, Ordering::Relaxed);
+        idle.push(lease);
+        drop(idle);
+        self.freed.notify_one();
+    }
 }
 
 /// A bound TCP server, not yet serving. Call [`Server::run`] to serve.
@@ -231,16 +285,12 @@ impl Server {
         let stop = &self.stop;
         let config = &self.config;
         self.listener.set_nonblocking(true)?;
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
-        // std's Receiver is single-consumer; workers share it via a mutex
-        // (held only for the blocking recv handoff, not while querying).
-        let rx = Mutex::new(rx);
+        let tokens: Vec<CancelToken> = (0..config.workers.max(1))
+            .map(|_| CancelToken::new())
+            .collect();
+        let sessions = Sessions::new(engine, &tokens, config.queue_depth);
 
         std::thread::scope(|scope| -> io::Result<()> {
-            for _ in 0..config.workers.max(1) {
-                scope.spawn(|| worker_loop(engine, &rx, &shared));
-            }
-
             loop {
                 if stop.load(Ordering::SeqCst) || sig::signalled() {
                     break;
@@ -248,11 +298,11 @@ impl Server {
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
                         shared.connections.fetch_add(1, Ordering::Relaxed);
-                        let tx = tx.clone();
-                        let shared = &shared;
-                        let stop = Arc::clone(stop);
+                        let (shared, sessions) = (&shared, &sessions);
                         scope.spawn(move || {
-                            connection_loop(stream, tx, engine, shared, &stop, config, started);
+                            connection_loop(
+                                stream, sessions, engine, shared, stop, config, started,
+                            );
                         });
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -263,12 +313,10 @@ impl Server {
                 }
             }
 
-            // Drain: stop is visible to every reader (they exit within one
-            // read-timeout tick and drop their queue senders); dropping ours
-            // closes the queue once the last reader is gone, and workers
-            // finish whatever was admitted before exiting.
+            // Drain: stop is visible to every reader; each finishes the
+            // search it is running, writes the reply and exits within one
+            // read-timeout tick, and the scope joins them.
             stop.store(true, Ordering::SeqCst);
-            drop(tx);
             Ok(())
         })?;
 
@@ -291,11 +339,12 @@ impl Server {
     }
 }
 
-/// Per-connection reader: parses request lines, answers control ops
-/// inline, admits queries onto the bounded queue (or sheds).
+/// Per-connection reader: parses request lines and answers each in turn —
+/// control ops and cache hits inline, a miss on a session from the pool
+/// (or shed).
 fn connection_loop(
     stream: TcpStream,
-    tx: SyncSender<Job>,
+    sessions: &Sessions<'_>,
     engine: &Engine,
     shared: &Shared,
     stop: &AtomicBool,
@@ -313,21 +362,20 @@ fn connection_loop(
     {
         return;
     }
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let mut lines = LineReader::new(stream, MAX_LINE_BYTES);
+    let writer = &stream;
+    let mut lines = LineReader::new(&stream, MAX_LINE_BYTES);
     loop {
         match lines.next_line() {
             Ok(Line::Closed) => break,
             Ok(Line::Request(line)) => {
                 let trimmed = line.trim();
                 if !trimmed.is_empty() {
-                    handle_line(trimmed, &tx, &writer, engine, shared, stop, config, started);
+                    handle_line(
+                        trimmed, sessions, writer, engine, shared, stop, config, started,
+                    );
                 }
             }
-            Ok(Line::Rejected(error)) => reply_error(&writer, shared, error),
+            Ok(Line::Rejected(error)) => reply_error(writer, shared, error),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut
@@ -366,8 +414,8 @@ fn owned_updates(
 #[allow(clippy::too_many_arguments)]
 fn handle_line(
     trimmed: &str,
-    tx: &SyncSender<Job>,
-    writer: &Arc<Mutex<TcpStream>>,
+    sessions: &Sessions<'_>,
+    writer: &TcpStream,
     engine: &Engine,
     shared: &Shared,
     stop: &AtomicBool,
@@ -528,9 +576,9 @@ fn handle_line(
                 .deadline_ms
                 .map(Duration::from_millis)
                 .or(config.default_deadline);
-            // A hit is answered here, at admission. A miss, an invalid
-            // query and a zero deadline go on to a worker, whose own probe
-            // counts the miss (and which reports the error or cancels).
+            // A hit is answered here, at admission. A miss and an invalid
+            // query take a session, whose own probe counts the miss (and
+            // which reports the error); a zero deadline cancels at once.
             if deadline.is_none_or(|d| !d.is_zero()) {
                 if let Some((answer, strategy)) =
                     engine.cached(&spec.p, &spec.q, spec.phi, spec.agg)
@@ -548,82 +596,63 @@ fn handle_line(
                     return;
                 }
             }
-            let job = Job {
-                id: req.id,
-                spec,
-                admitted,
-                deadline,
-                writer: Arc::clone(writer),
-            };
-            // Count the job as queued before a worker can see it: the
-            // worker's decrement must never run ahead of this increment.
-            shared.queued.fetch_add(1, Ordering::Relaxed);
-            match tx.try_send(job) {
-                Ok(()) => {
-                    shared.metrics.lock().unwrap().requests += 1;
-                }
-                Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) => {
-                    shared.queued.fetch_sub(1, Ordering::Relaxed);
-                    shared.metrics.lock().unwrap().shed += 1;
-                    write_response(
-                        &job.writer,
-                        &Response {
-                            id: job.id,
-                            body: Body::Shed,
-                        },
-                    );
-                }
-            }
+            let resp = search(sessions, req.id, &spec, admitted, deadline, shared);
+            write_response(writer, &resp);
         }
     }
 }
 
-/// Query worker: owns one re-armable token and one [`QuerySession`] whose
-/// search buffers are reused across every request it answers; drains the
-/// queue to empty even after shutdown begins (admitted requests are never
-/// dropped).
-fn worker_loop(engine: &Engine, rx: &Mutex<Receiver<Job>>, shared: &Shared) {
-    let token = CancelToken::new();
-    let mut session = engine.session(&token);
-    loop {
-        let job = match rx.lock().unwrap().recv() {
-            Ok(j) => j,
-            Err(_) => return, // queue closed and empty: drain complete.
-        };
-        shared.queued.fetch_sub(1, Ordering::Relaxed);
-        shared.inflight.fetch_add(1, Ordering::Relaxed);
-        let resp = execute(&token, &mut session, &job, shared);
-        shared.inflight.fetch_sub(1, Ordering::Relaxed);
-        write_response(&job.writer, &resp);
-    }
-}
-
-fn execute(
-    token: &CancelToken,
-    session: &mut QuerySession<'_>,
-    job: &Job,
-    shared: &Shared,
-) -> Response {
-    let id = job.id.clone();
-    // The deadline clock started at admission: a query that sat in the
-    // queue past its deadline is cancelled without running.
-    let remaining = match job.deadline {
-        Some(d) => match d.checked_sub(job.admitted.elapsed()) {
+/// The budget left of a deadline counted from admission: `Some(None)`
+/// runs unbounded, `None` means the deadline has lapsed.
+fn budget(deadline: Option<Duration>, admitted: Instant) -> Option<Option<Duration>> {
+    match deadline {
+        Some(d) => match d.checked_sub(admitted.elapsed()) {
             Some(r) if !r.is_zero() => Some(Some(r)),
             _ => None,
         },
         None => Some(None),
-    };
-    let Some(budget) = remaining else {
+    }
+}
+
+/// Answer one admitted miss on a session from the pool: `cancelled`
+/// without a session when the deadline has already lapsed, `shed` when
+/// the pool is saturated, otherwise the search's reply.
+fn search(
+    sessions: &Sessions<'_>,
+    id: Option<String>,
+    spec: &QuerySpec,
+    admitted: Instant,
+    deadline: Option<Duration>,
+    shared: &Shared,
+) -> Response {
+    let cancelled = |id| {
         shared.metrics.lock().unwrap().cancelled += 1;
-        return Response {
+        Response {
             id,
             body: Body::Cancelled,
+        }
+    };
+    if budget(deadline, admitted).is_none() {
+        shared.metrics.lock().unwrap().requests += 1;
+        return cancelled(id);
+    }
+    let Some((token, mut session)) = sessions.take(shared) else {
+        shared.metrics.lock().unwrap().shed += 1;
+        return Response {
+            id,
+            body: Body::Shed,
         };
     };
+    shared.metrics.lock().unwrap().requests += 1;
+    // The wait for a session counts against the deadline.
+    let Some(budget) = budget(deadline, admitted) else {
+        sessions.put((token, session), shared);
+        return cancelled(id);
+    };
     token.arm(budget);
-    let spec = &job.spec;
-    match session.query(&spec.p, &spec.q, spec.phi, spec.agg) {
+    let result = session.query(&spec.p, &spec.q, spec.phi, spec.agg);
+    sessions.put((token, session), shared);
+    match result {
         // `strategy` is the pinned snapshot's: a reply computed index-free
         // during a cold start stays labelled so even if the background
         // build has swapped labels in since.
@@ -632,16 +661,10 @@ fn execute(
             id,
             answer.as_ref(),
             strategy,
-            job.admitted.elapsed(),
+            admitted.elapsed(),
             Some(&stats),
         ),
-        Err(QueryError::Cancelled) => {
-            shared.metrics.lock().unwrap().cancelled += 1;
-            Response {
-                id,
-                body: Body::Cancelled,
-            }
-        }
+        Err(QueryError::Cancelled) => cancelled(id),
         Err(e) => {
             shared.metrics.lock().unwrap().errors += 1;
             Response {
@@ -655,9 +678,9 @@ fn execute(
 }
 
 /// Account for one answered query and build its reply; every answer is
-/// recorded here, whoever produced it (a worker's search or the reader's
-/// cache probe): its latency since admission, `ok` or `empty`, and the
-/// search work when it ran one.
+/// recorded here, whoever produced it (a search on a session or the
+/// reader's cache probe): its latency since admission, `ok` or `empty`,
+/// and the search work when it ran one.
 fn answered(
     shared: &Shared,
     id: Option<String>,
@@ -681,7 +704,7 @@ fn answered(
 
 /// Reply to a line that is not a request (unparsable, or not a line the
 /// reader would buffer) with a typed `error`; the connection stays open.
-fn reply_error(writer: &Mutex<TcpStream>, shared: &Shared, error: String) {
+fn reply_error(writer: &TcpStream, shared: &Shared, error: String) {
     shared.metrics.lock().unwrap().errors += 1;
     write_response(
         writer,
@@ -694,11 +717,8 @@ fn reply_error(writer: &Mutex<TcpStream>, shared: &Shared, error: String) {
 
 /// Serialize + write one response line. Write errors mean the client is
 /// gone; the query result is simply dropped.
-fn write_response(writer: &Mutex<TcpStream>, resp: &Response) {
+fn write_response(mut writer: &TcpStream, resp: &Response) {
     let mut line = resp.to_json();
     line.push('\n');
-    if let Ok(mut w) = writer.lock() {
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.flush();
-    }
+    let _ = writer.write_all(line.as_bytes());
 }

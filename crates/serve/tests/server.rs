@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fann_core::engine::Engine;
 use fann_core::Aggregate;
@@ -94,8 +94,8 @@ fn round_trip_matches_in_process_engine() {
 
     let ((), _summary) = with_server(free_port_config(), &graph, |addr| {
         let mut client = Client::connect(addr).expect("connect");
-        // Pipeline all requests before reading any response; workers may
-        // finish out of order, so match responses back up by id.
+        // Pipeline all requests before reading any response, and match
+        // responses back up by id.
         for (id, phi, agg) in &cases {
             client
                 .send(&query_req(id, &p, &q, *phi, *agg))
@@ -261,13 +261,12 @@ fn expired_deadline_cancels() {
     });
 }
 
-/// With one slow worker and a depth-1 queue, a burst of pipelined queries
-/// must shed some requests rather than buffer unboundedly — and every
-/// request still gets exactly one response.
+/// With one session and a depth-1 wait, slow misses arriving at once on
+/// several connections must shed some requests rather than wait
+/// unboundedly — and every request still gets exactly one response.
 #[test]
 fn overload_sheds_instead_of_buffering() {
-    let graph = test_graph(13, 400);
-    let (p, q) = pq(&graph, 14);
+    let graph = test_graph(41, 2000);
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
@@ -275,18 +274,26 @@ fn overload_sheds_instead_of_buffering() {
         ..ServeConfig::default()
     };
 
-    const BURST: usize = 24;
+    const CONNECTIONS: usize = 6;
     let shed = AtomicUsize::new(0);
     let answered = AtomicUsize::new(0);
 
     let ((), summary) = with_server(config, &graph, |addr| {
-        let mut client = Client::connect(addr).expect("connect");
-        for i in 0..BURST {
+        let mut clients: Vec<Client> = (0..CONNECTIONS)
+            .map(|_| {
+                let client = Client::connect(addr).expect("connect");
+                client
+                    .set_read_timeout(Some(Duration::from_secs(60)))
+                    .expect("timeout");
+                client
+            })
+            .collect();
+        for (i, client) in clients.iter_mut().enumerate() {
             client
-                .send(&query_req(&format!("b{i}"), &p, &q, 0.5, Aggregate::Sum))
+                .send(&slow_req(&format!("b{i}"), &graph))
                 .expect("send");
         }
-        for _ in 0..BURST {
+        for client in &mut clients {
             let resp = client.recv().expect("recv");
             match resp.body {
                 Body::Shed => {
@@ -302,10 +309,10 @@ fn overload_sheds_instead_of_buffering() {
 
     let shed = shed.load(Ordering::Relaxed);
     let answered = answered.load(Ordering::Relaxed);
-    assert_eq!(shed + answered, BURST);
+    assert_eq!(shed + answered, CONNECTIONS);
     assert!(
         shed > 0,
-        "burst of {BURST} through a depth-1 queue never shed"
+        "{CONNECTIONS} slow misses at once on one session with a depth-1 wait never shed"
     );
     assert!(answered > 0, "everything shed; nothing served");
     assert_eq!(summary.metrics.shed, shed as u64);
@@ -563,11 +570,38 @@ fn slow_req(id: &str, graph: &Graph) -> Request {
     query_req(id, &p, &q, 1.0, Aggregate::Sum)
 }
 
-/// While the lone worker is busy with a slow miss, `health` is still
-/// answered inline: its reply overtakes the miss queued before it, and
-/// the miss then completes.
+fn health(client: &mut Client) -> fannr_serve::HealthInfo {
+    let resp = client
+        .call(&Request {
+            id: Some("h".into()),
+            op: Op::Health,
+        })
+        .expect("health");
+    match resp.body {
+        Body::Health(h) => h,
+        other => panic!("expected health, got {other:?}"),
+    }
+}
+
+/// Poll `health` on `control` until a miss holds the session (or a
+/// generous time has passed): true once `inflight + queued` reads 1.
+fn wait_for_busy_session(control: &mut Client) -> bool {
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while Instant::now() < give_up {
+        let h = health(control);
+        if h.inflight + h.queued == 1 {
+            return true;
+        }
+        thread::yield_now();
+    }
+    false
+}
+
+/// While the lone session is busy with a slow miss on one connection,
+/// `health` on another is still answered inline: it reports the miss in
+/// flight before the miss completes, and the miss then completes.
 #[test]
-fn health_is_inline_while_the_lone_worker_is_busy() {
+fn health_is_inline_while_the_lone_session_is_busy() {
     let graph = test_graph(41, 2000);
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -581,21 +615,15 @@ fn health_is_inline_while_the_lone_worker_is_busy() {
         client
             .set_read_timeout(Some(Duration::from_secs(60)))
             .expect("timeout");
+        let mut control = Client::connect(addr).expect("connect");
         client.send(&slow_req("slow", &graph)).expect("send");
-        client
-            .send(&Request {
-                id: Some("h".into()),
-                op: Op::Health,
-            })
-            .expect("send health");
 
-        // Health overtakes the busy worker: the reader answers it.
-        let resp = client.recv().expect("recv");
-        assert_eq!(resp.id.as_deref(), Some("h"), "health must answer first");
-        match resp.body {
-            Body::Health(h) => assert_eq!(h.inflight + h.queued, 1, "{h:?}"),
-            other => panic!("expected health, got {other:?}"),
-        }
+        // Health overtakes the busy session: the other reader answers it
+        // while the miss is still in flight.
+        assert!(
+            wait_for_busy_session(&mut control),
+            "health never saw the slow miss in flight"
+        );
 
         let resp = client.recv().expect("recv");
         assert_eq!(resp.id.as_deref(), Some("slow"));
@@ -607,7 +635,7 @@ fn health_is_inline_while_the_lone_worker_is_busy() {
 }
 
 /// A burst of queries with one `Q`, eight different `P` and both
-/// aggregates, written in one go and pipelined through one worker: each
+/// aggregates, written in one go and pipelined through one session: each
 /// reply is bit-identical to `Engine::query`.
 #[test]
 fn batched_burst_answers_match_the_engine() {
@@ -664,19 +692,20 @@ fn batched_burst_answers_match_the_engine() {
 }
 
 /// A cache hit is answered by the reader at admission: it overtakes a
-/// worker parked on a slow miss, and it is not shed while the queue is
-/// full. One worker, a depth-1 queue:
+/// session busy with a slow miss on another connection, and it is not
+/// shed while the pool is saturated. One session, a depth-1 wait:
 /// 1. warm query A;
-/// 2. pipeline the slow miss B and A again: A's reply comes first,
+/// 2. send the slow miss B on one connection and, once it runs, A again
+///    on another: A's reply comes while B is still in flight,
 ///    bit-identical;
-/// 3. pipeline a burst — a slow miss, then distinct fast misses — and A
-///    a third time: the burst outruns
-///    the lone worker and some of it is shed, A is not, and A's reply
-///    overtakes the slow miss.
+/// 3. send the slow miss C0 and, once it runs, distinct fast misses on
+///    several more connections at once and A a third time: they race the
+///    lone session and some are shed, A is not, and A's reply overtakes
+///    the slow miss.
 ///
 /// Every query that was not shed is counted once by the cache.
 #[test]
-fn a_hit_overtakes_a_parked_worker_and_is_never_shed() {
+fn a_hit_overtakes_a_busy_session_and_is_never_shed() {
     let graph = test_graph(41, 2000);
     let (p, q) = pq(&graph, 26);
     let config = ServeConfig {
@@ -686,7 +715,7 @@ fn a_hit_overtakes_a_parked_worker_and_is_never_shed() {
         cache_capacity: 256,
         ..ServeConfig::default()
     };
-    const BURST: u64 = 40;
+    const BURST: u64 = 12;
     let a = |id: &str| query_req(id, &p, &q, 0.5, Aggregate::Max);
     // A reply's answer and strategy, without its timing.
     let answer = |resp: &Response| match &resp.body {
@@ -699,53 +728,68 @@ fn a_hit_overtakes_a_parked_worker_and_is_never_shed() {
         } => (*p_star, *dist, subset.clone(), strategy.clone()),
         other => panic!("expected an answer, got {other:?}"),
     };
+    // A reply and the moment it was read.
+    let stamped = |client: &mut Client| (client.recv().expect("recv"), Instant::now());
 
     let (shed, summary) = with_server(config, &graph, |addr| {
-        let mut client = Client::connect(addr).expect("connect");
-        client
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .expect("timeout");
-        let warm = answer(&client.call(&a("a1")).expect("warm"));
+        let connect = || {
+            let client = Client::connect(addr).expect("connect");
+            client
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .expect("timeout");
+            client
+        };
+        let (mut slow, mut control) = (connect(), connect());
+        let warm = answer(&control.call(&a("a1")).expect("warm"));
 
-        client.send(&slow_req("b", &graph)).expect("send b");
-        client.send(&a("a2")).expect("send a2");
-        let resp = client.recv().expect("recv");
-        assert_eq!(resp.id.as_deref(), Some("a2"), "the hit must answer first");
-        assert_eq!(answer(&resp), warm, "a hit replays the computed answer");
-        let resp = client.recv().expect("recv");
-        assert_eq!(resp.id.as_deref(), Some("b"));
-        assert!(matches!(resp.body, Body::Ok { .. }), "{resp:?}");
+        slow.send(&slow_req("b", &graph)).expect("send b");
+        assert!(wait_for_busy_session(&mut control), "b never ran");
+        let ((b, b_at), a2_at) = thread::scope(|scope| {
+            let b = scope.spawn(|| stamped(&mut slow));
+            let resp = control.call(&a("a2")).expect("a2");
+            let a2_at = Instant::now();
+            assert_eq!(answer(&resp), warm, "a hit replays the computed answer");
+            (b.join().expect("b reader"), a2_at)
+        });
+        assert!(a2_at < b_at, "the hit must answer first");
+        assert_eq!(b.id.as_deref(), Some("b"));
+        assert!(matches!(b.body, Body::Ok { .. }), "{b:?}");
 
-        // One write, so the reader meets the whole burst at once. It
-        // leads with the slow query at another `phi`: a miss that keeps
-        // the worker busy.
+        // The slow query at another `phi`: a miss that keeps the session
+        // busy while the burst races for it.
         let (sp, sq) = slow_query(&graph);
-        let mut burst = vec![query_req("c0", &sp, &sq, 0.5, Aggregate::Sum).to_json()];
-        burst.extend((1..BURST).map(|i| {
-            let (pc, qc) = pq(&graph, 100 + i);
-            query_req(&format!("c{i}"), &pc, &qc, 0.5, Aggregate::Sum).to_json()
-        }));
-        burst.push(a("a3").to_json());
-        client.send_raw(&burst.join("\n")).expect("send burst");
-        let (mut shed, mut a3_seen) = (0, false);
-        for _ in 0..=BURST {
-            let resp = client.recv().expect("recv");
-            match resp.id.as_deref() {
-                Some("a3") => {
-                    assert_eq!(answer(&resp), warm, "a hit replays the computed answer");
-                    a3_seen = true;
-                    continue;
-                }
-                Some("c0") => assert!(a3_seen, "the hit must overtake the slow miss"),
-                _ => {}
-            }
+        slow.send(&query_req("c0", &sp, &sq, 0.5, Aggregate::Sum))
+            .expect("send c0");
+        assert!(wait_for_busy_session(&mut control), "c0 never ran");
+        let mut burst: Vec<Client> = (1..BURST)
+            .map(|i| {
+                let mut client = connect();
+                let (pc, qc) = pq(&graph, 100 + i);
+                client
+                    .send(&query_req(&format!("c{i}"), &pc, &qc, 0.5, Aggregate::Sum))
+                    .expect("send");
+                client
+            })
+            .collect();
+        let ((c0, c0_at), a3_at) = thread::scope(|scope| {
+            let c0 = scope.spawn(|| stamped(&mut slow));
+            let resp = control.call(&a("a3")).expect("a3");
+            let a3_at = Instant::now();
+            assert_eq!(answer(&resp), warm, "a hit replays the computed answer");
+            (c0.join().expect("c0 reader"), a3_at)
+        });
+        assert!(a3_at < c0_at, "the hit must overtake the slow miss");
+        assert_eq!(c0.id.as_deref(), Some("c0"));
+        let mut shed = 0;
+        let replies = std::iter::once(c0).chain(burst.iter_mut().map(|c| c.recv().expect("recv")));
+        for resp in replies {
             match resp.body {
                 Body::Shed => shed += 1,
                 Body::Ok { .. } | Body::Empty => {}
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert!(shed > 0, "a burst of {BURST} through one worker never shed");
+        assert!(shed > 0, "a burst of {BURST} on one session never shed");
         shed
     });
 
@@ -787,7 +831,7 @@ fn a_deadline_cancels_a_running_search() {
         client
             .set_read_timeout(Some(Duration::from_secs(60)))
             .expect("timeout");
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let resp = client.call(&slow_req("free", &graph)).expect("call");
         let full = started.elapsed();
         assert!(matches!(resp.body, Body::Ok { .. }), "{resp:?}");
@@ -798,7 +842,7 @@ fn a_deadline_cancels_a_running_search() {
         if let Op::Query(spec) = &mut req.op {
             spec.deadline_ms = Some(deadline_ms);
         }
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let resp = client.call(&req).expect("call");
         let bounded = started.elapsed();
         assert_eq!(resp.body, Body::Cancelled, "{resp:?}");
@@ -884,11 +928,11 @@ fn pipelined_updates_ack_in_order_and_stay_exact() {
     });
 }
 
-/// `health.queued` is a gauge of jobs in (or entering) the admission
-/// queue, so it can never exceed the queue depth — in particular a
-/// worker's decrement must not overtake the reader's increment and wrap
-/// the counter to ~2^64. Poll `health` from a second connection while two
-/// closed loops keep the queue turning over.
+/// `health.queued` is a gauge of misses waiting for a session, so it can
+/// never exceed the queue depth — in particular a decrement must not
+/// overtake its increment and wrap the counter to ~2^64. Poll `health`
+/// from a third connection while two closed loops keep the sessions
+/// turning over.
 #[test]
 fn health_queued_stays_within_queue_depth_under_load() {
     let graph = test_graph(27, 150);
@@ -896,8 +940,8 @@ fn health_queued_stays_within_queue_depth_under_load() {
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
-        // No cache: a hit would be answered at admission and never touch
-        // the queue; each request here is a short index-free search.
+        // No cache: a hit would be answered at admission and never take
+        // a session; each request here is a short index-free search.
         ..ServeConfig::default()
     };
     let depth = config.queue_depth as u64;
@@ -1000,8 +1044,8 @@ fn reply_names_the_strategy_that_ran_across_a_label_swap() {
             .expect("send");
         // (Should the query ever finish before a poll sees it, stop
         // waiting: the check below holds for any interleaving.)
-        let give_up = std::time::Instant::now() + Duration::from_secs(5);
-        while std::time::Instant::now() < give_up {
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < give_up {
             let health = control
                 .call(&Request {
                     id: None,
@@ -1014,7 +1058,10 @@ fn reply_names_the_strategy_that_ran_across_a_label_swap() {
                 other => panic!("expected health, got {other:?}"),
             }
         }
-        let _ = engine.clone().with_prebuilt_labels(labels);
+        engine
+            .clone()
+            .with_prebuilt_labels(labels)
+            .expect("labels for this graph");
         check(&mut client, &mut control, "cold");
 
         // From here on the labels answer, and the replies say so.
@@ -1023,4 +1070,173 @@ fn reply_names_the_strategy_that_ran_across_a_label_swap() {
             .expect("send");
         assert_eq!(check(&mut client, &mut control, "warm"), "IER-kNN/PHL");
     });
+}
+
+/// The answer `Engine::query` gives, as a reply's `(p_star, dist, subset)`
+/// (`None` for `empty`).
+type Answer = Option<(u32, u64, Vec<u32>)>;
+
+fn reply_answer(resp: &Response) -> Answer {
+    match &resp.body {
+        Body::Ok {
+            p_star,
+            dist,
+            subset,
+            ..
+        } => Some((*p_star, *dist, subset.clone())),
+        Body::Empty => None,
+        other => panic!("{:?}: expected an answer, got {other:?}", resp.id),
+    }
+}
+
+fn engine_answer(engine: &Engine, p: &[u32], q: &[u32], phi: f64, agg: Aggregate) -> Answer {
+    engine
+        .query(p, q, phi, agg)
+        .expect("valid query")
+        .map(|a| (a.p_star, a.dist, a.subset))
+}
+
+/// Replies on one connection come back in request order: a slow miss, a
+/// fast miss, a cache hit and `health` pipelined in one write are answered
+/// in that order — the hit and `health` wait for the misses ahead of them
+/// even though sessions are idle — and each answer is bit-identical to
+/// `Engine::query`.
+#[test]
+fn replies_on_one_connection_come_back_in_request_order() {
+    let graph = test_graph(41, 2000);
+    let engine = Engine::new(&graph);
+    let (sp, sq) = slow_query(&graph);
+    let (fp, fq) = pq(&graph, 26);
+    let (hp, hq) = pq(&graph, 27);
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        cache_capacity: 16,
+        ..ServeConfig::default()
+    };
+
+    with_server(config, &graph, |addr| {
+        let mut client = Client::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("timeout");
+        let warm = client
+            .call(&query_req("warm", &hp, &hq, 0.5, Aggregate::Max))
+            .expect("warm");
+        let pipeline = [
+            query_req("slow", &sp, &sq, 1.0, Aggregate::Sum).to_json(),
+            query_req("fast", &fp, &fq, 0.5, Aggregate::Max).to_json(),
+            query_req("hit", &hp, &hq, 0.5, Aggregate::Max).to_json(),
+            Request {
+                id: Some("health".into()),
+                op: Op::Health,
+            }
+            .to_json(),
+        ];
+        client.send_raw(&pipeline.join("\n")).expect("send");
+        let replies: Vec<Response> = (0..pipeline.len())
+            .map(|_| client.recv().expect("recv"))
+            .collect();
+        let ids: Vec<_> = replies.iter().map(|r| r.id.as_deref()).collect();
+        assert_eq!(
+            ids,
+            [Some("slow"), Some("fast"), Some("hit"), Some("health")]
+        );
+        let want = [
+            engine_answer(&engine, &sp, &sq, 1.0, Aggregate::Sum),
+            engine_answer(&engine, &fp, &fq, 0.5, Aggregate::Max),
+            engine_answer(&engine, &hp, &hq, 0.5, Aggregate::Max),
+        ];
+        for (resp, want) in replies.iter().zip(&want) {
+            assert_eq!(&reply_answer(resp), want, "{:?}", resp.id);
+        }
+        assert_eq!(reply_answer(&warm), want[2]);
+        assert!(
+            matches!(replies[3].body, Body::Health(_)),
+            "{:?}",
+            replies[3]
+        );
+    });
+}
+
+/// Many connections share few sessions: 16 connections run closed loops
+/// of mixed max/sum queries (about half of them misses) through two
+/// sessions and an answer cache. Every reply is bit-identical to
+/// `Engine::query`, `health` polled throughout never shows more than two
+/// searches in flight or more misses waiting than the depth allows, the
+/// cache counts every request once, and the drain finishes in time.
+#[test]
+fn stress_many_connections_share_few_sessions() {
+    const CONNECTIONS: usize = 16;
+    const PER_LOOP: usize = 32;
+    const POOL: usize = 256;
+    let graph = test_graph(43, 300);
+    let engine = Engine::new(&graph);
+    // Connection c asks pool[(c * 16 + j) % POOL], so neighbouring
+    // connections share half their queries: misses and hits both.
+    let pool: Vec<(Vec<u32>, Vec<u32>, Aggregate, Answer)> = (0..POOL)
+        .map(|i| {
+            let (p, q) = pq(&graph, 1000 + i as u64);
+            let agg = [Aggregate::Max, Aggregate::Sum][i % 2];
+            let want = engine_answer(&engine, &p, &q, 0.5, agg);
+            (p, q, agg, want)
+        })
+        .collect();
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        cache_capacity: 1024,
+        ..ServeConfig::default()
+    };
+    let (workers, depth) = (config.workers as u64, config.queue_depth as u64);
+    let server = Server::bind(config).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.shutdown_handle();
+    // The server runs on its own thread, so a drain that hangs fails the
+    // test at the timeout instead of hanging it.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let served = engine.clone();
+    thread::spawn(move || {
+        let _ = done_tx.send(server.run(&served).expect("serve"));
+    });
+    let guard = ShutdownGuard(handle);
+
+    let running = AtomicUsize::new(CONNECTIONS);
+    thread::scope(|scope| {
+        for c in 0..CONNECTIONS {
+            let (pool, running) = (&pool, &running);
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                client
+                    .set_read_timeout(Some(Duration::from_secs(60)))
+                    .expect("timeout");
+                for j in 0..PER_LOOP {
+                    let (p, q, agg, want) = &pool[(c * 16 + j) % POOL];
+                    let resp = client
+                        .call(&query_req(&format!("{c}-{j}"), p, q, 0.5, *agg))
+                        .expect("query");
+                    assert_eq!(&reply_answer(&resp), want, "connection {c}, query {j}");
+                }
+                running.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        let mut poller = Client::connect(addr).expect("connect");
+        while running.load(Ordering::SeqCst) > 0 {
+            let h = health(&mut poller);
+            assert!(h.inflight <= workers, "{h:?}");
+            assert!(h.queued <= depth, "{h:?}");
+        }
+    });
+
+    drop(guard);
+    let summary = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the drain did not finish within 60 s");
+    let m = &summary.metrics;
+    let requests = (CONNECTIONS * PER_LOOP) as u64;
+    assert_eq!(m.requests, requests, "{m:?}");
+    assert_eq!(m.ok + m.empty, requests, "{m:?}");
+    assert_eq!((m.shed, m.cancelled, m.errors), (0, 0, 0), "{m:?}");
+    assert_eq!(m.cache_hits + m.cache_misses, m.requests, "{m:?}");
+    assert!(m.cache_hits > 0 && m.cache_misses > 0, "{m:?}");
 }

@@ -490,6 +490,7 @@ fn cmd_stats(opts: &Opts) -> Result<(), String> {
 /// `shutdown` op, then print the drain summary.
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
     // Every value is parsed before any graph is built or loaded.
+    check_graph_source(opts)?;
     let workers = get(opts, "workers", 2usize)?;
     let queue_depth = get(opts, "queue-depth", 64usize)?;
     let default_deadline = get_opt(opts, "deadline-ms")?.map(std::time::Duration::from_millis);
@@ -603,10 +604,32 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// Refuse graph-source options that would otherwise be silently ignored:
+/// `--index` beside `--graph`, `--nodes` or `--seed`; `--graph` beside
+/// `--nodes` or `--seed`; and `--no-mmap` without `--index`.
+fn check_graph_source(opts: &Opts) -> Result<(), String> {
+    let sources: [(&str, &[&str]); 2] = [
+        ("index", &["graph", "nodes", "seed"]),
+        ("graph", &["nodes", "seed"]),
+    ];
+    for (source, others) in sources.into_iter().filter(|(s, _)| opts.contains_key(*s)) {
+        if let Some(other) = others.iter().find(|o| opts.contains_key(**o)) {
+            return Err(format!(
+                "--{source} and --{other} both choose the graph; give one"
+            ));
+        }
+    }
+    if opts.contains_key("no-mmap") && !opts.contains_key("index") {
+        return Err("--no-mmap applies only to --index".to_string());
+    }
+    Ok(())
+}
+
 /// The graph every partitioned-deployment command shares: `--graph FILE`
 /// or the deterministic synthetic network (`--nodes`, `--seed`). Shards,
 /// router, and `partition` must all be launched with the same choice.
 fn load_graph_or_synth(opts: &Opts) -> Result<Graph, String> {
+    check_graph_source(opts)?;
     if opts.contains_key("graph") {
         load_graph(opts)
     } else {

@@ -139,6 +139,59 @@ fn an_unparsable_value_is_refused() {
     );
 }
 
+/// Graph-source options that conflict are refused, naming both, instead
+/// of one silently winning: `--index` beside `--graph`, `--nodes` or
+/// `--seed`; `--graph` beside `--nodes` or `--seed`; `--no-mmap` without
+/// `--index`. None of these runs reaches a graph, so the paths need not
+/// exist.
+#[test]
+fn conflicting_graph_sources_are_refused() {
+    let addr = ["--addr", "127.0.0.1:0"];
+    let cases: [(&[&str], &[&str]); 6] = [
+        (
+            &["serve", "--index", "idx", "--graph", "net.txt"],
+            &["--index", "--graph"],
+        ),
+        (
+            &["serve", "--index", "idx", "--nodes", "50"],
+            &["--index", "--nodes"],
+        ),
+        (
+            &["serve", "--index", "idx", "--seed", "3"],
+            &["--index", "--seed"],
+        ),
+        (
+            &["serve", "--graph", "net.txt", "--nodes", "50"],
+            &["--graph", "--nodes"],
+        ),
+        (
+            &["serve", "--graph", "net.txt", "--seed", "3"],
+            &["--graph", "--seed"],
+        ),
+        (
+            &["serve", "--nodes", "50", "--no-mmap"],
+            &["--no-mmap", "--index"],
+        ),
+    ];
+    for (args, named) in cases {
+        let args = [args, &addr[..]].concat();
+        for needle in named {
+            refused(&args, needle);
+        }
+    }
+    // The shared graph-source rule holds for every command that takes it.
+    for cmd in [
+        &["partition"][..],
+        &["route"],
+        &["build-index", "--out", "idx"],
+    ] {
+        refused(
+            &[cmd, &["--graph", "net.txt", "--nodes", "50"]].concat(),
+            "--nodes",
+        );
+    }
+}
+
 /// Seed 8's `labels.v2` beside seed 7's `graph.v2` (both 2028 nodes) is
 /// refused by `serve --index`.
 #[test]

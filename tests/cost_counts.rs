@@ -28,6 +28,11 @@
 //! Every way of running a query must do that same work: the throw-away
 //! state of `Engine::query_traced`, a `QuerySession` on its 2nd+ query
 //! (recycled state), and two sessions on two threads sharing one engine.
+//!
+//! [`WIRE_BYTES`] pins the byte lengths of the canonical wire forms — a
+//! query request and each kind of server reply — built from the first
+//! query of the slice, so a change to the serving tier that claims to
+//! move no wire bytes passes with it untouched.
 
 use fannr::fann::algo::apx_sum_traced;
 use fannr::fann::engine::Engine;
@@ -35,7 +40,9 @@ use fannr::fann::gphi::ine::InePhi;
 use fannr::fann::metrics::{SearchStats, StatsSink};
 use fannr::fann::{Aggregate, FannQuery};
 use fannr::roadnet::{CancelToken, Graph, NodeId};
+use fannr::serve::{Body, HealthInfo, MetricsInfo, Op, QuerySpec, Request, Response};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 const NODES: usize = 600;
 const QUERIES: usize = 32;
@@ -462,4 +469,112 @@ const WIDE_BASELINE: [&[Row]; 2] = [
 const LARGE_BASELINE: &[Row] = &[
     [0, 0, 0, 7240, 27044, 9354, 8284, 0, 29],
     [5, 0, 0, 6339, 23767, 8549, 7259, 0, 45],
+];
+
+/// The canonical wire forms, one per line kind, built from the slice's
+/// first query on the labelled engine: `(what, its JSON line)`, newline
+/// excluded.
+fn wire_forms() -> Vec<(&'static str, String)> {
+    let f = fixture();
+    let bq = &f.slice[0];
+    let engine = &f.engines[1].1;
+    let id = || Some("q-1".to_string());
+    let reply = |body| Response { id: id(), body }.to_json();
+    let request = Request {
+        id: id(),
+        op: Op::Query(QuerySpec {
+            p: bq.p.clone(),
+            q: bq.q.clone(),
+            phi: bq.phi,
+            agg: bq.agg,
+            deadline_ms: Some(250),
+        }),
+    };
+    let (answer, stats) = engine
+        .query_traced(&bq.p, &bq.q, bq.phi, bq.agg)
+        .expect("valid query");
+    let strategy = engine.strategy_for(bq.agg).name();
+    let error = engine
+        .query(&bq.p, &bq.q, 0.0, bq.agg)
+        .expect_err("phi 0 is out of range")
+        .to_string();
+    let health = HealthInfo {
+        uptime_ms: 61_000,
+        inflight: 1,
+        queued: 0,
+        workers: 2,
+        epoch: 3,
+        labels_total: NODES as u64,
+        ..HealthInfo::default()
+    };
+    let mut metrics = MetricsInfo {
+        requests: 12,
+        ok: 9,
+        empty: 1,
+        cancelled: 1,
+        shed: 2,
+        errors: 1,
+        updates: 3,
+        epoch: 3,
+        cache_hits: 4,
+        cache_misses: 8,
+        cache_insertions: 8,
+        search: stats,
+        ..MetricsInfo::default()
+    };
+    for us in [12, 48, 48, 95, 310, 1_520] {
+        metrics.latency.record(Duration::from_micros(us));
+    }
+    vec![
+        ("query request", request.to_json()),
+        (
+            "ok",
+            Response::for_answer(id(), answer.as_ref(), strategy, 1_521).to_json(),
+        ),
+        ("empty", reply(Body::Empty)),
+        ("shed", reply(Body::Shed)),
+        ("cancelled", reply(Body::Cancelled)),
+        ("error", reply(Body::Error { error })),
+        (
+            "updated",
+            reply(Body::Updated {
+                epoch: 3,
+                applied: 8,
+            }),
+        ),
+        ("health", reply(Body::Health(health))),
+        ("metrics", reply(Body::Metrics(Box::new(metrics)))),
+    ]
+}
+
+/// Each canonical wire form is exactly as long as when the pins were
+/// taken: serving changes that claim to move no wire bytes must pass with
+/// [`WIRE_BYTES`] untouched.
+#[test]
+fn wire_forms_keep_their_byte_lengths() {
+    let got: Vec<(&str, usize)> = wire_forms()
+        .iter()
+        .map(|(what, line)| (*what, line.len()))
+        .collect();
+    assert!(
+        got == WIRE_BYTES,
+        "the wire forms' byte lengths diverged from the committed pins; measured:\n{}",
+        got.iter()
+            .map(|(what, len)| format!("    ({what:?}, {len}),\n"))
+            .collect::<String>()
+    );
+}
+
+/// Byte lengths of [`wire_forms`], newline excluded, taken at the commit
+/// before misses moved from worker threads onto the connection's reader.
+const WIRE_BYTES: &[(&str, usize)] = &[
+    ("query request", 132),
+    ("ok", 104),
+    ("empty", 29),
+    ("shed", 28),
+    ("cancelled", 33),
+    ("error", 62),
+    ("updated", 53),
+    ("health", 183),
+    ("metrics", 584),
 ];

@@ -137,7 +137,7 @@ fn engine_from_index_dir_matches_in_memory_for_all_strategies() {
     let (p, qs) = workload(&graph, 42);
 
     // Labeled engines: strategy IerKnnLabels for both aggregates.
-    let mem_labeled = Engine::new(&graph).with_prebuilt_labels(labels);
+    let mem_labeled = Engine::new(&graph).with_prebuilt_labels(labels).unwrap();
     let disk_labeled = Engine::from_index_dir(&dir).unwrap();
     assert!(disk_labeled.has_labels(), "labels.v2 must attach");
     // Index-free engines: ExactMax (max), RListIne (sum).
@@ -192,8 +192,8 @@ fn mmap_load_matches_read_load_for_all_containers() {
 
     // And the mapped engine answers bit-identically to the in-memory one.
     let (p, qs) = workload(&graph, 7);
-    let mem = Engine::new(&graph).with_prebuilt_labels(labels);
-    let mapped = Engine::new(&g_mmap).with_prebuilt_labels(l_mmap);
+    let mem = Engine::new(&graph).with_prebuilt_labels(labels).unwrap();
+    let mapped = Engine::new(&g_mmap).with_prebuilt_labels(l_mmap).unwrap();
     for q in &qs {
         for agg in [Aggregate::Max, Aggregate::Sum] {
             assert_eq!(
@@ -482,6 +482,29 @@ fn swapped_labels_are_refused_by_the_graph_fingerprint() {
     labels7.write_flat(&dir.join("labels.v2")).unwrap();
     assert!(Engine::from_index_dir(&dir).unwrap().has_labels());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same seed 7/8 pair through the in-memory entry point: seed 8's
+/// labels are refused by an engine over seed 7's graph, with both
+/// fingerprints in the error.
+#[test]
+fn prebuilt_labels_for_another_graph_are_refused() {
+    let g7 = fannr::workload::synth::road_network(2000, &mut fannr::workload::rng(7));
+    let g8 = fannr::workload::synth::road_network(2000, &mut fannr::workload::rng(8));
+    assert_eq!(g7.num_nodes(), g8.num_nodes());
+    let labels8 = HubLabels::build_parallel(&g8, 2).unwrap();
+    match Engine::new(&g7).with_prebuilt_labels(labels8) {
+        Err(FlatError::GraphMismatch {
+            artifact,
+            built_for,
+            graph,
+        }) => {
+            assert_eq!(artifact, "labels");
+            assert_eq!(built_for, g8.fingerprint());
+            assert_eq!(graph, g7.fingerprint());
+        }
+        other => panic!("labels for seed 8 on seed 7: got {:?}", other.err()),
+    }
 }
 
 /// Labels built in the background after a graph-only cold start record

@@ -24,7 +24,7 @@ fn labels_survive_disk_roundtrip_and_power_engine() {
     let q = fannr::workload::points::uniform_query_points(&graph, 10, 0.5, &mut rng);
 
     let fresh = Engine::new(&graph).with_labels();
-    let revived = Engine::new(&graph).with_prebuilt_labels(loaded);
+    let revived = Engine::new(&graph).with_prebuilt_labels(loaded).unwrap();
     for agg in [Aggregate::Sum, Aggregate::Max] {
         let a = fresh.query(&p, &q, 0.5, agg).unwrap().unwrap();
         let b = revived.query(&p, &q, 0.5, agg).unwrap().unwrap();

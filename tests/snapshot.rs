@@ -307,7 +307,7 @@ proptest! {
 
         // Answers: engines over the scoped-repaired labels agree with
         // freshly built engines for every strategy and aggregate.
-        let scoped = [Engine::new(&g2), Engine::new(&g2).with_prebuilt_labels(lm)];
+        let scoped = [Engine::new(&g2), Engine::new(&g2).with_prebuilt_labels(lm).unwrap()];
         let fresh = engines(&g2);
         for (live, rebuilt) in scoped.iter().zip(&fresh) {
             assert_same_answers(live, rebuilt, &p, &q, phi, "scoped-repaired artifacts");

@@ -4,8 +4,9 @@
 //! suspended and resumed at any point: all search state lives in the struct,
 //! so `|Q|` expansions can be interleaved — the "switchable" multi-source
 //! Dijkstra the paper's `R-List` and `Exact-max` need (§IV-A implementation
-//! details). Search state lives in a recycled [`QueryScratch`] (a dense
-//! distance array reset through its touched list, plus a reusable heap), so
+//! details). Search state lives in a recycled [`QueryScratch`] (a block
+//! table of distance chunks that holds only the blocks the expansion has
+//! touched, plus a reusable heap), so
 //! a long stream of expansions over the same graph is allocation-free after
 //! warm-up: construct via [`DijkstraIter::with_scratch`], recover the
 //! buffers afterwards with [`DijkstraIter::into_scratch`], and hand them to

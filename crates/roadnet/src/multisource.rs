@@ -9,9 +9,11 @@
 //! `|Q|` queues, which poll the query's [`CancelCheck`] as they settle.
 //!
 //! Memory: each queue owns one [`crate::QueryScratch`] drawn from a
-//! [`ScratchPool`], i.e. a dense 8 B/node distance array plus 4 B per node
-//! its expansion touched, so one query costs ≈ `8·n·|Q|` B of search state
-//! and a worker's pool settles at its largest `|Q|` so far.
+//! [`ScratchPool`], i.e. a `n/16` B block table plus a 512 B chunk of
+//! distances per 64-node block its expansion touched. So one query's
+//! search state follows how far its `|Q|` expansions reach, not `n·|Q|`,
+//! and a worker's pool keeps, per scratch, the most chunks one of its
+//! expansions has needed so far.
 
 use crate::cancel::CancelCheck;
 use crate::expansion::DijkstraIter;

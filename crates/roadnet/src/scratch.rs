@@ -4,18 +4,24 @@
 //! queue. Allocating them per query (`vec![INF; n]`, a fresh `BinaryHeap`)
 //! dominates query cost on large networks once the algorithmic work per
 //! query is small — the classic throughput killer for query streams.
-//! [`QueryScratch`] keeps those buffers alive across queries: one dense
-//! `dist` array in which [`INF`] means "untouched", plus a `touched` list
-//! of every node whose distance the search wrote. Starting the next query
-//! resets exactly those entries, so a reset costs what the previous search
-//! already paid to touch them — no `O(|V|)` refill, and no allocation once
-//! the buffers have grown.
+//! [`QueryScratch`] keeps those buffers alive across queries.
+//!
+//! The distances live in a two-level block table that follows the search,
+//! not the graph. Node ids are cut into blocks of 64 consecutive ids;
+//! `block` maps each to a 64-entry chunk of `chunks`, where chunk 0
+//! is a shared all-[`INF`] chunk that every untouched block reads. The
+//! first write into a block bump-allocates it a fresh `INF`-filled chunk
+//! and lists the block in `used`. Starting the next query zeroes the used
+//! slots and truncates `chunks` back to chunk 0, so a reset costs what the
+//! previous search already paid to touch those blocks — no `O(|V|)`
+//! refill, and no allocation once the buffers have grown. A lookup is two
+//! direct loads, with no hashing or probing.
 //!
 //! No settled set is kept: with lazy deletion a heap entry is stale iff its
 //! key exceeds the node's current distance, and since every weight is
 //! `>= 1` a settled node can never be improved again. The memory is
-//! therefore 8 B per graph node plus 4 B per node the largest search so far
-//! touched.
+//! therefore 4 B per 64 graph nodes (`n/16` B) plus 512 B per block
+//! the largest search so far touched.
 //!
 //! [`ScratchPool`] holds idle scratches for algorithms that run several
 //! concurrent expansions (`ObjectStreams` keeps one per query point) so a
@@ -25,10 +31,9 @@ use crate::{Dist, NodeId, INF};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// `touched` capacity reserved when a scratch first sizes itself for a
-/// graph, so a throw-away scratch running a small, local search does not
-/// reallocate the list as it grows (4 KB; larger searches still grow it).
-const TOUCHED_RESERVE: usize = 1024;
+/// Consecutive node ids sharing one slot of the block table (and one
+/// chunk of distances once the search writes into them).
+const BLOCK: usize = 64;
 
 /// Reusable buffers for one Dijkstra/A\*/INE search.
 ///
@@ -38,10 +43,12 @@ const TOUCHED_RESERVE: usize = 1024;
 /// resets what the previous search touched.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// Tentative distance per node; [`INF`] for every node not in `touched`.
-    dist: Vec<Dist>,
-    /// Nodes whose `dist` the current search has written.
-    touched: Vec<NodeId>,
+    /// Chunk index per block of [`BLOCK`] node ids; 0 means untouched.
+    block: Vec<u32>,
+    /// Distance chunks; chunk 0 is all [`INF`] and is never written.
+    chunks: Vec<[Dist; BLOCK]>,
+    /// Blocks the current search gave a chunk, each listed once.
+    used: Vec<u32>,
     /// Keyed by the search's priority (g for Dijkstra, f = g + h for A\*).
     heap: BinaryHeap<(Reverse<Dist>, NodeId)>,
 }
@@ -51,19 +58,21 @@ impl QueryScratch {
         Self::default()
     }
 
-    /// Start a fresh search over a graph with `n` nodes: reset every
-    /// distance the previous search wrote to [`INF`] and clear the heap.
-    /// `O(touched)`; allocation-free once grown to `n`.
+    /// Start a fresh search over a graph with `n` nodes: give every block
+    /// the previous search wrote back to chunk 0, drop its chunks and clear
+    /// the heap. `O(touched blocks)`; allocation-free once grown.
     pub fn begin(&mut self, n: usize) {
-        for &v in &self.touched {
-            self.dist[v as usize] = INF;
+        for &b in &self.used {
+            self.block[b as usize] = 0;
         }
-        self.touched.clear();
-        if self.dist.len() < n {
-            if self.dist.is_empty() {
-                self.touched.reserve(n.min(TOUCHED_RESERVE));
-            }
-            self.dist.resize(n, INF);
+        self.used.clear();
+        self.chunks.truncate(1);
+        if self.chunks.is_empty() {
+            self.chunks.push([INF; BLOCK]);
+        }
+        let blocks = n.div_ceil(BLOCK);
+        if self.block.len() < blocks {
+            self.block.resize(blocks, 0);
         }
         self.heap.clear();
     }
@@ -71,17 +80,22 @@ impl QueryScratch {
     /// Tentative distance of `v` in the current search ([`INF`] if untouched).
     #[inline]
     pub fn dist(&self, v: NodeId) -> Dist {
-        self.dist[v as usize]
+        let v = v as usize;
+        self.chunks[self.block[v / BLOCK] as usize][v % BLOCK]
     }
 
-    /// Set `v`'s tentative distance, listing `v` as touched on first write.
+    /// Set `v`'s tentative distance, giving its block a fresh chunk on the
+    /// first write into it.
     #[inline]
     pub fn set_dist(&mut self, v: NodeId, d: Dist) {
-        let slot = &mut self.dist[v as usize];
-        if *slot == INF {
-            self.touched.push(v);
+        let v = v as usize;
+        let slot = &mut self.block[v / BLOCK];
+        if *slot == 0 {
+            *slot = self.chunks.len() as u32;
+            self.chunks.push([INF; BLOCK]);
+            self.used.push((v / BLOCK) as u32);
         }
-        *slot = d;
+        self.chunks[*slot as usize][v % BLOCK] = d;
     }
 
     /// Push a heap entry keyed by `key` (g-value for Dijkstra, f for A\*).
@@ -139,13 +153,16 @@ impl ScratchPool {
 mod tests {
     use super::*;
 
-    /// The reset invariant: every slot (also those beyond `n`, left from a
-    /// larger graph) reads [`INF`], nothing is touched and the heap is
-    /// empty.
+    /// The reset invariant: every block slot (also those beyond `n`, left
+    /// from a larger graph) reads chunk 0, which is the only chunk and all
+    /// [`INF`]; no block is listed as used and the heap is empty.
     fn assert_clean(s: &QueryScratch, n: usize) {
-        assert!(s.dist.len() >= n);
-        assert!(s.dist.iter().all(|&d| d == INF), "stale distance");
-        assert!(s.touched.is_empty(), "touched list survived begin");
+        assert!(s.block.len() * BLOCK >= n);
+        assert!(s.block.iter().all(|&c| c == 0), "block kept a chunk");
+        assert_eq!(s.chunks.len(), 1, "chunks not truncated to chunk 0");
+        assert!(s.chunks[0].iter().all(|&d| d == INF), "chunk 0 written");
+        assert!(s.used.is_empty(), "used list survived begin");
+        assert!((0..n as NodeId).all(|v| s.dist(v) == INF), "stale distance");
         assert_eq!(s.peek(), None);
     }
 
@@ -158,7 +175,9 @@ mod tests {
         s.set_dist(0, 9);
         s.push(7, 2);
         assert_eq!(s.dist(2), 5);
-        assert_eq!(s.touched, vec![2, 0], "each node listed once");
+        assert_eq!(s.dist(1), INF);
+        assert_eq!(s.used, vec![0], "each block listed once");
+        assert_eq!(s.chunks.len(), 2);
         s.begin(4);
         assert_clean(&s, 4);
     }
@@ -168,17 +187,64 @@ mod tests {
         let mut s = QueryScratch::new();
         s.begin(2);
         s.set_dist(1, 3);
-        s.begin(10);
-        assert_clean(&s, 10);
-        s.set_dist(9, 1);
-        assert_eq!(s.dist(9), 1);
+        s.begin(1000);
+        assert_clean(&s, 1000);
+        s.set_dist(999, 1);
+        s.set_dist(5, 2);
+        assert_eq!(s.dist(999), 1);
+        assert_eq!(s.dist(5), 2);
         // A smaller graph next: the slots beyond it are reset too, so a
         // later larger search still starts clean.
         s.begin(3);
         assert_clean(&s, 3);
         s.set_dist(2, 4);
-        s.begin(10);
-        assert_clean(&s, 10);
+        s.begin(1000);
+        assert_clean(&s, 1000);
+    }
+
+    #[test]
+    fn memory_follows_touched_blocks_not_n() {
+        let n = 1 << 20;
+        let mut s = QueryScratch::new();
+        s.begin(n);
+        assert_eq!(s.block.len(), n / BLOCK);
+        let b = 37;
+        // Distinct blocks across the whole id range (7919 is coprime with
+        // the 2^14 blocks), at a different offset inside each.
+        let nodes: Vec<NodeId> = (0..b)
+            .map(|i| ((i * 7919 % (n / BLOCK)) * BLOCK + i % BLOCK) as NodeId)
+            .collect();
+        for (i, &v) in nodes.iter().enumerate() {
+            s.set_dist(v, i as Dist);
+            // A second write into the same block takes no new chunk.
+            s.set_dist(v ^ 1, i as Dist + 1);
+        }
+        assert_eq!(
+            s.chunks.len(),
+            b + 1,
+            "one chunk per touched block plus chunk 0"
+        );
+        assert_eq!(s.used.len(), b);
+        for (i, &v) in nodes.iter().enumerate() {
+            assert_eq!(s.dist(v), i as Dist);
+        }
+        assert_eq!(s.dist(nodes[0] + BLOCK as NodeId), INF);
+        // A warm scratch keeps its chunk capacity across begin.
+        s.begin(n);
+        assert_clean(&s, n);
+        assert!(s.chunks.capacity() > b);
+
+        // A final partial block: n = 64k + 1.
+        let n = 5 * BLOCK + 1;
+        let mut s = QueryScratch::new();
+        s.begin(n);
+        assert_eq!(s.block.len(), 6);
+        let last = (n - 1) as NodeId;
+        assert_eq!(s.dist(last), INF);
+        s.set_dist(last, 11);
+        assert_eq!(s.dist(last), 11);
+        assert_eq!(s.dist(last - 1), INF);
+        assert_eq!(s.used, vec![5]);
     }
 
     #[test]

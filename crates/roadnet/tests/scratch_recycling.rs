@@ -42,9 +42,11 @@ fn graph(n: usize, extra: usize, seed: u64) -> Graph {
     b.build()
 }
 
-/// Small, medium and large graphs.
+/// Small, medium and large graphs: one block of the scratch's 64-node
+/// block table, up to two, and up to seven, so a reset must clear several
+/// used slots.
 fn arb_graphs() -> impl Strategy<Value = [Graph; 3]> {
-    (4usize..12, 12usize..40, 40usize..90, any::<u64>()).prop_map(|(a, b, c, seed)| {
+    (4usize..12, 12usize..90, 90usize..400, any::<u64>()).prop_map(|(a, b, c, seed)| {
         [
             graph(a, a / 2, seed),
             graph(b, b, seed.rotate_left(21)),
